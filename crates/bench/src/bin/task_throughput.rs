@@ -19,8 +19,7 @@
 //!
 //! Each shape runs under eager, dmda, and dmdar, reporting tasks/sec and
 //! the mean per-pop scheduler decision cost in nanoseconds (time spent in
-//! `pop_for_worker` plus the residency snapshot it consumes, measured on
-//! the worker threads). Wall-clock time is measured from first submit to
+//! `pop_for_worker`, measured on the worker threads). Wall-clock time is measured from first submit to
 //! `wait_all` return (best of five runs; pop cost is taken from the
 //! best-rate run).
 //!

@@ -14,10 +14,10 @@
 //! cheapest route per transfer, and deduplicates concurrent transfers of
 //! the same `(handle, node)` pair through an in-flight registry.
 
-use crate::handle::{AccessMode, DataHandle, ReplicaStatus};
+use crate::handle::{AccessMode, DataHandle, HandleState, PayloadBox, PayloadCell, ReplicaStatus};
 use crate::memory::MemoryManager;
 use crate::stats::{StatsCollector, TraceEvent};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 use peppher_sim::{LinkProfile, MachineConfig, VTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -100,9 +100,6 @@ pub struct Topology {
     host_profiles: Vec<LinkProfile>,
     h2d: Vec<Mutex<LinkState>>,
     d2h: Vec<Mutex<LinkState>>,
-    /// When `false`, the d2h direction shares the h2d channel (the pre-PR-4
-    /// half-duplex model, kept as an ablation baseline).
-    duplex: bool,
     /// Per-*directed*-pair peer link profiles, indexed
     /// `(src_dev * ndev) + dst_dev` over 0-based device indices; `None`
     /// means that direction has no direct channel and stages through the
@@ -117,15 +114,8 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds the fabric described by a machine config (full-duplex links).
+    /// Builds the fabric described by a machine config.
     pub fn new(machine: &MachineConfig) -> Self {
-        Self::with_duplex(machine, true)
-    }
-
-    /// Builds the fabric with an explicit duplex mode. `duplex: false`
-    /// serializes each link's two directions on one channel — the
-    /// half-duplex baseline used by ablation benches and tests.
-    pub fn with_duplex(machine: &MachineConfig, duplex: bool) -> Self {
         let host_profiles: Vec<LinkProfile> = machine
             .accelerators
             .iter()
@@ -144,7 +134,6 @@ impl Topology {
         Topology {
             h2d: mk(ndev),
             d2h: mk(ndev),
-            duplex,
             peer_profiles,
             peer: mk(peer_chans),
             host_profiles,
@@ -178,18 +167,11 @@ impl Topology {
         }
     }
 
-    /// The occupancy timeline backing `channel`. In half-duplex mode both
-    /// directions of a host link share the h2d timeline.
+    /// The occupancy timeline backing `channel`.
     fn chan_state(&self, channel: Channel) -> &Mutex<LinkState> {
         match channel {
             Channel::HostToDevice(n) => &self.h2d[n - 1],
-            Channel::DeviceToHost(n) => {
-                if self.duplex {
-                    &self.d2h[n - 1]
-                } else {
-                    &self.h2d[n - 1]
-                }
-            }
+            Channel::DeviceToHost(n) => &self.d2h[n - 1],
             Channel::Peer(a, b) => {
                 debug_assert!(
                     self.peer_profile(a, b).is_some(),
@@ -281,16 +263,14 @@ impl Topology {
 
     /// Accumulated busy time per channel, for stats reporting. Peer
     /// channels are listed only when they carried traffic; host channels
-    /// are always listed (one entry per direction in duplex mode).
+    /// are always listed (one entry per direction).
     pub fn channel_busy(&self) -> Vec<(String, VTime)> {
         let mut out = Vec::new();
         for (i, l) in self.h2d.iter().enumerate() {
             out.push((Channel::HostToDevice(i + 1).to_string(), l.lock().busy));
         }
-        if self.duplex {
-            for (i, l) in self.d2h.iter().enumerate() {
-                out.push((Channel::DeviceToHost(i + 1).to_string(), l.lock().busy));
-            }
+        for (i, l) in self.d2h.iter().enumerate() {
+            out.push((Channel::DeviceToHost(i + 1).to_string(), l.lock().busy));
         }
         let ndev = self.ndev();
         for (idx, l) in self.peer.iter().enumerate() {
@@ -365,8 +345,9 @@ impl Topology {
 /// Makes `node`'s replica of `handle` usable for an access of mode `mode`,
 /// triggering lazy transfers as needed. Returns the virtual time at which
 /// the data is available at `node` (i.e. the earliest the access may begin
-/// consuming it). Coherence-status effects of *writes* are applied later by
-/// [`mark_written`], once the writing task's finish time is known.
+/// consuming it). Coherence-status effects of *writes* are applied by
+/// [`mark_written`], once the writing task's finish time is known — except
+/// that a write-only access claims the handle here already (see below).
 ///
 /// Capacity is reserved through `memory` *before* the handle's state lock
 /// is taken (lock order is handle → node, and eviction surgery must be able
@@ -390,32 +371,24 @@ pub(crate) fn make_valid(
     stats: &StatsCollector,
     memory: &MemoryManager,
 ) -> VTime {
-    let reuse = memory.prepare(handle, node, topo, stats);
+    // A buffer recycled from the node's allocation cache holds stale
+    // garbage, possibly of another type: it joins the replica only together
+    // with the payload that overwrites it, and goes back to the cache when
+    // the replica turns out not to need it.
+    let mut spare = memory.prepare(handle, node, topo, stats);
+    let give_back = |spare: Option<PayloadCell>| {
+        if let Some(cell) = spare {
+            memory.give_back(node, cell, handle.bytes() as u64);
+        }
+    };
     let inner = &handle.inner;
     let mut st = inner.state.lock();
     debug_assert!(node < st.replicas.len(), "node {node} out of range");
 
-    // Install a buffer recycled from the node's allocation cache. Its
-    // contents are stale garbage — every path below overwrites the payload
-    // before the replica is ever marked valid.
-    let mut installed_reuse = false;
-    if let Some(cell) = reuse {
-        if st.replicas[node].cell.is_none() {
-            st.replicas[node].cell = Some(cell);
-            installed_reuse = true;
-        } else {
-            // A racing make_valid installed a cell between prepare and the
-            // state lock: the spare buffer goes back to the cache.
-            memory.give_back(node, cell, handle.bytes() as u64);
-        }
-    }
-
     if !mode.reads() {
-        // Write-only: ensure a buffer exists (clone any valid payload purely
-        // for allocation/type purposes) but charge no transfer. A reused
-        // buffer needs the same payload reset — its old contents may even
-        // be of a different type.
-        if st.replicas[node].cell.is_none() || installed_reuse {
+        // Write-only: ensure a buffer exists (a copy of any valid payload,
+        // purely for allocation and type) but charge no transfer.
+        if st.replicas[node].cell.is_none() {
             let src_cell = st
                 .replicas
                 .iter()
@@ -423,23 +396,25 @@ pub(crate) fn make_valid(
                 .and_then(|r| r.cell.clone())
                 .expect("handle has no valid replica anywhere");
             let payload = (inner.clone_fn)(&src_cell.read());
-            match st.replicas[node].cell.clone() {
-                Some(cell) => *cell.write() = payload,
-                None => {
-                    st.replicas[node].cell =
-                        Some(std::sync::Arc::new(parking_lot::RwLock::new(payload)));
-                }
-            }
+            st.replicas[node].cell = Some(buffer_with(spare.take(), payload));
             stats.record_event(TraceEvent::Allocate {
                 handle: handle.id(),
                 node,
             });
         }
+        give_back(spare);
+        // The old contents are dead from here on: their readers have
+        // completed and later ones wait for this writer. Claiming now, not
+        // at `mark_written`, matters when `node` is 0: a sole valid device
+        // copy evicted mid-write would be written back into this very
+        // buffer, over the new contents.
+        claim(&mut st, handle, node, stats);
         return VTime::ZERO;
     }
 
     loop {
         if st.replicas[node].is_valid() {
+            give_back(spare);
             return st.replicas[node].vready;
         }
 
@@ -460,47 +435,64 @@ pub(crate) fn make_valid(
 
         // This caller owns the transfer into `node`. Choose a source:
         // prefer the Modified copy, else main memory, else any valid.
-        let mut src = st
+        let src = st
             .replicas
             .iter()
             .position(|r| r.status == ReplicaStatus::Modified)
             .or_else(|| st.replicas[0].is_valid().then_some(0))
-            .or_else(|| st.replicas.iter().position(|r| r.is_valid()))
-            .expect("handle has no valid replica anywhere");
+            .or_else(|| st.replicas.iter().position(|r| r.is_valid()));
+        let Some(mut src) = src else {
+            // No copy left: the handle was unregistered under a prefetch
+            // that outlived its task (a task's own operands always have
+            // one). Give the reservation back and give up.
+            drop(st);
+            memory.recycle(node, handle.id(), spare, stats);
+            topo.inflight_finish(key, &pending, VTime::ZERO);
+            return VTime::ZERO;
+        };
 
         if topo.plan_route(src, node, handle.bytes() as u64).len() > 1 {
             // Device→device staged through main memory: make node 0 valid
             // through its own in-flight entry first. Concurrent broadcasts
             // of this handle to other devices join that entry, so the d2h
-            // leg is paid once. Node 0 never evicts and no writer can run
-            // concurrently (sequential consistency), so it stays valid.
+            // leg is paid once. Node 0 never evicts, so it stays valid
+            // unless the handle was unregistered under a prefetch.
             drop(st);
             make_valid(handle, 0, AccessMode::Read, topo, stats, memory);
             st = inner.state.lock();
+            if !st.replicas[0].is_valid() {
+                topo.inflight_finish(key, &pending, VTime::ZERO);
+                continue;
+            }
             src = 0;
         }
 
         // Snapshot the source under the lock, then copy outside it: the
         // Arc keeps the payload alive even if the source replica is evicted
-        // mid-copy, and no concurrent writer exists (sequential
-        // consistency), so the contents are stable.
+        // mid-copy. Sequential consistency keeps writers away from a task's
+        // own operands; a prefetch can still race one, which the `writes`
+        // check below catches.
         let src_vready = st.replicas[src].vready;
         let src_cell = st.replicas[src]
             .cell
             .clone()
             .expect("source replica has no buffer");
+        let writes = st.writes;
         drop(st);
 
         let arrive = topo.hop(handle, src, node, src_vready, stats);
         let payload = (inner.clone_fn)(&src_cell.read());
 
         st = inner.state.lock();
+        if st.writes != writes {
+            // A write claimed the handle during the copy — only a prefetch
+            // can race a writer — so the payload is stale: start over.
+            topo.inflight_finish(key, &pending, arrive);
+            continue;
+        }
         match st.replicas[node].cell.clone() {
             Some(cell) => *cell.write() = payload,
-            None => {
-                st.replicas[node].cell =
-                    Some(std::sync::Arc::new(parking_lot::RwLock::new(payload)));
-            }
+            None => st.replicas[node].cell = Some(buffer_with(spare.take(), payload)),
         }
         // Every valid copy now shares the same contents. Demoting *any*
         // Modified replica (the source, or node 0 if an eviction wrote the
@@ -515,6 +507,7 @@ pub(crate) fn make_valid(
         st.replicas[node].vready = arrive;
         drop(st);
 
+        give_back(spare);
         topo.inflight_finish(key, &pending, arrive);
         return arrive;
     }
@@ -537,21 +530,13 @@ pub(crate) fn mark_written(
     let mut released: Vec<(usize, Option<crate::handle::PayloadCell>)> = Vec::new();
     {
         let mut st = handle.inner.state.lock();
-        let nreplicas = st.replicas.len();
-        for i in 0..nreplicas {
-            if i != node && st.replicas[i].is_valid() {
-                st.replicas[i].status = ReplicaStatus::Invalid;
-                stats.record_event(TraceEvent::Invalidate {
-                    handle: handle.id(),
-                    node: i,
-                });
-            }
-            if i != node && i != 0 && !st.replicas[i].is_valid() && st.replicas[i].cell.is_some() {
+        claim(&mut st, handle, node, stats);
+        st.replicas[node].vready = vfinish;
+        for i in 1..st.replicas.len() {
+            if i != node && st.replicas[i].cell.is_some() {
                 released.push((i, st.replicas[i].cell.take()));
             }
         }
-        st.replicas[node].status = ReplicaStatus::Modified;
-        st.replicas[node].vready = vfinish;
     }
     // The replica now holds the sole valid (Modified) copy — flag its
     // capacity-manager entry dirty so family-aware eviction can prefer
@@ -561,6 +546,34 @@ pub(crate) fn mark_written(
     for (i, cell) in released {
         memory.recycle(i, handle.id(), cell, stats);
     }
+}
+
+/// `payload` in a buffer: the recycled `spare` when there is one, else a
+/// fresh allocation.
+fn buffer_with(spare: Option<PayloadCell>, payload: PayloadBox) -> PayloadCell {
+    match spare {
+        Some(cell) => {
+            *cell.write() = payload;
+            cell
+        }
+        None => Arc::new(RwLock::new(payload)),
+    }
+}
+
+/// Makes `node`'s replica the unique Modified copy, invalidating every other
+/// valid replica.
+fn claim(st: &mut HandleState, handle: &DataHandle, node: usize, stats: &StatsCollector) {
+    for (i, r) in st.replicas.iter_mut().enumerate() {
+        if i != node && r.is_valid() {
+            r.status = ReplicaStatus::Invalid;
+            stats.record_event(TraceEvent::Invalidate {
+                handle: handle.id(),
+                node: i,
+            });
+        }
+    }
+    st.replicas[node].status = ReplicaStatus::Modified;
+    st.writes += 1;
 }
 
 /// The buffer cell for `node`, which must have been prepared by a prior
@@ -615,8 +628,8 @@ mod tests {
             .lock()
             .iter()
             .any(|e| matches!(e, TraceEvent::Allocate { node: 1, .. })));
-        // The device replica exists but is NOT valid until mark_written.
-        assert_eq!(h.valid_nodes(), vec![0]);
+        // The write claims the handle at once: the old host copy is dead.
+        assert_eq!(h.valid_nodes(), vec![1]);
         // The allocation is charged against the device budget right away.
         assert!(mm.is_resident(1, h.id()));
     }
@@ -642,6 +655,50 @@ mod tests {
             "write-only re-allocation must transfer zero bytes"
         );
         assert!(mm.is_resident(1, h.id()), "fresh buffer is re-accounted");
+    }
+
+    #[test]
+    fn transfer_of_an_unregistered_handle_gives_up() {
+        // A prefetch that outlived its task can find its handle already
+        // unregistered: no valid copy, no buffer. It must give up, not
+        // panic on a worker thread, and leave nothing accounted.
+        let (topo, stats, h, mm) = setup();
+        {
+            let mut st = h.inner.state.lock();
+            st.replicas[0].cell = None;
+            st.replicas[0].status = ReplicaStatus::Invalid;
+        }
+        mm.pin(1, &h);
+        let ready = make_valid(&h, 1, AccessMode::Read, &topo, &stats, &mm);
+        mm.unpin(1, h.id());
+        assert_eq!(ready, VTime::ZERO);
+        assert_eq!(mm.used_bytes()[1], 0);
+        mm.validate().unwrap();
+    }
+
+    #[test]
+    fn eviction_mid_write_keeps_the_new_host_contents() {
+        // A write-only host access while the sole valid copy lives on the
+        // device: evicting that copy before the write completes must not
+        // write it back over the new host contents.
+        let (topo, stats, h, mm) = setup();
+        make_valid(&h, 1, AccessMode::ReadWrite, &topo, &stats, &mm);
+        mark_written(&h, 1, VTime::from_micros(1), &stats, &mm);
+        make_valid(&h, 0, AccessMode::Write, &topo, &stats, &mm);
+        *cell_for(&h, 0).write() = Box::new(vec![2.0f32; 4]);
+        mm.reclaim_node(1, &topo, &stats);
+        mark_written(&h, 0, VTime::from_micros(2), &stats, &mm);
+        let cell = cell_for(&h, 0);
+        let host = cell.read();
+        assert!(
+            host.downcast_ref::<Vec<f32>>() == Some(&vec![2.0f32; 4]),
+            "the stale device copy was written back over the new contents"
+        );
+        assert_eq!(
+            stats.snapshot().writeback_bytes,
+            0,
+            "the dead copy is dropped"
+        );
     }
 
     #[test]
@@ -968,30 +1025,23 @@ mod tests {
     }
 
     #[test]
-    fn duplex_directions_overlap_half_duplex_serializes() {
-        // A writeback (d2h) and a prefetch (h2d) on the same device must
-        // overlap in virtual time on the duplex fabric and serialize on the
-        // half-duplex baseline.
+    fn duplex_directions_overlap() {
+        // A writeback (d2h) and a prefetch (h2d) on the same device overlap
+        // in virtual time: each direction is its own channel.
         let machine = MachineConfig::c2050_platform(1);
         let stats = StatsCollector::new(machine.total_workers(), false);
         let nodes = machine.memory_nodes();
         let bytes = 1 << 20;
-        let run = |topo: &Topology| {
-            let a = DataHandle::new(1, vec![0u8; bytes], bytes, nodes);
-            let b = DataHandle::new(2, vec![0u8; bytes], bytes, nodes);
-            let t_down = topo.hop(&a, 1, 0, VTime::ZERO, &stats);
-            let t_up = topo.hop(&b, 0, 1, VTime::ZERO, &stats);
-            (t_down, t_up)
-        };
+        let topo = Topology::new(&machine);
+        let a = DataHandle::new(1, vec![0u8; bytes], bytes, nodes);
+        let b = DataHandle::new(2, vec![0u8; bytes], bytes, nodes);
         let flat = machine.accelerators[0].link.transfer_time(bytes as u64);
-
-        let (down, up) = run(&Topology::new(&machine));
-        assert_eq!(down, flat);
-        assert_eq!(up, flat, "duplex: both directions start at t=0");
-
-        let (down, up) = run(&Topology::with_duplex(&machine, false));
-        assert_eq!(down, flat);
-        assert_eq!(up, flat + flat, "half-duplex: h2d waits for d2h");
+        assert_eq!(topo.hop(&a, 1, 0, VTime::ZERO, &stats), flat);
+        assert_eq!(
+            topo.hop(&b, 0, 1, VTime::ZERO, &stats),
+            flat,
+            "both directions start at t=0"
+        );
     }
 
     #[test]

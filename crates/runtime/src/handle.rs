@@ -90,6 +90,10 @@ pub struct HandleState {
     pub last_writer: Option<Arc<Task>>,
     /// Tasks that read the handle since the last write.
     pub readers: Vec<Arc<Task>>,
+    /// Writes that have claimed the handle so far. A transfer copies its
+    /// source outside this lock; if a write claimed the handle meanwhile,
+    /// the copy is stale and is not installed.
+    pub writes: u64,
 }
 
 pub(crate) struct HandleInner {
@@ -172,6 +176,7 @@ impl DataHandle {
                     replicas,
                     last_writer: None,
                     readers: Vec::new(),
+                    writes: 0,
                 }),
             }),
         }

@@ -28,14 +28,14 @@
 //!   kernels *really execute* (on the device's host thread) so results are
 //!   correct; their *timing* is virtual, from `peppher-sim` cost models.
 //! - **Schedulers** ([`SchedulerKind`]): a pull-based API — ready tasks are
-//!   pushed once into per-worker queues and idle workers pop against a
-//!   fresh [`MemoryView`] residency snapshot. Policies: `eager` (central
-//!   queue, late binding), `ws` (work-stealing), `random`, `dmda` — the
-//!   performance-model-aware policy (HEFT-style earliest-finish-time with
-//!   transfer costs) that gives the paper's "performance-aware dynamic
-//!   scheduling" — and `dmdar`, dmda placement plus memory-aware queue
-//!   reordering (StarPU's "dmda ready") that dispatches tasks whose read
-//!   operands are already resident on the worker's node first.
+//!   pushed once into per-worker queues and idle workers pop from them.
+//!   Policies: `eager` (central queue, late binding), `ws`
+//!   (work-stealing), `random`, `dmda` — the performance-model-aware
+//!   policy (HEFT-style earliest-finish-time with transfer costs) that
+//!   gives the paper's "performance-aware dynamic scheduling" — and
+//!   `dmdar`, the same policy with memory-aware dispatch order (StarPU's
+//!   "dmda ready") that runs tasks whose read operands are already
+//!   resident on the worker's node first.
 //! - **Performance models** ([`perfmodel`]): per (codelet, architecture,
 //!   size-bucket) execution-history models with explicit calibration,
 //!   StarPU-style, toggled by `useHistoryModels`.
@@ -100,7 +100,7 @@ pub use graph::{
 pub use handle::{AccessMode, Data, DataHandle, ReplicaStatus};
 pub use intern::{CodeletId, Sym};
 pub use job::{Batch, JobConfig, JobHandle, JobStats};
-pub use memory::{EvictionPolicy, MemoryManager, MemoryView};
+pub use memory::{EvictionPolicy, MemoryManager};
 pub use perfmodel::{ArchClassId, DriftEvent, Estimate, ModelStats, PerfKey, PerfRegistry};
 pub use runtime::{
     ExplorationMode, HostReadGuard, HostWriteGuard, Objective, Runtime, RuntimeConfig, TimingMode,

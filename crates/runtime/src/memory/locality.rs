@@ -1,52 +1,22 @@
 //! Incremental residency index for pop-path locality scoring.
 //!
 //! `dmdar` prices every queued task by where its read operands currently
-//! live. Doing that against [`super::MemoryView`] means a fresh per-node
-//! HashMap probe per operand per candidate per pop — O(queue depth) work
-//! that grows with load, exactly when the scheduler can least afford it.
-//! [`LocalityIndex`] inverts the bookkeeping: it keeps a per-handle source
-//! list (`node → accounted bytes`) synchronized against the memory
-//! manager's residency epoch via the [`super::ResidencyDelta`] log, so a
-//! pop pays O(changed replicas) instead of O(resident replicas), and the
-//! index reports exactly *which* handles moved so the scheduler can
-//! rescore only the queue entries that reference them.
+//! live. Asking the memory manager per operand per candidate per pop would
+//! lock a node map for every probe — O(queue depth) work that grows with
+//! load, exactly when the scheduler can least afford it. [`LocalityIndex`]
+//! inverts the bookkeeping: it keeps a per-handle source list (`node →
+//! accounted bytes`) synchronized against the memory manager's residency
+//! epoch via the [`super::ResidencyDelta`] log, so a pop pays O(changed
+//! replicas) instead of O(resident replicas), and the index reports
+//! exactly *which* handles moved so the scheduler can rescore only the
+//! queue entries that reference them.
 //!
 //! One index instance per [`MemoryManager`]: [`MemoryManager::
 //! take_residency_deltas`] drains a single shared log, so two indexes on
 //! the same manager would each see half the mutations.
 
-use super::{MemoryManager, MemoryView};
-use crate::handle::{AccessMode, DataHandle};
+use super::MemoryManager;
 use std::collections::HashMap;
-
-/// Read-side abstraction over "how many bytes of this handle are resident
-/// at that node", implemented by both the point-in-time [`MemoryView`]
-/// snapshot and the incrementally-maintained [`LocalityIndex`], so cost
-/// models (dmdar's `fetch_cost`) can run against either.
-pub trait ResidentLookup {
-    /// Accounted bytes of `handle_id`'s replica at `node` (0 when absent).
-    fn resident_bytes_at(&self, node: usize, handle_id: u64) -> u64;
-
-    /// Calls `f(node, bytes)` for every node holding an allocated replica
-    /// of `handle_id`.
-    fn for_each_source(&self, handle_id: u64, f: &mut dyn FnMut(usize, u64));
-}
-
-impl ResidentLookup for MemoryView {
-    fn resident_bytes_at(&self, node: usize, handle_id: u64) -> u64 {
-        self.resident_bytes(node, handle_id)
-    }
-
-    fn for_each_source(&self, handle_id: u64, f: &mut dyn FnMut(usize, u64)) {
-        for (node, map) in self.resident.iter().enumerate() {
-            if let Some(&bytes) = map.get(&handle_id) {
-                if bytes > 0 {
-                    f(node, bytes);
-                }
-            }
-        }
-    }
-}
 
 /// Per-handle residency index, kept current by applying the memory
 /// manager's delta log instead of rescanning its nodes (see module docs).
@@ -60,19 +30,16 @@ pub struct LocalityIndex {
 
 impl LocalityIndex {
     /// Builds an index over `memory`'s current residency and turns on its
-    /// delta log. Logging is enabled *before* the seed snapshot is taken:
-    /// a mutation racing the snapshot is then replayed by the first
+    /// delta log. Logging is enabled *before* the seeding walk over the
+    /// node maps: a mutation racing the walk is then replayed by the first
     /// [`LocalityIndex::sync`], which absolute deltas absorb harmlessly.
     pub fn new(memory: &MemoryManager) -> Self {
         memory.enable_residency_log();
         let epoch = memory.epoch();
-        let view = memory.view();
         let mut resident: HashMap<u64, Vec<(usize, u64)>> = HashMap::new();
-        for (node, map) in view.resident.iter().enumerate() {
-            for (&id, &bytes) in map {
-                resident.entry(id).or_default().push((node, bytes));
-            }
-        }
+        memory.for_each_resident(|node, id, bytes| {
+            resident.entry(id).or_default().push((node, bytes));
+        });
         LocalityIndex {
             resident,
             synced_epoch: epoch,
@@ -119,29 +86,9 @@ impl LocalityIndex {
             .unwrap_or(0)
     }
 
-    /// Sums, over the read-mode operands of `accesses`, the bytes already
-    /// resident at `node` — the incremental twin of
-    /// [`MemoryView::resident_read_bytes`].
-    pub fn resident_read_bytes(&self, node: usize, accesses: &[(DataHandle, AccessMode)]) -> u64 {
-        accesses
-            .iter()
-            .filter(|(_, m)| m.reads())
-            .map(|(h, _)| self.resident_bytes(node, h.id()).min(h.bytes() as u64))
-            .sum()
-    }
-}
-
-impl ResidentLookup for LocalityIndex {
-    fn resident_bytes_at(&self, node: usize, handle_id: u64) -> u64 {
-        self.resident_bytes(node, handle_id)
-    }
-
-    fn for_each_source(&self, handle_id: u64, f: &mut dyn FnMut(usize, u64)) {
-        if let Some(sources) = self.resident.get(&handle_id) {
-            for &(node, bytes) in sources {
-                f(node, bytes);
-            }
-        }
+    /// Every `(node, accounted bytes)` replica of `handle_id`.
+    pub fn sources(&self, handle_id: u64) -> &[(usize, u64)] {
+        self.resident.get(&handle_id).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -150,6 +97,7 @@ mod tests {
     use super::super::EvictionPolicy;
     use super::*;
     use crate::coherence::{self, Topology};
+    use crate::handle::{AccessMode, DataHandle};
     use crate::stats::StatsCollector;
     use peppher_sim::MachineConfig;
     use proptest::prelude::*;
@@ -183,24 +131,34 @@ mod tests {
         coherence::make_valid(&b, 1, AccessMode::Read, &topo, &stats, &mm);
         idx.sync(&mm);
         assert_eq!(idx.resident_bytes(2, 1), 4 * 1024);
-        let ops = vec![(a.clone(), AccessMode::Read), (b.clone(), AccessMode::Read)];
-        assert_eq!(idx.resident_read_bytes(1, &ops), 8 * 1024);
+        assert_eq!(idx.resident_bytes(1, 2), 4 * 1024);
+        assert_eq!(idx.sources(1), &[(1, 4 * 1024), (2, 4 * 1024)]);
 
         // Eviction under pressure must retire the index entry too.
         let c = handle(3, 4, m.memory_nodes());
         coherence::make_valid(&c, 1, AccessMode::Read, &topo, &stats, &mm);
         let touched = idx.sync(&mm);
         assert!(!touched.is_empty());
-        let view = mm.view();
         for node in 1..m.memory_nodes() {
             for id in 1..=3 {
                 assert_eq!(
                     idx.resident_bytes(node, id),
-                    view.resident_bytes(node, id),
+                    oracle(&mm, node, id),
                     "node {node} handle {id}"
                 );
             }
         }
+    }
+
+    /// Accounted bytes of `id` at `node` straight from the memory manager.
+    fn oracle(mm: &MemoryManager, node: usize, id: u64) -> u64 {
+        let mut bytes = 0;
+        mm.for_each_resident(|n, h, b| {
+            if (n, h) == (node, id) {
+                bytes = b;
+            }
+        });
+        bytes
     }
 
     #[test]
@@ -269,11 +227,10 @@ mod tests {
         /// replica add / host-write invalidation / wont_use-assisted
         /// eviction / forget / reclaim, syncing the index at random
         /// points, and checks after every operation that the cached
-        /// per-handle byte counts never diverge from a brute-force
-        /// [`MemoryView`] rescan (including the `resident_read_bytes`
-        /// aggregate dmdar consumes).
+        /// per-handle byte counts never diverge from a brute-force rescan
+        /// of the memory manager's node maps.
         #[test]
-        fn index_never_diverges_from_view_oracle(
+        fn index_never_diverges_from_node_maps(
             ops in proptest::collection::vec(op_strategy(), 1..60)
         ) {
             // Two 10 KiB device nodes and six 4 KiB handles: roughly half
@@ -315,23 +272,14 @@ mod tests {
                 // Oracle check: after a sync the index must agree with a
                 // full rescan, byte for byte.
                 idx.sync(&mm);
-                let view = mm.view();
                 for node in 0..m.memory_nodes() {
                     for h in &handles {
                         prop_assert_eq!(
                             idx.resident_bytes(node, h.id()),
-                            view.resident_bytes(node, h.id()),
+                            oracle(&mm, node, h.id()),
                             "node {} handle {}", node, h.id()
                         );
                     }
-                    let ops_list: Vec<_> = handles
-                        .iter()
-                        .map(|h| (h.clone(), AccessMode::Read))
-                        .collect();
-                    prop_assert_eq!(
-                        idx.resident_read_bytes(node, &ops_list),
-                        view.resident_read_bytes(node, &ops_list)
-                    );
                 }
             }
             mm.validate().unwrap();

@@ -45,7 +45,7 @@
 mod freelist;
 mod locality;
 
-pub use locality::{LocalityIndex, ResidentLookup};
+pub use locality::LocalityIndex;
 
 use crate::coherence::Topology;
 use crate::handle::{DataHandle, HandleInner, PayloadBox, PayloadCell, ReplicaStatus};
@@ -167,12 +167,9 @@ pub struct MemoryManager {
     nodes: Vec<Mutex<NodeMem>>,
     policy: EvictionPolicy,
     /// Bumped on every residency mutation (allocation accounting, eviction,
-    /// recycle, forget). [`MemoryManager::view`] rebuilds its cached
-    /// snapshot only when this moved — idle workers polling `view()` pay an
-    /// atomic load and an `Arc` clone instead of a full HashMap copy.
+    /// recycle, forget), so a [`LocalityIndex`] whose sync is tagged with
+    /// the current value knows it is up to date with one atomic load.
     epoch: AtomicU64,
-    /// The epoch-tagged cached snapshot behind [`MemoryManager::view`].
-    cached_view: Mutex<Option<(u64, Arc<MemoryView>)>>,
     /// When set, every residency mutation appends a [`ResidencyDelta`] to
     /// `residency_log` (under the mutated node's lock, so per-replica log
     /// order matches mutation order). Off by default — only consumers like
@@ -212,75 +209,6 @@ pub struct ResidencyDelta {
     pub handle: u64,
     /// Accounted bytes after the mutation; 0 removes the replica.
     pub bytes: u64,
-}
-
-/// A read-only, point-in-time snapshot of replica residency, taken with
-/// [`MemoryManager::view`]. Schedulers consult it on the pop path (dmdar's
-/// readiness term) without re-locking the allocator per operand: the
-/// snapshot is built once per pop attempt, so a whole queue scan prices
-/// every queued task against the same consistent state.
-///
-/// Residency here means *allocated and accounted* bytes. Invalidation
-/// recycles a replica's buffer and drops its accounting in the same step,
-/// so an allocated replica is a valid (or about-to-be-overwritten) one —
-/// close enough for a scheduling heuristic, and strictly cheaper than
-/// locking every handle's coherence state.
-#[derive(Debug, Clone)]
-pub struct MemoryView {
-    /// Per-node map of handle id → accounted replica bytes.
-    resident: Vec<HashMap<u64, u64>>,
-}
-
-impl MemoryView {
-    /// Accounted bytes of `handle_id`'s replica at `node` (0 when absent).
-    pub fn resident_bytes(&self, node: usize, handle_id: u64) -> u64 {
-        self.resident
-            .get(node)
-            .and_then(|m| m.get(&handle_id))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Whether `handle_id` had an allocated replica at `node` when the
-    /// snapshot was taken.
-    pub fn is_resident(&self, node: usize, handle_id: u64) -> bool {
-        self.resident_bytes(node, handle_id) > 0
-    }
-
-    /// Sums, over the read-mode operands of `accesses`, the bytes already
-    /// resident at `node` — dmdar's readiness term. Write-only operands
-    /// are skipped: they allocate without a copy, so their residency saves
-    /// no transfer.
-    pub fn resident_read_bytes(
-        &self,
-        node: usize,
-        accesses: &[(DataHandle, crate::handle::AccessMode)],
-    ) -> u64 {
-        accesses
-            .iter()
-            .filter(|(_, m)| m.reads())
-            .map(|(h, _)| self.resident_bytes(node, h.id()).min(h.bytes() as u64))
-            .sum()
-    }
-
-    /// Sums the read-operand bytes *missing* at `node` — what a dispatch
-    /// there would have to transfer in.
-    pub fn missing_read_bytes(
-        &self,
-        node: usize,
-        accesses: &[(DataHandle, crate::handle::AccessMode)],
-    ) -> u64 {
-        accesses
-            .iter()
-            .filter(|(_, m)| m.reads())
-            .map(|(h, _)| (h.bytes() as u64).saturating_sub(self.resident_bytes(node, h.id())))
-            .sum()
-    }
-
-    /// Number of memory nodes covered by the snapshot.
-    pub fn nodes(&self) -> usize {
-        self.resident.len()
-    }
 }
 
 /// Outcome of one victim-selection pass under the node lock.
@@ -323,7 +251,6 @@ impl MemoryManager {
             nodes,
             policy,
             epoch: AtomicU64::new(0),
-            cached_view: Mutex::new(None),
             log_residency: AtomicBool::new(false),
             residency_log: Mutex::new(Vec::new()),
             quotas: RwLock::new(HashMap::new()),
@@ -432,16 +359,16 @@ impl MemoryManager {
             .collect()
     }
 
-    /// Current residency epoch (see [`MemoryManager::view`]). A consumer
-    /// whose cached state is tagged with this value is up to date.
+    /// Current residency epoch. A consumer whose cached state is tagged
+    /// with this value is up to date.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
     /// Turns on residency-delta logging (see [`ResidencyDelta`]). Must be
-    /// called *before* snapshotting the state the deltas are applied to:
-    /// enable-then-snapshot may replay a mutation already visible in the
-    /// snapshot, which absolute deltas absorb harmlessly.
+    /// called *before* reading the state the deltas are applied to:
+    /// enable-then-read may replay a mutation already visible in what was
+    /// read, which absolute deltas absorb harmlessly.
     pub fn enable_residency_log(&self) {
         self.log_residency.store(true, Ordering::Release);
     }
@@ -469,10 +396,9 @@ impl MemoryManager {
         }
     }
 
-    /// Marks the residency state changed so the next [`MemoryManager::view`]
-    /// rebuilds its snapshot. Called by every mutation of accounted
-    /// replica bytes; pin placeholders (0-byte entries, invisible in
-    /// views) and `wont_use` flags do not count.
+    /// Marks the residency state changed. Called by every mutation of
+    /// accounted replica bytes; pin placeholders (0-byte entries, not
+    /// residency) and `wont_use` flags do not count.
     fn bump_epoch(&self) {
         self.epoch.fetch_add(1, Ordering::Release);
     }
@@ -491,48 +417,14 @@ impl MemoryManager {
             .map(|b| b.saturating_sub(nm.used + nm.cache.retained()))
     }
 
-    /// Takes a read-only residency snapshot across every node (see
-    /// [`MemoryView`]). The snapshot is epoch-cached: it is rebuilt only
-    /// when a residency mutation bumped the epoch since the last call, so
-    /// the per-pop cost on a quiescent runtime is an atomic load plus an
-    /// `Arc` clone. When rebuilding, each node's lock is held only long
-    /// enough to copy its id→bytes map; pin placeholders (0-byte entries)
-    /// are skipped.
-    pub fn view(&self) -> Arc<MemoryView> {
-        // Load the epoch BEFORE building: a mutation racing the rebuild
-        // tags the cache entry with the pre-mutation epoch, so the next
-        // call conservatively rebuilds again.
-        let epoch = self.epoch.load(Ordering::Acquire);
-        {
-            let cached = self.cached_view.lock();
-            if let Some((e, view)) = cached.as_ref() {
-                if *e == epoch {
-                    return Arc::clone(view);
+    /// Calls `f(node, handle_id, bytes)` for every allocated (accounted)
+    /// replica, one node lock at a time; pin placeholders are skipped.
+    pub(crate) fn for_each_resident(&self, mut f: impl FnMut(usize, u64, u64)) {
+        for (node, nm) in self.nodes.iter().enumerate() {
+            for (&id, r) in &nm.lock().residents {
+                if r.bytes > 0 {
+                    f(node, id, r.bytes);
                 }
-            }
-        }
-        let view = Arc::new(MemoryView {
-            resident: self
-                .nodes
-                .iter()
-                .map(|n| {
-                    n.lock()
-                        .residents
-                        .iter()
-                        .filter(|(_, r)| r.bytes > 0)
-                        .map(|(&id, r)| (id, r.bytes))
-                        .collect()
-                })
-                .collect(),
-        });
-        let mut cached = self.cached_view.lock();
-        // Another thread may have cached a fresher snapshot meanwhile;
-        // keep whichever carries the higher epoch.
-        match cached.as_ref() {
-            Some((e, v)) if *e > epoch => Arc::clone(v),
-            _ => {
-                *cached = Some((epoch, Arc::clone(&view)));
-                view
             }
         }
     }
@@ -1804,84 +1696,6 @@ mod tests {
         assert_eq!(mm.alloc_cache_retained()[1], 0, "retained bytes drained");
         assert_eq!(stats.snapshot().alloc_cache_trim_bytes, 4 * 1024);
         mm.validate().unwrap();
-    }
-
-    #[test]
-    fn view_snapshots_residency_per_node() {
-        let (m, topo, stats, mm) = fixture(64 * 1024);
-        let a = handle(1, 4, m.memory_nodes());
-        let b = handle(2, 8, m.memory_nodes());
-        mm.register_host(&a);
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        let view = mm.view();
-        assert_eq!(view.nodes(), m.memory_nodes());
-        assert!(view.is_resident(1, a.id()));
-        assert!(!view.is_resident(1, b.id()));
-        assert_eq!(view.resident_bytes(1, a.id()), 4 * 1024);
-        assert_eq!(view.resident_bytes(0, a.id()), 4 * 1024, "host master");
-        // The snapshot is decoupled from later mutation.
-        coherence::make_valid(&b, 1, AccessMode::Read, &topo, &stats, &mm);
-        assert!(!view.is_resident(1, b.id()), "snapshot is point-in-time");
-        assert!(mm.view().is_resident(1, b.id()));
-        // Pin placeholders (0-byte entries) are not residency.
-        let c = handle(3, 4, m.memory_nodes());
-        mm.pin(1, &c);
-        assert!(!mm.view().is_resident(1, c.id()));
-        mm.unpin(1, c.id());
-    }
-
-    #[test]
-    fn view_is_epoch_cached_until_residency_changes() {
-        let (m, topo, stats, mm) = fixture(64 * 1024);
-        let a = handle(1, 4, m.memory_nodes());
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-
-        // No mutation between calls: the same snapshot is shared.
-        let v1 = mm.view();
-        let v2 = mm.view();
-        assert!(Arc::ptr_eq(&v1, &v2), "quiescent views share one snapshot");
-
-        // Pinning is invisible to views and must not invalidate the cache.
-        let c = handle(3, 4, m.memory_nodes());
-        mm.pin(1, &c);
-        assert!(Arc::ptr_eq(&v1, &mm.view()));
-        mm.unpin(1, c.id());
-        assert!(Arc::ptr_eq(&v1, &mm.view()));
-
-        // A residency mutation forces a rebuild that sees the new state.
-        let b = handle(2, 8, m.memory_nodes());
-        coherence::make_valid(&b, 1, AccessMode::Read, &topo, &stats, &mm);
-        let v3 = mm.view();
-        assert!(!Arc::ptr_eq(&v1, &v3), "mutation invalidates the cache");
-        assert!(v3.is_resident(1, b.id()));
-        assert!(!v1.is_resident(1, b.id()), "old snapshot stays stale");
-
-        // Unregistration invalidates too.
-        let v4 = mm.view();
-        mm.forget(b.id());
-        let v5 = mm.view();
-        assert!(!Arc::ptr_eq(&v4, &v5));
-        assert!(!v5.is_resident(1, b.id()));
-    }
-
-    #[test]
-    fn view_read_byte_sums_skip_write_only_operands() {
-        let (m, topo, stats, mm) = fixture(64 * 1024);
-        let a = handle(1, 4, m.memory_nodes());
-        let b = handle(2, 8, m.memory_nodes());
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        let view = mm.view();
-        let ops = vec![
-            (a.clone(), AccessMode::Read),
-            (b.clone(), AccessMode::ReadWrite),
-        ];
-        assert_eq!(view.resident_read_bytes(1, &ops), 4 * 1024);
-        assert_eq!(view.missing_read_bytes(1, &ops), 8 * 1024);
-        // A write-only operand neither counts as resident nor as missing:
-        // it allocates without a copy either way.
-        let wops = vec![(b.clone(), AccessMode::Write)];
-        assert_eq!(view.resident_read_bytes(1, &wops), 0);
-        assert_eq!(view.missing_read_bytes(1, &wops), 0);
     }
 
     #[test]

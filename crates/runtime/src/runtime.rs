@@ -107,16 +107,6 @@ pub struct RuntimeConfig {
     /// (StarPU's allocation cache; on by default). Disable for ablation
     /// runs that should pay every allocation fresh.
     pub alloc_cache: bool,
-    /// `dmdar` anti-starvation bound: once the front entry of a worker's
-    /// ready queue has been passed over this many times by readiness
-    /// reordering, it is dispatched FIFO regardless of how many operand
-    /// bytes it would have to transfer. 0 disables aging (unbounded
-    /// reordering).
-    pub dmdar_age_limit: u32,
-    /// Model each PCIe link as two independent channels (h2d and d2h DMA
-    /// engines, on by default) so eviction writebacks overlap incoming
-    /// prefetches. Disable for the half-duplex ablation baseline.
-    pub duplex_links: bool,
     /// How `dmda`/`dmdar` placement treats cold or low-confidence model
     /// keys (epsilon-greedy by default; see [`ExplorationMode`]).
     pub exploration: ExplorationMode,
@@ -142,8 +132,6 @@ impl Default for RuntimeConfig {
             objective: Objective::ExecTime,
             eviction: EvictionPolicy::Lru,
             alloc_cache: true,
-            dmdar_age_limit: 16,
-            duplex_links: true,
             exploration: ExplorationMode::EpsilonGreedy,
             explore_epsilon: 0.05,
             drift_detection: true,
@@ -545,7 +533,7 @@ impl Runtime {
         let workers = machine.total_workers();
         let sched = make_scheduler(config.scheduler, &machine);
         let inner = Arc::new(RuntimeInner {
-            topo: Topology::with_duplex(&machine, config.duplex_links),
+            topo: Topology::new(&machine),
             memory: MemoryManager::new(&machine, config.eviction, config.alloc_cache),
             sched,
             perf,
@@ -817,6 +805,15 @@ impl Runtime {
                 }
                 st.replicas[i].status = crate::handle::ReplicaStatus::Invalid;
             }
+            // Every task using the handle has completed: drop the access
+            // history, which would otherwise keep those tasks (and through
+            // their operand lists, this handle) alive.
+            st.last_writer = None;
+            st.readers.clear();
+            // No copy stays valid without its buffer, and counting this as
+            // a write makes a prefetch copying meanwhile discard its copy.
+            st.replicas[0].status = crate::handle::ReplicaStatus::Invalid;
+            st.writes += 1;
             (
                 st.replicas[0]
                     .cell
@@ -1112,5 +1109,32 @@ impl<T: 'static> DerefMut for HostWriteGuard<T> {
         self.guard
             .downcast_mut::<T>()
             .expect("host write guard: payload type mismatch")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codelet::Codelet;
+
+    #[test]
+    fn unregister_releases_the_handle_its_tasks_accessed() {
+        let rt = Runtime::new(MachineConfig::cpu_only(2), SchedulerKind::Dmda);
+        let c = Arc::new(Codelet::new("touch").with_impl(Arch::Cpu, |_| {}));
+        let h = rt.register(vec![0u8; 64]);
+        let tasks: Vec<TaskHandle> = [AccessMode::Write, AccessMode::Read, AccessMode::Read]
+            .into_iter()
+            .map(|mode| TaskBuilder::new(&c).access(&h, mode).submit(&rt))
+            .collect();
+        rt.wait_all();
+        let weak = Arc::downgrade(&h.inner);
+        let _: Vec<u8> = rt.unregister(h);
+        drop(tasks);
+        // Joining the workers drops their last references to the tasks.
+        rt.shutdown();
+        assert!(
+            weak.upgrade().is_none(),
+            "access history must not keep the handle alive"
+        );
     }
 }

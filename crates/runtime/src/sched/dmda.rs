@@ -1,4 +1,5 @@
-//! `dmda` — performance-model-aware earliest-finish-time scheduling.
+//! `dmda` and `dmdar` — performance-model-aware earliest-finish-time
+//! scheduling, optionally with memory-aware dispatch order.
 //!
 //! The policy StarPU calls *deque model data aware*, which the paper's
 //! "tool-generated performance-aware" (TGPA) executions rely on. For each
@@ -27,43 +28,124 @@
 //! epsilon counter is touched only when an explorable option actually
 //! lost the score race.
 //!
-//! The placement machinery lives in [`DmdaCore`] so [`super::dmdar`] can
-//! reuse it verbatim: dmdar is dmda's placement plus a readiness reorder on
-//! the pop path.
+//! # Readiness ordering (`dmdar`)
+//!
+//! [`SchedulerKind::Dmdar`](super::SchedulerKind::Dmdar) — StarPU's "dmda
+//! ready" — keeps the placement and turns on readiness ordering. Each
+//! queued task is scored with the route-aware cost of fetching the read
+//! operands it is missing from the worker's memory node: each missing
+//! operand is priced along its cheapest route from any node holding a
+//! replica (a direct peer link beats two hops through the host) including
+//! the backlog already queued on the route's channels. Among equal
+//! priorities the most "ready" task dispatches first (see
+//! the `queue` module), so under capacity pressure tasks that share resident
+//! operands run together and a block is fetched once and fully consumed
+//! instead of being evicted and re-fetched every round trip.
+//!
+//! Scores are cached at push time against an incremental
+//! [`LocalityIndex`] and recomputed only for entries whose operands the
+//! index reports as moved since the last pop (replica added, evicted, or
+//! written back — see the residency-delta log in `memory`), so a pop is
+//! O(log depth) plus O(changed entries). Placement prices transfers
+//! against the same index, so both halves of the policy agree on which
+//! bytes are resident. Starvation is bounded by `AGE_LIMIT`.
+//!
+//! # Steal fallback (`dmda` only)
 //!
 //! Placement predictions are estimates, so queues drain unevenly: a worker
 //! whose queue runs dry while a same-class sibling still holds a backlog
-//! would otherwise idle until new submissions rebalance. The pop path
+//! would otherwise idle until new submissions rebalance. The dmda pop path
 //! therefore falls back to *steal-from-richest* (the [`super::ws`] victim
 //! order): an empty-handed worker takes the highest-priority stealable task
-//! from the same-class victim whose stealable work has the most bytes
-//! already resident on the thief's memory node, transferring the victim's
-//! queued-work charge to itself. Recorded graph tasks are never stolen —
-//! replay re-pushes reuse the recorded placement, and moving one instance
-//! would invalidate the charge bookkeeping the next iteration re-applies.
+//! from the victim whose stealable work has the most bytes already valid
+//! on the thief's memory node, transferring the victim's queued-work charge
+//! to itself. A task is stealable only onto an option placement could
+//! have chosen for it, in the class its prediction came from; recorded
+//! graph tasks are never stolen — replay re-pushes reuse the recorded
+//! placement, and moving one instance would invalidate the charge
+//! bookkeeping the next iteration re-applies. `dmdar` never steals.
 
 use super::fair::JobLanes;
-use super::pq::PrioQueue;
-use super::{options_into, SchedCtx, Scheduler};
+use super::queue::ReadyQueue;
+use super::{is_option, options_into, resident_read_bytes, SchedCtx, Scheduler};
 use crate::codelet::Arch;
+use crate::handle::DataHandle;
 use crate::intern::CodeletId;
-use crate::memory::{MemoryView, ResidentLookup};
+use crate::memory::LocalityIndex;
 use crate::perfmodel::{Estimate, PerfKey};
 use crate::runtime::ExplorationMode;
 use crate::stats::TraceEvent;
 use crate::task::{ExecChoice, Task};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use peppher_sim::VTime;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The dmda cost model and placement logic, shared by [`DmdaScheduler`]
-/// and [`super::dmdar::DmdarScheduler`]. Owns the queued-work predictions
-/// and calibration counters; the per-worker ready queues belong to the
-/// wrapping policy (dmda keeps FIFO deques, dmdar keeps reorderable
-/// entries).
-pub(crate) struct DmdaCore {
+/// dmdar's anti-starvation bound: once the front entry of a worker's ready
+/// queue has been passed over this many times by readiness reordering, it
+/// dispatches next regardless of how many operand bytes it must transfer.
+pub(crate) const AGE_LIMIT: u32 = 16;
+
+/// Route-aware delay beyond `now` of bringing `h` to `node` from the
+/// cheapest replica the index records (main memory when none is); `None`
+/// when `h` is already resident at `node`.
+fn indexed_fetch(
+    index: &LocalityIndex,
+    h: &DataHandle,
+    node: usize,
+    now: VTime,
+    ctx: &SchedCtx<'_>,
+) -> Option<VTime> {
+    if index.resident_bytes(node, h.id()) > 0 {
+        return None;
+    }
+    let route = |src| {
+        ctx.topo
+            .estimate_transfer_after(src, node, h.bytes() as u64, now)
+    };
+    Some(
+        index
+            .sources(h.id())
+            .iter()
+            .map(|&(src, _)| route(src))
+            .min()
+            .unwrap_or_else(|| route(0)),
+    )
+}
+
+/// dmdar's readiness score: the fetch cost of the read operands `task` is
+/// missing from `node`, occupancy-aware beyond `now`.
+fn fetch_cost(
+    index: &LocalityIndex,
+    node: usize,
+    task: &Task,
+    now: VTime,
+    ctx: &SchedCtx<'_>,
+) -> VTime {
+    task.accesses
+        .iter()
+        .filter(|(_, mode)| mode.reads())
+        .filter_map(|(h, _)| indexed_fetch(index, h, node, now, ctx))
+        .sum()
+}
+
+/// Reusable buffers for [`DmdaScheduler::place`]: the prediction memo
+/// (persists across tasks — one registry lookup per distinct history key
+/// per batch) plus the option and evaluation buffers (cleared per task, so
+/// a batch of n tasks performs O(1) allocations, not O(n)).
+#[derive(Default)]
+struct PlaceScratch {
+    memo: Vec<(PerfKey, Estimate)>,
+    opts: Vec<(usize, Arch)>,
+    evaluated: Vec<(usize, Arch, Estimate)>,
+}
+
+/// Performance-aware scheduler (see module docs).
+pub struct DmdaScheduler {
+    /// Readiness ordering on (`dmdar`): scored queues, index-priced
+    /// placement, no steals.
+    readiness: bool,
     /// Predicted residual occupancy of each worker's queue, in virtual
     /// nanoseconds. Per-worker atomics instead of one mutex: the
     /// submit-side placement loop reads every worker's charge per task
@@ -77,43 +159,62 @@ pub(crate) struct DmdaCore {
     /// (nothing stale) never touches it. Every `1/epsilon`-th opportunity
     /// diverts the task to the stale option.
     explore_seq: AtomicU64,
+    /// The incremental locality index (readiness only), created on the
+    /// first push or pop — one instance per memory manager, since it
+    /// drains a shared delta log. Write-locked only to create it or apply
+    /// residency deltas; the scoring paths share read access.
+    index: RwLock<Option<LocalityIndex>>,
+    /// Residency epoch the index was last reconciled against, mirrored
+    /// outside the lock so the unchanged-epoch fast path is one atomic
+    /// load against [`crate::memory::MemoryManager::epoch`]. `u64::MAX`
+    /// until the index exists, which funnels the first caller into the
+    /// slow path that creates it.
+    synced_epoch: AtomicU64,
+    /// Per-worker ready queues, laned per job for fair-share dispatch
+    /// (see [`super::fair`]).
+    queues: Vec<Mutex<JobLanes<ReadyQueue>>>,
 }
 
-/// Reusable buffers for [`DmdaCore::place_with_scratch`]: the prediction
-/// memo (persists across tasks — one registry lookup per distinct history
-/// key per batch) plus the option and evaluation buffers (cleared per
-/// task, so a batch of n tasks performs O(1) allocations, not O(n)).
-#[derive(Default)]
-pub(crate) struct PlaceScratch {
-    memo: Vec<(PerfKey, Estimate)>,
-    opts: Vec<(usize, Arch)>,
-    evaluated: Vec<(usize, Arch, Estimate)>,
-}
-
-impl DmdaCore {
-    pub(crate) fn new(workers: usize) -> Self {
-        DmdaCore {
+impl DmdaScheduler {
+    /// Creates the per-worker structures; `readiness` selects `dmdar`.
+    pub fn new(workers: usize, readiness: bool) -> Self {
+        DmdaScheduler {
+            readiness,
             queued_pred: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             calib_rr: Mutex::new(HashMap::new()),
             explore_seq: AtomicU64::new(0),
+            index: RwLock::new(None),
+            synced_epoch: AtomicU64::new(u64::MAX),
+            queues: (0..workers).map(|_| Mutex::new(JobLanes::new())).collect(),
         }
     }
 
     /// The queued-work prediction currently charged to `worker`.
-    pub(crate) fn queued(&self, worker: usize) -> VTime {
+    fn queued(&self, worker: usize) -> VTime {
         VTime::from_nanos(self.queued_pred[worker].load(Ordering::Relaxed))
     }
 
     /// Charges `delta` of predicted work to `worker` (placement or replay
     /// re-push).
-    pub(crate) fn charge_pred(&self, worker: usize, delta: VTime) {
+    fn charge_pred(&self, worker: usize, delta: VTime) {
         self.queued_pred[worker].fetch_add(delta.as_nanos(), Ordering::Relaxed);
+    }
+
+    /// Releases the prediction charged at placement time once the task's
+    /// duration is part of the worker's actual timeline.
+    fn release(&self, worker: usize, delta: VTime) {
+        // Saturating: a replay re-push can re-charge a different delta
+        // than an in-flight release expects, and the floor is zero.
+        let _ = self.queued_pred[worker].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+            Some(v.saturating_sub(delta.as_nanos()))
+        });
     }
 
     /// Expected execution time for an option whose history key is already
     /// in hand, with the model's adaptation signals. Worker-independent
     /// for a given key: every worker sharing an architecture class shares
-    /// a profile, so [`DmdaCore::place`] evaluates each distinct key once.
+    /// a profile, so [`DmdaScheduler::place`] evaluates each distinct key
+    /// once.
     fn expected_exec(
         &self,
         task: &Task,
@@ -167,46 +268,23 @@ impl DmdaCore {
     /// backlog beyond `now` (the candidate worker's availability) delays
     /// the estimate, so a congested link steers placement elsewhere.
     ///
-    /// With a `lookup`, residency and sources come from the caller's
-    /// [`ResidentLookup`] — dmdar passes its incremental `LocalityIndex`
-    /// so placement prices exactly the resident bytes its pop-side
-    /// readiness reorder prices, instead of the handles' valid-mask view.
-    pub(crate) fn transfer_estimate(
+    /// Residency comes from the handles' valid masks, or — under readiness
+    /// ordering — from the locality `index`, so placement prices exactly
+    /// the resident bytes the pop-side readiness scores price.
+    fn transfer_estimate(
         &self,
         task: &Task,
         worker: usize,
         now: VTime,
-        lookup: Option<&dyn ResidentLookup>,
+        index: Option<&LocalityIndex>,
         ctx: &SchedCtx<'_>,
     ) -> VTime {
         let node = ctx.machine.worker_memory_node(worker);
         let mut total = VTime::ZERO;
         for (h, mode) in &task.accesses {
-            let t = match lookup {
-                Some(l) => {
-                    if l.resident_bytes_at(node, h.id()) > 0 {
-                        continue;
-                    }
-                    // Cheapest route from any indexed replica; main memory
-                    // when none is recorded (same rule as dmdar's
-                    // `fetch_cost`, so the two stay in agreement).
-                    let bytes = h.bytes() as u64;
-                    let mut best: Option<VTime> = None;
-                    l.for_each_source(h.id(), &mut |src, _| {
-                        if src != node {
-                            let t = ctx.topo.estimate_transfer_after(src, node, bytes, now);
-                            best = Some(match best {
-                                Some(b) if b <= t => b,
-                                _ => t,
-                            });
-                        }
-                    });
-                    best.unwrap_or_else(|| ctx.topo.estimate_transfer_after(0, node, bytes, now))
-                }
-                None => {
-                    if h.valid_on(node) {
-                        continue;
-                    }
+            let fetch = match index {
+                Some(index) => indexed_fetch(index, h, node, now, ctx),
+                None => (!h.valid_on(node)).then(|| {
                     h.valid_nodes()
                         .iter()
                         .map(|&src| {
@@ -215,8 +293,9 @@ impl DmdaCore {
                         })
                         .min()
                         .unwrap_or(VTime::ZERO)
-                }
+                }),
             };
+            let Some(t) = fetch else { continue };
             if mode.reads() {
                 total += t;
             } else {
@@ -242,32 +321,21 @@ impl DmdaCore {
     /// Chooses the (worker, arch) placement for a ready task, records the
     /// decision in `task.chosen`, and charges the worker's queued-work
     /// prediction. Returns the chosen worker; the caller enqueues the task
-    /// on that worker's ready queue. `lookup` optionally overrides the
-    /// residency source for transfer pricing (see
-    /// [`DmdaCore::transfer_estimate`]).
-    pub(crate) fn place(
-        &self,
-        task: &Arc<Task>,
-        ctx: &SchedCtx<'_>,
-        lookup: Option<&dyn ResidentLookup>,
-    ) -> usize {
-        self.place_with_scratch(task, ctx, &mut PlaceScratch::default(), lookup)
-    }
-
-    /// [`DmdaCore::place`] with caller-owned scratch buffers. Batch
-    /// submitters keep one scratch across a whole batch: the prediction
-    /// memo then pays one registry lookup per distinct (codelet, class,
-    /// footprint) key instead of one per task, and the option/evaluation
-    /// buffers stop allocating per task. A memoized prediction can lag a
-    /// sample recorded mid-batch by a worker — acceptable, since placement
-    /// is already interleaving-dependent (calibration round-robin) and
-    /// results never depend on it.
-    pub(crate) fn place_with_scratch(
+    /// on that worker's ready queue.
+    ///
+    /// Batch submitters keep one `scratch` across a whole batch: the
+    /// prediction memo then pays one registry lookup per distinct
+    /// (codelet, class, footprint) key instead of one per task, and the
+    /// option/evaluation buffers stop allocating per task. A memoized
+    /// prediction can lag a sample recorded mid-batch by a worker —
+    /// acceptable, since placement is already interleaving-dependent
+    /// (calibration round-robin) and results never depend on it.
+    fn place(
         &self,
         task: &Arc<Task>,
         ctx: &SchedCtx<'_>,
         scratch: &mut PlaceScratch,
-        lookup: Option<&dyn ResidentLookup>,
+        index: Option<&LocalityIndex>,
     ) -> usize {
         let PlaceScratch {
             memo,
@@ -389,7 +457,7 @@ impl DmdaCore {
                 exec
             };
             let avail = avail_of(w, a).max(vdeps);
-            let transfer = self.transfer_estimate(task, w, avail, lookup, ctx);
+            let transfer = self.transfer_estimate(task, w, avail, index, ctx);
             let finish = avail + transfer + exec_scored;
             let score = match ctx.config.objective {
                 crate::runtime::Objective::ExecTime => finish.as_secs_f64(),
@@ -455,35 +523,81 @@ impl DmdaCore {
         self.charge_pred(worker, pred_delta);
     }
 
-    /// Releases the prediction charged at placement time once the task's
-    /// duration is part of the worker's actual timeline. Takes the delta
-    /// from the placement decision the worker already holds — re-locking
-    /// `task.chosen` here would be the second lock of it per task.
-    pub(crate) fn release(&self, worker: usize, delta: VTime) {
-        // Saturating: a replay re-push can re-charge a different delta
-        // than an in-flight release expects, and the floor is zero.
-        let _ = self.queued_pred[worker].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(delta.as_nanos()))
-        });
-    }
-}
-
-/// Performance-aware scheduler (see module docs).
-pub struct DmdaScheduler {
-    pub(crate) core: DmdaCore,
-    /// Per-worker heap queues ordered `(priority desc, push seq asc)` —
-    /// FIFO for the default all-zero-priority case, O(log n) otherwise.
-    /// Laned per job for fair-share dispatch (see [`super::fair`]).
-    queues: Vec<Mutex<JobLanes<PrioQueue>>>,
-}
-
-impl DmdaScheduler {
-    /// Creates the per-worker structures.
-    pub fn new(workers: usize) -> Self {
-        DmdaScheduler {
-            core: DmdaCore::new(workers),
-            queues: (0..workers).map(|_| Mutex::new(JobLanes::new())).collect(),
+    /// The worker `task` goes to: with `placed`, the placement it already
+    /// carries (a frozen graph replay), re-charging its prediction —
+    /// `task_timed` releases it after execution, so the load estimate
+    /// stays balanced; otherwise a fresh [`DmdaScheduler::place`].
+    fn target(
+        &self,
+        task: &Arc<Task>,
+        placed: bool,
+        ctx: &SchedCtx<'_>,
+        scratch: &mut PlaceScratch,
+        index: Option<&LocalityIndex>,
+    ) -> usize {
+        match placed.then(|| *task.chosen.lock()).flatten() {
+            Some(c) => {
+                self.charge_pred(c.worker, c.pred_delta);
+                c.worker
+            }
+            None => self.place(task, ctx, scratch, index),
         }
+    }
+
+    /// Brings the index up to the memory manager's residency epoch and
+    /// tells every queue which handles moved. The unchanged-epoch fast
+    /// path is one atomic load and takes no lock; only a stale epoch (or
+    /// a missing index) pays for the write lock.
+    ///
+    /// Lock order here and everywhere else in this scheduler: index
+    /// before queue. The epoch stored is the one read *before* draining
+    /// the delta log — deltas that land mid-drain bump the epoch again,
+    /// so the next call re-syncs (a replayed absolute delta is harmless).
+    fn sync_if_stale(&self, ctx: &SchedCtx<'_>) {
+        if self.synced_epoch.load(Ordering::Acquire) == ctx.memory.epoch() {
+            return;
+        }
+        let mut guard = self.index.write();
+        // Reload under the lock: a racing caller may have synced already.
+        let epoch = ctx.memory.epoch();
+        if self.synced_epoch.load(Ordering::Acquire) == epoch {
+            return;
+        }
+        let index = guard.get_or_insert_with(|| LocalityIndex::new(ctx.memory));
+        let moved = index.sync(ctx.memory);
+        if !moved.is_empty() {
+            for q in &self.queues {
+                for lane in q.lock().queues_mut() {
+                    lane.mark_moved(&moved);
+                }
+            }
+        }
+        self.synced_epoch.store(epoch, Ordering::Release);
+    }
+
+    /// Runs `f` with the synced locality index under readiness ordering,
+    /// or with `None` (touching no index state) without it.
+    fn with_index<R>(&self, ctx: &SchedCtx<'_>, f: impl FnOnce(Option<&LocalityIndex>) -> R) -> R {
+        if !self.readiness {
+            return f(None);
+        }
+        self.sync_if_stale(ctx);
+        let guard = self.index.read();
+        f(Some(guard.as_ref().expect("index created by sync")))
+    }
+
+    /// Places (or, with `placed`, re-targets) one task and enqueues it.
+    fn push(&self, task: Arc<Task>, placed: bool, ctx: &SchedCtx<'_>) -> Option<usize> {
+        self.with_index(ctx, |index| {
+            let w = self.target(&task, placed, ctx, &mut PlaceScratch::default(), index);
+            let score = index.map(|index| {
+                let node = ctx.machine.worker_memory_node(w);
+                fetch_cost(index, node, &task, ctx.timelines.get(w), ctx)
+            });
+            let job = Arc::clone(&task.job);
+            self.queues[w].lock().queue_for(&job).push(task, score);
+            Some(w)
+        })
     }
 
     #[cfg(test)]
@@ -492,24 +606,18 @@ impl DmdaScheduler {
     }
 
     /// Steal fallback for a worker whose own queue is empty (see module
-    /// docs). A task is stealable when it is not a recorded graph task, the
-    /// thief can run it, and the thief belongs to the same architecture
-    /// class as the placement — the placement's predicted execution time
-    /// (and therefore the charge transfer below) is only valid within the
-    /// class the history profile was built for.
-    fn steal(
-        &self,
-        worker: usize,
-        node: usize,
-        view: &MemoryView,
-        ctx: &SchedCtx<'_>,
-    ) -> Option<Arc<Task>> {
-        let is_gpu = ctx.machine.worker_is_gpu(worker);
+    /// docs). A task is stealable when it is not a recorded graph task and
+    /// `(thief, arch)` is one of its placement options in the class the
+    /// placement was predicted for — the predicted execution time (and
+    /// therefore the charge transfer below) is only valid within the class
+    /// the history profile was built for.
+    fn steal(&self, worker: usize, node: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
         let stealable = |t: &Task| {
             t.graph.is_none()
-                && t.runnable_on(worker, is_gpu)
                 && t.chosen.lock().is_some_and(|c| {
-                    ctx.classes.class_id(c.arch, c.worker) == ctx.classes.class_id(c.arch, worker)
+                    is_option(t, ctx.machine, worker, c.arch)
+                        && ctx.classes.class_id(c.arch, c.worker)
+                            == ctx.classes.class_id(c.arch, worker)
                 })
         };
         // Virtual-time gate: a worker's real thread can run far ahead of
@@ -519,8 +627,8 @@ impl DmdaScheduler {
         // when the thief's virtual ready time beats the victim's predicted
         // finish — i.e. the simulated victim genuinely cannot get to the
         // task before the simulated thief could start it.
-        let thief_ready = ctx.timelines.get(worker) + self.core.queued(worker);
-        let victim_behind = |v: usize| ctx.timelines.get(v) + self.core.queued(v) > thief_ready;
+        let thief_ready = ctx.timelines.get(worker) + self.queued(worker);
+        let victim_behind = |v: usize| ctx.timelines.get(v) + self.queued(v) > thief_ready;
         // Same two-pass richest-first order as [`super::ws`]: score every
         // victim's stealable work by thief-side resident read bytes (depth
         // breaks ties), then attempt the steals best-first. A scored task
@@ -545,7 +653,7 @@ impl DmdaScheduler {
                 lane.iter()
                     .take(SCAN_CAP)
                     .filter(|t| stealable(t))
-                    .map(|t| view.resident_read_bytes(node, &t.accesses))
+                    .map(|t| resident_read_bytes(node, &t.accesses))
                     .max()
             });
             if let Some(bytes) = score {
@@ -570,7 +678,7 @@ impl DmdaScheduler {
             // lock, so an unbounded chunk would stall the victim's own
             // pops for the duration of a thousands-deep transfer.
             const STEAL_CHUNK: usize = 64;
-            let mut victim_ready = ctx.timelines.get(v) + self.core.queued(v);
+            let mut victim_ready = ctx.timelines.get(v) + self.queued(v);
             let mut thief_acc = thief_ready;
             let (taken, depth) = {
                 let mut q = self.queues[v].lock();
@@ -591,8 +699,8 @@ impl DmdaScheduler {
                         *c = Some(ExecChoice { worker, ..old });
                         old
                     };
-                    self.core.release(old.worker, old.pred_delta);
-                    self.core.charge_pred(worker, old.pred_delta);
+                    self.release(old.worker, old.pred_delta);
+                    self.charge_pred(worker, old.pred_delta);
                     thief_acc += old.pred_delta;
                     victim_ready = victim_ready.saturating_sub(old.pred_delta);
                     taken.push(t);
@@ -603,7 +711,7 @@ impl DmdaScheduler {
                 continue;
             }
             for t in &taken {
-                let resident = view.resident_read_bytes(node, &t.accesses);
+                let resident = resident_read_bytes(node, &t.accesses);
                 ctx.stats.record_steal(resident);
                 ctx.stats.record_event(TraceEvent::Steal {
                     task: t.id,
@@ -620,10 +728,10 @@ impl DmdaScheduler {
                 let mut q = self.queues[worker].lock();
                 for t in taken {
                     let job = Arc::clone(&t.job);
-                    q.queue_for(&job).push(t);
+                    q.queue_for(&job).push(t, None);
                 }
             }
-            let resident = view.resident_read_bytes(node, &first.accesses);
+            let resident = resident_read_bytes(node, &first.accesses);
             ctx.stats.record_dispatch(depth, resident, false);
             return Some(first);
         }
@@ -633,57 +741,60 @@ impl DmdaScheduler {
 
 impl Scheduler for DmdaScheduler {
     fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
-        let w = self.core.place(&task, ctx, None);
-        let job = Arc::clone(&task.job);
-        self.queues[w].lock().queue_for(&job).push(task);
-        Some(w)
+        self.push(task, false, ctx)
     }
 
-    fn has_ready(&self, worker: usize) -> bool {
-        self.queues[worker].lock().total_len() > 0
-    }
-
-    fn pop_for_worker(
-        &self,
-        worker: usize,
-        view: &MemoryView,
-        ctx: &SchedCtx<'_>,
-    ) -> Option<Arc<Task>> {
+    fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
         let node = ctx.machine.worker_memory_node(worker);
-        let popped = {
-            let mut q = self.queues[worker].lock();
-            let depth = q.total_len();
-            q.pop_with(|lane| lane.pop()).map(|t| (t, depth))
-        };
-        if let Some((task, depth)) = popped {
-            let resident = view.resident_read_bytes(node, &task.accesses);
-            ctx.stats.record_dispatch(depth, resident, false);
-            return Some(task);
+        if self.readiness {
+            self.sync_if_stale(ctx);
         }
-        self.steal(worker, node, view, ctx)
+        let mut q = self.queues[worker].lock();
+        if q.queues().any(ReadyQueue::is_dirty) {
+            // Rescoring consults the index, and the lock order is index
+            // before queue (the sync fan-out relies on it): give the queue
+            // lock back, take the index read guard, and re-acquire. Pops
+            // on a clean queue never touch the index lock at all.
+            drop(q);
+            let guard = self.index.read();
+            let index = guard.as_ref().expect("dirty queues imply an index");
+            q = self.queues[worker].lock();
+            let now = ctx.timelines.get(worker);
+            for lane in q.queues_mut() {
+                lane.rescore(|t| fetch_cost(index, node, t, now, ctx));
+            }
+        }
+        let depth = q.total_len();
+        let popped = q.pop_with(|lane| lane.pop());
+        drop(q);
+        let Some((task, jumped)) = popped else {
+            return if self.readiness {
+                None
+            } else {
+                self.steal(worker, node, ctx)
+            };
+        };
+        let resident = resident_read_bytes(node, &task.accesses);
+        ctx.stats.record_dispatch(depth, resident, jumped > 0);
+        if jumped > 0 {
+            ctx.stats.record_event(TraceEvent::Reorder {
+                task: task.id,
+                worker,
+                resident_bytes: resident,
+                jumped,
+            });
+        }
+        Some(task)
     }
 
     fn task_timed(&self, worker: usize, _task: &Task, choice: Option<ExecChoice>) {
         // The task's duration is now part of the worker's actual timeline;
         // release the prediction charged at push time.
-        self.core
-            .release(worker, choice.map(|c| c.pred_delta).unwrap_or(VTime::ZERO));
+        self.release(worker, choice.map(|c| c.pred_delta).unwrap_or(VTime::ZERO));
     }
 
     fn push_ready_placed(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
-        let choice = *task.chosen.lock();
-        match choice {
-            Some(c) => {
-                // Reuse the previous iteration's placement: re-charge its
-                // prediction (task_timed releases it after execution, so
-                // the load estimate stays balanced) and enqueue directly.
-                self.core.charge_pred(c.worker, c.pred_delta);
-                let job = Arc::clone(&task.job);
-                self.queues[c.worker].lock().queue_for(&job).push(task);
-                Some(c.worker)
-            }
-            None => self.push_ready(task, ctx),
-        }
+        self.push(task, true, ctx)
     }
 
     fn push_ready_batch(
@@ -693,33 +804,31 @@ impl Scheduler for DmdaScheduler {
         ctx: &SchedCtx<'_>,
     ) -> Vec<Option<usize>> {
         // Place every task first (sharing one prediction memo across the
-        // batch), then enqueue per-worker groups under one queue-lock
-        // acquisition each instead of one per task.
-        let mut targets = Vec::with_capacity(tasks.len());
-        let mut groups: Vec<(usize, Vec<Arc<Task>>)> = Vec::new();
-        let mut scratch = PlaceScratch::default();
-        for task in tasks {
-            let w = match placed.then(|| *task.chosen.lock()).flatten() {
-                Some(c) => {
-                    self.core.charge_pred(c.worker, c.pred_delta);
-                    c.worker
+        // batch, under one index sync), then enqueue per-worker groups
+        // under one queue-lock acquisition each instead of one per task.
+        self.with_index(ctx, |index| {
+            let mut targets = Vec::with_capacity(tasks.len());
+            let mut groups: Vec<(usize, Vec<&Arc<Task>>)> = Vec::new();
+            let mut scratch = PlaceScratch::default();
+            for task in tasks {
+                let w = self.target(task, placed, ctx, &mut scratch, index);
+                targets.push(Some(w));
+                match groups.iter_mut().find(|(gw, _)| *gw == w) {
+                    Some((_, g)) => g.push(task),
+                    None => groups.push((w, vec![task])),
                 }
-                None => self.core.place_with_scratch(task, ctx, &mut scratch, None),
-            };
-            targets.push(Some(w));
-            match groups.iter_mut().find(|(gw, _)| *gw == w) {
-                Some((_, g)) => g.push(Arc::clone(task)),
-                None => groups.push((w, vec![Arc::clone(task)])),
             }
-        }
-        for (w, group) in groups {
-            let mut q = self.queues[w].lock();
-            for task in group {
-                let job = Arc::clone(&task.job);
-                q.queue_for(&job).push(task);
+            for (w, group) in groups {
+                let node = ctx.machine.worker_memory_node(w);
+                let now = ctx.timelines.get(w);
+                let mut q = self.queues[w].lock();
+                for task in group {
+                    let score = index.map(|index| fetch_cost(index, node, task, now, ctx));
+                    q.queue_for(&task.job).push(Arc::clone(task), score);
+                }
             }
-        }
-        targets
+            targets
+        })
     }
 }
 
@@ -728,6 +837,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::codelet::{ArchClass, Codelet};
     use crate::coherence::Topology;
+    use crate::handle::AccessMode;
     use crate::memory::MemoryManager;
     use crate::perfmodel::{PerfKey, PerfRegistry};
     use crate::runtime::RuntimeConfig;
@@ -797,7 +907,7 @@ pub(crate) mod tests {
     #[test]
     fn calibration_round_robins_architecture_classes() {
         let f = Fixture::new(MachineConfig::c2050_platform(2), RuntimeConfig::default());
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         let c = dual_codelet();
         for i in 0..6 {
             s.push_ready(task_of(&c, i), &f.ctx());
@@ -813,41 +923,51 @@ pub(crate) mod tests {
         );
     }
 
+    /// Records three samples per class for `c`'s footprint: the CPU takes
+    /// `cpu_us`, the C2050 GPU `gpu_us`.
+    fn calibrate(f: &Fixture, fp: u64, cpu_us: u64, gpu_us: u64) {
+        for _ in 0..3 {
+            f.perf.record(
+                PerfKey::new("k", ArchClass::Cpu, fp),
+                VTime::from_micros(cpu_us),
+            );
+            f.perf.record(
+                PerfKey::new("k", ArchClass::Gpu("Tesla C2050".into()), fp),
+                VTime::from_micros(gpu_us),
+            );
+        }
+    }
+
     #[test]
     fn calibrated_histories_drive_placement_to_faster_arch() {
         let f = Fixture::new(MachineConfig::c2050_platform(2), RuntimeConfig::default());
         let c = dual_codelet();
         let probe = task_of(&c, 0);
-        let fp = probe.footprint();
         // GPU is 10x faster in recorded history.
-        for _ in 0..3 {
-            f.perf.record(
-                PerfKey::new("k", ArchClass::Cpu, fp),
-                VTime::from_micros(100),
-            );
-            f.perf.record(
-                PerfKey::new("k", ArchClass::Gpu("Tesla C2050".into()), fp),
-                VTime::from_micros(10),
-            );
-        }
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        calibrate(&f, probe.footprint(), 100, 10);
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         s.push_ready(probe, &f.ctx());
         assert_eq!(s.queue_len(2), 1, "task should land on the GPU worker");
+    }
+
+    /// A CPU-only codelet `k` whose zero-cost tasks are calibrated at 50µs.
+    fn calibrated_cpu_codelet(f: &Fixture) -> Arc<Codelet> {
+        let c = Arc::new(Codelet::new("k").with_impl(Arch::Cpu, |_| {}));
+        let probe = Arc::new(TaskBuilder::new(&c).into_task(99));
+        for _ in 0..3 {
+            f.perf.record(
+                PerfKey::new("k", ArchClass::Cpu, probe.footprint()),
+                VTime::from_micros(50),
+            );
+        }
+        c
     }
 
     #[test]
     fn load_balances_across_cpu_workers_when_equal() {
         let f = Fixture::new(MachineConfig::cpu_only(2), RuntimeConfig::default());
-        let c = Arc::new(Codelet::new("k").with_impl(Arch::Cpu, |_| {}));
-        let probe = Arc::new(TaskBuilder::new(&c).into_task(99));
-        let fp = probe.footprint();
-        for _ in 0..3 {
-            f.perf.record(
-                PerfKey::new("k", ArchClass::Cpu, fp),
-                VTime::from_micros(50),
-            );
-        }
-        let s = DmdaScheduler::new(2);
+        let c = calibrated_cpu_codelet(&f);
+        let s = DmdaScheduler::new(2, false);
         for i in 0..4 {
             s.push_ready(task_of_no_cost(&c, i), &f.ctx());
         }
@@ -873,7 +993,7 @@ pub(crate) mod tests {
                     _ => None,
                 }),
         );
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..4 {
             s.push_ready(task_of(&c, i), &f.ctx());
         }
@@ -900,7 +1020,7 @@ pub(crate) mod tests {
                     _ => None,
                 }),
         );
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         s.push_ready(task_of(&c, 0), &f.ctx());
         assert_eq!(s.queue_len(1), 1, "wrong prediction steers to GPU");
     }
@@ -912,7 +1032,7 @@ pub(crate) mod tests {
             ..RuntimeConfig::default()
         };
         let f = Fixture::new(MachineConfig::c2050_platform(1), config);
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         let c = dual_codelet();
         // Large, regular, parallel work: static model must prefer the GPU.
         let t = Arc::new(
@@ -926,8 +1046,6 @@ pub(crate) mod tests {
 
     #[test]
     fn memory_pressure_adds_eviction_cost() {
-        use crate::handle::{AccessMode, DataHandle};
-
         let machine = MachineConfig::c2050_platform(1).with_device_mem(8 * 1024);
         let f = Fixture::new(machine, RuntimeConfig::default());
 
@@ -950,10 +1068,10 @@ pub(crate) mod tests {
                 .access(&operand, AccessMode::Read)
                 .into_task(0),
         );
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         // 6 KiB used + 4 KiB needed > 8 KiB budget: 2 KiB of eviction
         // writeback (d2h) is charged on top of the operand's own h2d fetch.
-        let est = s.core.transfer_estimate(&t, 1, now, None, &f.ctx());
+        let est = s.transfer_estimate(&t, 1, now, None, &f.ctx());
         let link = &f.machine.accelerators[0].link;
         let base = link.transfer_time(4 * 1024);
         let overflow = link.transfer_time(2 * 1024);
@@ -962,7 +1080,6 @@ pub(crate) mod tests {
 
     #[test]
     fn fallback_policy_steers_oversized_tasks_to_cpu() {
-        use crate::handle::{AccessMode, DataHandle};
         use crate::memory::EvictionPolicy;
 
         let config = RuntimeConfig {
@@ -983,7 +1100,7 @@ pub(crate) mod tests {
                 .access(&operand, AccessMode::Read)
                 .into_task(0),
         );
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         s.push_ready(t, &f.ctx());
         assert_eq!(s.queue_len(0), 1, "infeasible GPU filtered out");
         assert_eq!(s.queue_len(1), 0);
@@ -996,7 +1113,6 @@ pub(crate) mod tests {
         // are ALREADY resident on the device needs zero new bytes — it must
         // not be steered to the CPU, which would read a stale host copy of
         // the device-modified data (FallbackCpu never writes back).
-        use crate::handle::{AccessMode, DataHandle};
         use crate::memory::EvictionPolicy;
 
         let config = RuntimeConfig {
@@ -1027,7 +1143,7 @@ pub(crate) mod tests {
                 .access(&operand, AccessMode::Read)
                 .into_task(0),
         );
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         s.push_ready(t, &f.ctx());
         assert_eq!(
             s.queue_len(1),
@@ -1040,54 +1156,33 @@ pub(crate) mod tests {
     #[test]
     fn queued_prediction_released_when_timed() {
         let f = Fixture::new(MachineConfig::cpu_only(1), RuntimeConfig::default());
-        let c = Arc::new(Codelet::new("k").with_impl(Arch::Cpu, |_| {}));
-        let probe = Arc::new(TaskBuilder::new(&c).into_task(9));
-        for _ in 0..3 {
-            f.perf.record(
-                PerfKey::new("k", ArchClass::Cpu, probe.footprint()),
-                VTime::from_micros(50),
-            );
-        }
-        let s = DmdaScheduler::new(1);
+        let c = calibrated_cpu_codelet(&f);
+        let s = DmdaScheduler::new(1, false);
         s.push_ready(task_of_no_cost(&c, 0), &f.ctx());
-        assert!(s.core.queued(0) > VTime::ZERO);
-        let t = s.pop_for_worker(0, &f.memory.view(), &f.ctx()).unwrap();
-        assert!(s.core.queued(0) > VTime::ZERO, "still charged until timed");
+        assert!(s.queued(0) > VTime::ZERO);
+        let t = s.pop_for_worker(0, &f.ctx()).unwrap();
+        assert!(s.queued(0) > VTime::ZERO, "still charged until timed");
         s.task_timed(0, &t, *t.chosen.lock());
-        assert_eq!(s.core.queued(0), VTime::ZERO);
+        assert_eq!(s.queued(0), VTime::ZERO);
     }
 
     #[test]
     fn pop_records_dispatch_depth_and_residency() {
-        use crate::handle::{AccessMode, DataHandle};
-        use std::sync::atomic::Ordering;
-
         let f = Fixture::new(MachineConfig::c2050_platform(1), RuntimeConfig::default());
         let operand = DataHandle::new(1, vec![0u8; 4 * 1024], 4 * 1024, 2);
         crate::coherence::make_valid(&operand, 1, AccessMode::Read, &f.topo, &f.stats, &f.memory);
 
-        let c = Arc::new(Codelet::new("k").with_impl(Arch::Gpu, |_| {}));
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let c = gpu_codelet();
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..3 {
-            let t = Arc::new(
-                TaskBuilder::new(&c)
-                    .access(&operand, AccessMode::Read)
-                    .into_task(i),
-            );
-            s.push_ready(t, &f.ctx());
+            s.push_ready(task_on(&c, i, &operand), &f.ctx());
         }
-        let view = f.memory.view();
         // GPU worker is index 1 on the single-CPU platform.
-        assert!(s.pop_for_worker(1, &view, &f.ctx()).is_some());
+        assert!(s.pop_for_worker(1, &f.ctx()).is_some());
         assert_eq!(f.stats.max_queue_depth.load(Ordering::Relaxed), 3);
         assert_eq!(
             f.stats.dispatch_resident_bytes.load(Ordering::Relaxed),
             4 * 1024
-        );
-        assert_eq!(
-            f.stats.sched_reorders.load(Ordering::Relaxed),
-            0,
-            "plain dmda pops FIFO"
         );
     }
 
@@ -1102,28 +1197,20 @@ pub(crate) mod tests {
     fn idle_worker_steals_and_charge_follows() {
         let mut f = Fixture::new(MachineConfig::cpu_only(2), RuntimeConfig::default());
         f.stats = StatsCollector::new(2, true);
-        let c = Arc::new(Codelet::new("k").with_impl(Arch::Cpu, |_| {}));
-        let probe = Arc::new(TaskBuilder::new(&c).into_task(9));
-        for _ in 0..3 {
-            f.perf.record(
-                PerfKey::new("k", ArchClass::Cpu, probe.footprint()),
-                VTime::from_micros(50),
-            );
-        }
-        let s = DmdaScheduler::new(2);
+        let c = calibrated_cpu_codelet(&f);
+        let s = DmdaScheduler::new(2, false);
         // A single calibrated task lands on worker 0 (equal scores keep the
         // first option).
         push_on(&s, &f, task_of_no_cost(&c, 7), 0);
-        assert!(s.core.queued(0) > VTime::ZERO);
-        assert_eq!(s.core.queued(1), VTime::ZERO);
+        assert!(s.queued(0) > VTime::ZERO);
+        assert_eq!(s.queued(1), VTime::ZERO);
 
         // Worker 1's own queue is empty: it steals the task, and the
         // queued-work charge and recorded placement move with it.
-        let view = f.memory.view();
-        let t = s.pop_for_worker(1, &view, &f.ctx()).expect("steals");
+        let t = s.pop_for_worker(1, &f.ctx()).expect("steals");
         assert_eq!(t.id, 7);
-        assert_eq!(s.core.queued(0), VTime::ZERO, "victim charge released");
-        assert!(s.core.queued(1) > VTime::ZERO, "thief charged");
+        assert_eq!(s.queued(0), VTime::ZERO, "victim charge released");
+        assert!(s.queued(1) > VTime::ZERO, "thief charged");
         assert_eq!(t.chosen.lock().unwrap().worker, 1, "placement rebound");
         assert_eq!(s.queue_len(0), 0);
         assert_eq!(f.stats.snapshot().steals, 1);
@@ -1139,7 +1226,20 @@ pub(crate) mod tests {
 
         // task_timed releases against the thief, balancing the books.
         s.task_timed(1, &t, *t.chosen.lock());
-        assert_eq!(s.core.queued(1), VTime::ZERO);
+        assert_eq!(s.queued(1), VTime::ZERO);
+    }
+
+    /// Calibrates `k` on c2050_platform(2) (workers 0–1 CPU, 2 GPU), places
+    /// one task, and checks idle worker `thief` leaves it on `victim`.
+    fn assert_not_stolen(cpu_us: u64, gpu_us: u64, victim: usize, thief: usize) {
+        let f = Fixture::new(MachineConfig::c2050_platform(2), RuntimeConfig::default());
+        let c = dual_codelet();
+        calibrate(&f, task_of(&c, 9).footprint(), cpu_us, gpu_us);
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
+        push_on(&s, &f, task_of(&c, 3), victim);
+        assert!(s.pop_for_worker(thief, &f.ctx()).is_none());
+        assert_eq!(s.queue_len(victim), 1);
+        assert_eq!(f.stats.snapshot().steals, 0);
     }
 
     #[test]
@@ -1147,29 +1247,15 @@ pub(crate) mod tests {
         // A CPU worker must not steal a task placed on the GPU even though
         // the codelet has a CPU implementation: the charge was predicted
         // from the GPU profile.
-        let f = Fixture::new(MachineConfig::c2050_platform(2), RuntimeConfig::default());
-        let c = dual_codelet();
-        let probe = task_of(&c, 9);
-        let fp = probe.footprint();
-        for _ in 0..3 {
-            f.perf.record(
-                PerfKey::new("k", ArchClass::Cpu, fp),
-                VTime::from_micros(100),
-            );
-            f.perf.record(
-                PerfKey::new("k", ArchClass::Gpu("Tesla C2050".into()), fp),
-                VTime::from_micros(10),
-            );
-        }
-        let s = DmdaScheduler::new(f.machine.total_workers());
-        push_on(&s, &f, task_of(&c, 3), 2);
-        let view = f.memory.view();
-        assert!(
-            s.pop_for_worker(0, &view, &f.ctx()).is_none(),
-            "CPU worker leaves the GPU-placed task alone"
-        );
-        assert_eq!(s.queue_len(2), 1);
-        assert_eq!(f.stats.snapshot().steals, 0);
+        assert_not_stolen(100, 10, 2, 0);
+    }
+
+    #[test]
+    fn gpu_worker_never_steals_a_cpu_placed_task() {
+        // The mirror case: an idle GPU worker would run the task's CPU
+        // implementation, timed with the GPU profile and recorded into
+        // the CPU history.
+        assert_not_stolen(10, 100, 0, 2);
     }
 
     /// Calibrates both classes, then ages the CPU key far past the
@@ -1209,7 +1295,7 @@ pub(crate) mod tests {
         ));
         assert!(est.explore, "premise: CPU key must be stale");
         assert!(est.expected.is_some(), "premise: still calibrated");
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         s.push_ready(task_of(&dual_codelet(), 0), &f.ctx());
         assert_eq!(s.queue_len(0), 1, "stale CPU explored");
         assert_eq!(s.queue_len(1), 0);
@@ -1222,7 +1308,7 @@ pub(crate) mod tests {
             ..RuntimeConfig::default()
         };
         let f = stale_cpu_fixture(config, 100, 10, 16 * 1024);
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         s.push_ready(task_of(&dual_codelet(), 0), &f.ctx());
         assert_eq!(s.queue_len(1), 1, "no exploration: best score wins");
         assert_eq!(s.queue_len(0), 0);
@@ -1238,7 +1324,7 @@ pub(crate) mod tests {
             ..RuntimeConfig::default()
         };
         let f = stale_cpu_fixture(config, 12, 10, 16 * 1024);
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         s.push_ready(task_of(&dual_codelet(), 0), &f.ctx());
         assert_eq!(s.queue_len(0), 1, "optimistic stale option wins");
 
@@ -1252,7 +1338,7 @@ pub(crate) mod tests {
             10,
             16 * 1024,
         );
-        let s2 = DmdaScheduler::new(f2.machine.total_workers());
+        let s2 = DmdaScheduler::new(f2.machine.total_workers(), false);
         s2.push_ready(task_of(&dual_codelet(), 0), &f2.ctx());
         assert_eq!(s2.queue_len(1), 1);
     }
@@ -1266,12 +1352,12 @@ pub(crate) mod tests {
             ..RuntimeConfig::default()
         };
         let f = stale_cpu_fixture(config, 100, 10, 8);
-        let s = DmdaScheduler::new(f.machine.total_workers());
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..4 {
             s.push_ready(task_of(&dual_codelet(), i), &f.ctx());
         }
         assert_eq!(s.queue_len(1), 4, "all tasks stay on the better GPU");
-        assert_eq!(s.core.explore_seq.load(Ordering::Relaxed), 0);
+        assert_eq!(s.explore_seq.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1280,26 +1366,216 @@ pub(crate) mod tests {
         use std::sync::Weak;
 
         let f = Fixture::new(MachineConfig::cpu_only(2), RuntimeConfig::default());
-        let c = Arc::new(Codelet::new("k").with_impl(Arch::Cpu, |_| {}));
-        let probe = Arc::new(TaskBuilder::new(&c).into_task(9));
-        for _ in 0..3 {
-            f.perf.record(
-                PerfKey::new("k", ArchClass::Cpu, probe.footprint()),
-                VTime::from_micros(50),
-            );
-        }
+        let c = calibrated_cpu_codelet(&f);
         let mut t = TaskBuilder::new(&c).into_task(4);
         t.graph = Some(GraphLink {
             instance: Weak::new(),
             node: 0,
         });
-        let s = DmdaScheduler::new(2);
+        let s = DmdaScheduler::new(2, false);
         push_on(&s, &f, Arc::new(t), 0);
-        let view = f.memory.view();
         assert!(
-            s.pop_for_worker(1, &view, &f.ctx()).is_none(),
+            s.pop_for_worker(1, &f.ctx()).is_none(),
             "replay placement must stay pinned to its recorded worker"
         );
         assert_eq!(s.queue_len(0), 1);
+    }
+
+    // Readiness ordering (dmdar) below. c2050_platform(1): worker 0 = CPU,
+    // worker 1 = GPU (memory node 1).
+
+    fn gpu_codelet() -> Arc<Codelet> {
+        Arc::new(Codelet::new("k").with_impl(Arch::Gpu, |_| {}))
+    }
+
+    fn task_on(codelet: &Arc<Codelet>, id: u64, h: &DataHandle) -> Arc<Task> {
+        Arc::new(
+            TaskBuilder::new(codelet)
+                .access(h, AccessMode::Read)
+                .into_task(id),
+        )
+    }
+
+    /// A GPU fixture with a cold operand and a `hot` one resident on the
+    /// GPU node (made valid there before any push unless `late_hot`).
+    fn hot_and_cold(late_hot: bool) -> (Fixture, DataHandle, DataHandle) {
+        let f = Fixture::new(MachineConfig::c2050_platform(1), RuntimeConfig::default());
+        let cold = DataHandle::new(1, vec![0u8; 4 * 1024], 4 * 1024, 2);
+        let hot = DataHandle::new(2, vec![0u8; 4 * 1024], 4 * 1024, 2);
+        if !late_hot {
+            crate::coherence::make_valid(&hot, 1, AccessMode::Read, &f.topo, &f.stats, &f.memory);
+        }
+        (f, cold, hot)
+    }
+
+    fn reorders(f: &Fixture) -> u64 {
+        f.stats.sched_reorders.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn resident_operand_task_jumps_the_queue() {
+        let (f, cold, hot) = hot_and_cold(false);
+        let c = gpu_codelet();
+        let s = DmdaScheduler::new(f.machine.total_workers(), true);
+        s.push_ready(task_on(&c, 0, &cold), &f.ctx());
+        s.push_ready(task_on(&c, 1, &hot), &f.ctx());
+
+        let first = s.pop_for_worker(1, &f.ctx()).expect("queued");
+        assert_eq!(first.id, 1, "resident-operand task dispatches first");
+        assert_eq!(reorders(&f), 1);
+        assert_eq!(
+            f.stats.dispatch_resident_bytes.load(Ordering::Relaxed),
+            4 * 1024
+        );
+        let second = s.pop_for_worker(1, &f.ctx()).expect("queued");
+        assert_eq!(second.id, 0);
+        // The non-jump dispatch did not count as a reorder.
+        assert_eq!(reorders(&f), 1);
+        assert_eq!(s.queue_len(1), 0);
+    }
+
+    #[test]
+    fn dmda_mode_dispatches_fifo_and_never_reorders() {
+        let (f, cold, hot) = hot_and_cold(false);
+        let c = gpu_codelet();
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
+        s.push_ready(task_on(&c, 0, &cold), &f.ctx());
+        s.push_ready(task_on(&c, 1, &hot), &f.ctx());
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
+        assert_eq!(reorders(&f), 0);
+        assert!(
+            s.index.read().is_none(),
+            "no locality index without readiness"
+        );
+    }
+
+    #[test]
+    fn priority_beats_readiness() {
+        let (f, cold, hot) = hot_and_cold(false);
+        let c = gpu_codelet();
+        let s = DmdaScheduler::new(f.machine.total_workers(), true);
+        s.push_ready(task_on(&c, 0, &hot), &f.ctx());
+        let urgent = TaskBuilder::new(&c)
+            .access(&cold, AccessMode::Read)
+            .priority(5)
+            .into_task(1);
+        s.push_ready(Arc::new(urgent), &f.ctx());
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
+        assert_eq!(reorders(&f), 0, "a priority jump is not a reorder");
+    }
+
+    #[test]
+    fn equal_readiness_stays_fifo() {
+        let (f, a, b) = hot_and_cold(true);
+        let c = gpu_codelet();
+        let s = DmdaScheduler::new(f.machine.total_workers(), true);
+        s.push_ready(task_on(&c, 0, &a), &f.ctx());
+        s.push_ready(task_on(&c, 1, &b), &f.ctx());
+
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
+        assert_eq!(reorders(&f), 0, "ties break FIFO, not as reorders");
+    }
+
+    #[test]
+    fn fetch_cost_prices_cheapest_route_per_operand() {
+        // Two GPUs behind a peer link: an operand resident on the *other*
+        // device is cheaper to fetch than an equal-sized one that must
+        // come over the (higher-latency) host link.
+        let f = Fixture::new(
+            MachineConfig::c2050_platform_p2p(1, 2),
+            RuntimeConfig::default(),
+        );
+        let peer_h = DataHandle::new(1, vec![0u8; 4 * 1024], 4 * 1024, 3);
+        crate::coherence::make_valid(&peer_h, 2, AccessMode::Read, &f.topo, &f.stats, &f.memory);
+        let host_h = DataHandle::new(2, vec![0u8; 4 * 1024], 4 * 1024, 3);
+
+        let c = gpu_codelet();
+        let t_peer = task_on(&c, 0, &peer_h);
+        let t_host = task_on(&c, 1, &host_h);
+        let index = LocalityIndex::new(&f.memory);
+        let ctx = f.ctx();
+        let peer_cost = fetch_cost(&index, 1, &t_peer, VTime::ZERO, &ctx);
+        let host_cost = fetch_cost(&index, 1, &t_host, VTime::ZERO, &ctx);
+        assert!(peer_cost > VTime::ZERO);
+        assert!(
+            peer_cost < host_cost,
+            "peer hop ({peer_cost:?}) must undercut the host link ({host_cost:?})"
+        );
+        // Already resident at the target node: nothing to fetch.
+        assert_eq!(
+            fetch_cost(&index, 2, &t_peer, VTime::ZERO, &ctx),
+            VTime::ZERO
+        );
+    }
+
+    #[test]
+    fn aging_forces_fifo_pop_after_limit() {
+        let (f, cold, hot) = hot_and_cold(false);
+        let c = gpu_codelet();
+        let s = DmdaScheduler::new(f.machine.total_workers(), true);
+        // The cold task is pushed first, then a stream of hot tasks that
+        // would each out-ready it forever without aging.
+        s.push_ready(task_on(&c, 0, &cold), &f.ctx());
+        let hot_tasks = AGE_LIMIT as u64 + 1;
+        for i in 1..=hot_tasks {
+            s.push_ready(task_on(&c, i, &hot), &f.ctx());
+        }
+        for i in 1..=AGE_LIMIT as u64 {
+            assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, i);
+        }
+        // Front entry now skipped AGE_LIMIT times: dispatched FIFO even
+        // though the last hot task's operand is resident.
+        assert_eq!(
+            s.pop_for_worker(1, &f.ctx()).unwrap().id,
+            0,
+            "aged-out task dispatches before a more-ready one"
+        );
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, hot_tasks);
+        // The forced FIFO pop is not a reorder; the jumps were.
+        assert_eq!(reorders(&f), AGE_LIMIT as u64);
+    }
+
+    #[test]
+    fn residency_change_after_push_rescores_queue() {
+        // Regression for the cached-score design: scores are computed at
+        // push time, so a replica that lands *after* the push must flow
+        // through the delta log and rescore the affected entries before
+        // the next pop — otherwise the hot task would stay priced cold.
+        let (f, cold, hot) = hot_and_cold(true);
+        let c = gpu_codelet();
+        let s = DmdaScheduler::new(f.machine.total_workers(), true);
+        // Both tasks are cold at push time: equal scores, FIFO order.
+        s.push_ready(task_on(&c, 0, &cold), &f.ctx());
+        s.push_ready(task_on(&c, 1, &hot), &f.ctx());
+        // Now the second task's operand becomes resident on the GPU node.
+        crate::coherence::make_valid(&hot, 1, AccessMode::Read, &f.topo, &f.stats, &f.memory);
+
+        let first = s.pop_for_worker(1, &f.ctx()).expect("queued");
+        assert_eq!(first.id, 1, "rescored hot task jumps the cold one");
+        assert_eq!(reorders(&f), 1);
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
+    }
+
+    #[test]
+    fn batch_push_places_scores_and_preserves_fifo() {
+        let (f, cold, hot) = hot_and_cold(false);
+        let c = gpu_codelet();
+        let s = DmdaScheduler::new(f.machine.total_workers(), true);
+        let batch = vec![
+            task_on(&c, 0, &cold),
+            task_on(&c, 1, &cold),
+            task_on(&c, 2, &hot),
+        ];
+        let targets = s.push_ready_batch(&batch, false, &f.ctx());
+        assert_eq!(targets, vec![Some(1); 3], "GPU-only tasks target worker 1");
+        assert_eq!(s.queue_len(1), 3);
+
+        // Hot entry jumps; the two equal cold entries then drain FIFO.
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 2);
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
+        assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
     }
 }

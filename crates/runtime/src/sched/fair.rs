@@ -3,9 +3,9 @@
 //! Multi-tenant runtimes (see [`crate::job`]) need dispatch-time isolation
 //! between jobs without giving up each policy's own ordering *within* a
 //! job. The compromise is a lane per job in front of whatever queue the
-//! policy already uses: eager keeps its central [`PrioQueue`], dmdar its
-//! reorderable slab, ws its deques — but each job's tasks live in that
-//! job's own instance, and the pop path walks lanes in deficit order
+//! policy already uses — a [`ReadyQueue`](super::queue::ReadyQueue) for
+//! eager, random and dmda, a deque for ws — but each job's tasks live in
+//! that job's own instance, and the pop path walks lanes in deficit order
 //! (smallest virtual-time account first, see [`crate::job::JobCore::debit`])
 //! so a heavy submitter cannot starve a light one.
 //!
@@ -20,7 +20,6 @@
 //! time a new job's first task arrives, bounding lane count by the number
 //! of *live* jobs, not the number ever created.
 
-use super::pq::PrioQueue;
 use crate::job::JobCore;
 use crate::task::Task;
 use std::collections::VecDeque;
@@ -31,12 +30,6 @@ use std::sync::Arc;
 /// total-length accounting.
 pub(super) trait LaneQueue: Default {
     fn lane_len(&self) -> usize;
-}
-
-impl LaneQueue for PrioQueue {
-    fn lane_len(&self) -> usize {
-        self.len()
-    }
 }
 
 impl LaneQueue for VecDeque<Arc<Task>> {
@@ -125,7 +118,7 @@ impl<Q: LaneQueue> JobLanes<Q> {
         self.lanes.iter().map(|l| &l.queue)
     }
 
-    /// Mutable walk over every lane's queue (dmdar's dirty fan-out).
+    /// Mutable walk over every lane's queue (dmdar's rescoring).
     pub fn queues_mut(&mut self) -> impl Iterator<Item = &mut Q> {
         self.lanes.iter_mut().map(|l| &mut l.queue)
     }

@@ -4,12 +4,12 @@
 //! scheduling" — reproduced here by [`dmda`] (deque model data aware, the
 //! StarPU policy PEPPHER used): it places each ready task where its
 //! *predicted completion time* — queue availability + data-transfer cost +
-//! expected execution time from history models — is smallest. [`dmdar`]
-//! ("dmda ready") adds memory-aware *ordering* on top: each worker's ready
-//! queue is reordered at pop time so tasks whose operands are already
-//! resident on the worker's memory node run first. Three greedy baselines
-//! ([`eager`], [`random`], [`ws`]) are provided for the scheduler ablation
-//! benchmarks.
+//! expected execution time from history models — is smallest. The same
+//! policy with readiness ordering on is `dmdar` ("dmda ready"): each
+//! worker's queue dispatches tasks whose operands are already resident on
+//! the worker's memory node first. Three greedy baselines ([`eager`],
+//! [`random`], [`ws`]) are provided for the scheduler ablation benchmarks.
+//! All but `ws` keep their tasks in one structure, the `queue` module's.
 //!
 //! # The pull model
 //!
@@ -17,12 +17,11 @@
 //! called once per task, when its dependencies are all satisfied; policies
 //! that *place* (dmda, dmdar, random) decide the worker there and enqueue
 //! onto that worker's ready queue. [`Scheduler::pop_for_worker`] is polled
-//! by each idle worker with a fresh [`MemoryView`] residency snapshot —
-//! the queue-aware half, where a policy may reorder or steal. Keeping the
-//! ordering decision on the pop path means it sees the *current* memory
-//! state, not the state at submission time: that is what lets dmdar run
-//! resident-operand tasks first and turn PR 1–2's eviction machinery into
-//! avoided transfers instead of survived ones.
+//! by each idle worker — the queue-aware half, where a policy may reorder
+//! or steal. Keeping the ordering decision on the pop path means it sees
+//! the *current* memory state, not the state at submission time: that is
+//! what lets dmdar run resident-operand tasks first and turn the eviction
+//! machinery into avoided transfers instead of survived ones.
 //!
 //! # Online adaptation
 //!
@@ -38,17 +37,17 @@
 //! adaptation enabled.
 
 pub mod dmda;
-pub mod dmdar;
 pub mod eager;
 mod fair;
-mod pq;
+mod queue;
 pub mod random;
 pub mod ws;
 
 use crate::codelet::{Arch, ArchClass};
 use crate::coherence::Topology;
+use crate::handle::{AccessMode, DataHandle};
 use crate::intern::Sym;
-use crate::memory::{MemoryManager, MemoryView};
+use crate::memory::MemoryManager;
 use crate::perfmodel::{ArchClassId, PerfRegistry};
 use crate::runtime::RuntimeConfig;
 use crate::stats::StatsCollector;
@@ -107,9 +106,9 @@ pub enum SchedulerKind {
     /// Performance-model-aware earliest-finish-time placement (the paper's
     /// default dynamic-composition mechanism).
     Dmda,
-    /// `dmda` placement plus readiness reordering: each worker's queue is
-    /// sorted at pop time so tasks whose operands are already resident on
-    /// the worker's memory node dispatch first (StarPU's "dmda ready").
+    /// `dmda` with readiness ordering: among equal priorities, tasks whose
+    /// operands are already resident on the worker's memory node dispatch
+    /// first (StarPU's "dmda ready").
     Dmdar,
 }
 
@@ -197,20 +196,8 @@ pub trait Scheduler: Send + Sync {
     /// worker; `None` means any eligible worker may take it (central
     /// queue).
     fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize>;
-    /// Cheap check whether `pop_for_worker(worker, ..)` could possibly
-    /// return a task — idle workers consult this before paying for a
-    /// residency snapshot, so it may over-approximate (return `true` for a
-    /// task the worker cannot run) but must never under-approximate.
-    fn has_ready(&self, worker: usize) -> bool;
-    /// Hands worker `worker` its next task, if any. `view` is a residency
-    /// snapshot taken just before the call — one consistent picture of
-    /// device memory for the whole queue scan.
-    fn pop_for_worker(
-        &self,
-        worker: usize,
-        view: &MemoryView,
-        ctx: &SchedCtx<'_>,
-    ) -> Option<Arc<Task>>;
+    /// Hands worker `worker` its next task, if any.
+    fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>>;
     /// Notifies the policy that `task`'s contribution is now reflected in
     /// worker `worker`'s virtual timeline (so load predictions charged at
     /// push time can be released without double counting). `choice` is the
@@ -259,9 +246,21 @@ pub fn make_scheduler(kind: SchedulerKind, machine: &MachineConfig) -> Box<dyn S
         SchedulerKind::Eager => Box::new(eager::EagerScheduler::new()),
         SchedulerKind::Random => Box::new(random::RandomScheduler::new(workers, 0x5EED)),
         SchedulerKind::Ws => Box::new(ws::WsScheduler::new(workers)),
-        SchedulerKind::Dmda => Box::new(dmda::DmdaScheduler::new(workers)),
-        SchedulerKind::Dmdar => Box::new(dmdar::DmdarScheduler::new(workers)),
+        SchedulerKind::Dmda => Box::new(dmda::DmdaScheduler::new(workers, false)),
+        SchedulerKind::Dmdar => Box::new(dmda::DmdaScheduler::new(workers, true)),
     }
+}
+
+/// Sums, over the read-mode operands of `accesses`, the bytes with a valid
+/// replica at `node` — the residency figure of dispatch stats and steal
+/// ranking. Write-only operands are skipped: they allocate without a copy,
+/// so their residency saves no transfer.
+pub(crate) fn resident_read_bytes(node: usize, accesses: &[(DataHandle, AccessMode)]) -> u64 {
+    accesses
+        .iter()
+        .filter(|(h, m)| m.reads() && h.valid_on(node))
+        .map(|(h, _)| h.bytes() as u64)
+        .sum()
 }
 
 /// The (worker, architecture) pairs that could execute `task` on `machine`.
@@ -281,23 +280,33 @@ pub(crate) fn options_into(task: &Task, machine: &MachineConfig, opts: &mut Vec<
         opts.extend_from_slice(&p.options);
         return;
     }
-    let ncpu = machine.cpu_workers;
-    if task.codelet.has_arch(Arch::Cpu) {
-        for w in 0..ncpu {
-            opts.push((w, Arch::Cpu));
+    for arch in [Arch::Cpu, Arch::CpuTeam, Arch::Gpu] {
+        if task.codelet.has_arch(arch) {
+            opts.extend(
+                arch_workers(arch, machine)
+                    .filter(|&w| task.force_worker.is_none_or(|fw| fw == w))
+                    .map(|w| (w, arch)),
+            );
         }
     }
-    if task.codelet.has_arch(Arch::CpuTeam) {
-        opts.push((0, Arch::CpuTeam));
+}
+
+/// The workers an `arch` implementation can run on: every CPU worker, the
+/// team leader (CPU worker 0), or every GPU worker.
+fn arch_workers(arch: Arch, machine: &MachineConfig) -> std::ops::Range<usize> {
+    match arch {
+        Arch::Cpu => 0..machine.cpu_workers,
+        Arch::CpuTeam => 0..1,
+        Arch::Gpu => machine.cpu_workers..machine.total_workers(),
     }
-    if task.codelet.has_arch(Arch::Gpu) {
-        for w in ncpu..machine.total_workers() {
-            opts.push((w, Arch::Gpu));
-        }
-    }
-    if let Some(fw) = task.force_worker {
-        opts.retain(|&(w, _)| w == fw);
-    }
+}
+
+/// Whether `(worker, arch)` is one of the options [`options_for`]
+/// enumerates for an ordinary (unrecorded) task.
+pub(crate) fn is_option(task: &Task, machine: &MachineConfig, worker: usize, arch: Arch) -> bool {
+    task.codelet.has_arch(arch)
+        && arch_workers(arch, machine).contains(&worker)
+        && task.force_worker.is_none_or(|fw| fw == worker)
 }
 
 /// The performance-model architecture class of an option.
@@ -347,6 +356,22 @@ mod tests {
         c = c.with_impl(Arch::Gpu, |_| {});
         let t = TaskBuilder::new(&Arc::new(c)).on_worker(4).into_task(0);
         assert_eq!(options_for(&t, &m), vec![(4, Arch::Gpu)]);
+        assert!(is_option(&t, &m, 4, Arch::Gpu));
+        assert!(!is_option(&t, &m, 0, Arch::Cpu), "forced elsewhere");
+    }
+
+    #[test]
+    fn resident_read_bytes_follow_valid_masks_and_skip_write_only_operands() {
+        let a = DataHandle::new(1, vec![0u8; 4], 4 * 1024, 2);
+        let b = DataHandle::new(2, vec![0u8; 8], 8 * 1024, 2);
+        let both = vec![
+            (a.clone(), AccessMode::Read),
+            (b.clone(), AccessMode::ReadWrite),
+        ];
+        assert_eq!(resident_read_bytes(0, &both), 12 * 1024, "host masters");
+        assert_eq!(resident_read_bytes(1, &both), 0);
+        // A write-only operand never counts: it allocates without a copy.
+        assert_eq!(resident_read_bytes(0, &[(b, AccessMode::Write)]), 0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Uniformly random placement (a weak baseline for ablations).
 
 use super::fair::JobLanes;
-use super::pq::PrioQueue;
-use super::{options_for, SchedCtx, Scheduler};
-use crate::memory::MemoryView;
+use super::queue::ReadyQueue;
+use super::{options_for, resident_read_bytes, SchedCtx, Scheduler};
 use crate::task::{ExecChoice, Task};
 use parking_lot::Mutex;
 use peppher_sim::VTime;
@@ -13,7 +12,7 @@ use std::sync::Arc;
 
 /// Assigns each ready task to a uniformly random eligible worker.
 pub struct RandomScheduler {
-    queues: Vec<Mutex<JobLanes<PrioQueue>>>,
+    queues: Vec<Mutex<JobLanes<ReadyQueue>>>,
     rng: Mutex<StdRng>,
 }
 
@@ -49,12 +48,8 @@ impl Scheduler for RandomScheduler {
     fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
         let worker = self.draw(&task, ctx);
         let job = Arc::clone(&task.job);
-        self.queues[worker].lock().queue_for(&job).push(task);
+        self.queues[worker].lock().queue_for(&job).push(task, None);
         Some(worker)
-    }
-
-    fn has_ready(&self, worker: usize) -> bool {
-        self.queues[worker].lock().total_len() > 0
     }
 
     fn push_ready_placed(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
@@ -64,7 +59,10 @@ impl Scheduler for RandomScheduler {
         match choice {
             Some(c) => {
                 let job = Arc::clone(&task.job);
-                self.queues[c.worker].lock().queue_for(&job).push(task);
+                self.queues[c.worker]
+                    .lock()
+                    .queue_for(&job)
+                    .push(task, None);
                 Some(c.worker)
             }
             None => self.push_ready(task, ctx),
@@ -95,26 +93,21 @@ impl Scheduler for RandomScheduler {
         for (w, group) in groups {
             let mut q = self.queues[w].lock();
             for task in group {
-                q.queue_for(&task.job).push(Arc::clone(&task));
+                q.queue_for(&task.job).push(task, None);
             }
         }
         targets
     }
 
-    fn pop_for_worker(
-        &self,
-        worker: usize,
-        view: &MemoryView,
-        ctx: &SchedCtx<'_>,
-    ) -> Option<Arc<Task>> {
+    fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
         let (task, depth) = {
             let mut q = self.queues[worker].lock();
             let depth = q.total_len();
-            (q.pop_with(|lane| lane.pop())?, depth)
+            (q.pop_with(|lane| lane.pop())?.0, depth)
         };
         let node = ctx.machine.worker_memory_node(worker);
-        let resident = view.resident_read_bytes(node, &task.accesses);
-        ctx.stats.record_dispatch(depth, resident, false);
+        ctx.stats
+            .record_dispatch(depth, resident_read_bytes(node, &task.accesses), false);
         Some(task)
     }
 }
@@ -123,49 +116,32 @@ impl Scheduler for RandomScheduler {
 mod tests {
     use super::*;
     use crate::codelet::{Arch, Codelet};
-    use crate::coherence::Topology;
-    use crate::memory::{EvictionPolicy, MemoryManager};
-    use crate::perfmodel::PerfRegistry;
     use crate::runtime::RuntimeConfig;
-    use crate::sched::WorkerClasses;
-    use crate::stats::StatsCollector;
+    use crate::sched::dmda::tests::Fixture;
     use crate::task::TaskBuilder;
     use peppher_sim::MachineConfig;
 
-    #[test]
-    fn spreads_across_eligible_workers() {
-        let machine = MachineConfig::c2050_platform(2);
-        let perf = PerfRegistry::default();
-        let timelines = crate::sched::Timelines::new(machine.total_workers());
-        let topo = Topology::new(&machine);
-        let memory = MemoryManager::new(&machine, EvictionPolicy::Lru, true);
-        let config = RuntimeConfig::default();
-        let stats = StatsCollector::new(machine.total_workers(), false);
-        let classes = WorkerClasses::new(&machine);
-        let ctx = SchedCtx {
-            machine: &machine,
-            perf: &perf,
-            timelines: &timelines,
-            topo: &topo,
-            memory: &memory,
-            config: &config,
-            stats: &stats,
-            classes: &classes,
-        };
-        let view = memory.view();
-
+    /// Pushes `n` dual-implementation tasks onto a seeded random scheduler.
+    fn pushed(f: &Fixture, n: u64, seed: u64) -> RandomScheduler {
         let codelet = Arc::new(
             Codelet::new("t")
                 .with_impl(Arch::Cpu, |_| {})
                 .with_impl(Arch::Gpu, |_| {}),
         );
-        let s = RandomScheduler::new(machine.total_workers(), 1);
-        for i in 0..300 {
-            s.push_ready(Arc::new(TaskBuilder::new(&codelet).into_task(i)), &ctx);
+        let s = RandomScheduler::new(f.machine.total_workers(), seed);
+        for i in 0..n {
+            s.push_ready(Arc::new(TaskBuilder::new(&codelet).into_task(i)), &f.ctx());
         }
-        let mut counts = vec![0usize; machine.total_workers()];
+        s
+    }
+
+    #[test]
+    fn spreads_across_eligible_workers() {
+        let f = Fixture::new(MachineConfig::c2050_platform(2), RuntimeConfig::default());
+        let s = pushed(&f, 300, 1);
+        let mut counts = vec![0usize; f.machine.total_workers()];
         for (w, count) in counts.iter_mut().enumerate() {
-            while s.pop_for_worker(w, &view, &ctx).is_some() {
+            while s.pop_for_worker(w, &f.ctx()).is_some() {
                 *count += 1;
             }
         }
@@ -178,38 +154,12 @@ mod tests {
 
     #[test]
     fn chosen_arch_matches_worker_kind() {
-        let machine = MachineConfig::c2050_platform(1);
-        let perf = PerfRegistry::default();
-        let timelines = crate::sched::Timelines::new(machine.total_workers());
-        let topo = Topology::new(&machine);
-        let memory = MemoryManager::new(&machine, EvictionPolicy::Lru, true);
-        let config = RuntimeConfig::default();
-        let stats = StatsCollector::new(machine.total_workers(), false);
-        let classes = WorkerClasses::new(&machine);
-        let ctx = SchedCtx {
-            machine: &machine,
-            perf: &perf,
-            timelines: &timelines,
-            topo: &topo,
-            memory: &memory,
-            config: &config,
-            stats: &stats,
-            classes: &classes,
-        };
-        let view = memory.view();
-        let codelet = Arc::new(
-            Codelet::new("t")
-                .with_impl(Arch::Cpu, |_| {})
-                .with_impl(Arch::Gpu, |_| {}),
-        );
-        let s = RandomScheduler::new(machine.total_workers(), 7);
-        for i in 0..50 {
-            s.push_ready(Arc::new(TaskBuilder::new(&codelet).into_task(i)), &ctx);
-        }
-        for w in 0..machine.total_workers() {
-            while let Some(t) = s.pop_for_worker(w, &view, &ctx) {
+        let f = Fixture::new(MachineConfig::c2050_platform(1), RuntimeConfig::default());
+        let s = pushed(&f, 50, 7);
+        for w in 0..f.machine.total_workers() {
+            while let Some(t) = s.pop_for_worker(w, &f.ctx()) {
                 let arch = t.chosen.lock().unwrap().arch;
-                if machine.worker_is_gpu(w) {
+                if f.machine.worker_is_gpu(w) {
                     assert_eq!(arch, Arch::Gpu);
                 } else {
                     assert_eq!(arch, Arch::Cpu);

@@ -1,8 +1,7 @@
 //! Work-stealing scheduler.
 
 use super::fair::JobLanes;
-use super::{options_for, SchedCtx, Scheduler};
-use crate::memory::MemoryView;
+use super::{options_for, resident_read_bytes, SchedCtx, Scheduler};
 use crate::stats::TraceEvent;
 use crate::task::Task;
 use parking_lot::Mutex;
@@ -16,10 +15,9 @@ use std::sync::Arc;
 /// walk the victim's lanes in fair-share order.
 ///
 /// Victim selection is *steal-from-richest*: candidates are ranked by how
-/// many of their stealable task's read-operand bytes are already resident
-/// on the thief's memory node (the locality-index residency data behind
-/// [`MemoryView`]), so a steal moves work toward its data instead of
-/// paying blind transfer costs. All-cold candidates fall back to the
+/// many of their stealable task's read-operand bytes already have a valid
+/// replica on the thief's memory node, so a steal moves work toward its
+/// data instead of paying blind transfer costs. All-cold candidates fall back to the
 /// classic deepest-queue order, and every steal is recorded as a
 /// [`TraceEvent::Steal`] with its thief-side resident bytes.
 pub struct WsScheduler {
@@ -65,17 +63,7 @@ impl Scheduler for WsScheduler {
         Some(worker)
     }
 
-    fn has_ready(&self, _worker: usize) -> bool {
-        // Any queue may feed this worker via stealing.
-        self.queues.iter().any(|q| q.lock().total_len() > 0)
-    }
-
-    fn pop_for_worker(
-        &self,
-        worker: usize,
-        view: &MemoryView,
-        ctx: &SchedCtx<'_>,
-    ) -> Option<Arc<Task>> {
+    fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
         let node = ctx.machine.worker_memory_node(worker);
         let own = {
             let mut q = self.queues[worker].lock();
@@ -83,7 +71,7 @@ impl Scheduler for WsScheduler {
             q.pop_with(|lane| lane.pop_front()).map(|t| (t, depth))
         };
         if let Some((t, depth)) = own {
-            let resident = view.resident_read_bytes(node, &t.accesses);
+            let resident = resident_read_bytes(node, &t.accesses);
             ctx.stats.record_dispatch(depth, resident, false);
             return Some(t);
         }
@@ -110,7 +98,7 @@ impl Scheduler for WsScheduler {
                 lane.iter()
                     .rev()
                     .find(|t| t.runnable_on(worker, is_gpu))
-                    .map(|t| view.resident_read_bytes(node, &t.accesses))
+                    .map(|t| resident_read_bytes(node, &t.accesses))
             });
             if let Some(bytes) = score {
                 ranked.push((v, bytes, depth));
@@ -130,7 +118,7 @@ impl Scheduler for WsScheduler {
                 .map(|t| (t, depth))
             };
             if let Some((t, depth)) = stolen {
-                let resident = view.resident_read_bytes(node, &t.accesses);
+                let resident = resident_read_bytes(node, &t.accesses);
                 ctx.stats.record_dispatch(depth, resident, false);
                 ctx.stats.record_steal(resident);
                 ctx.stats.record_event(TraceEvent::Steal {
@@ -150,57 +138,15 @@ impl Scheduler for WsScheduler {
 mod tests {
     use super::*;
     use crate::codelet::{Arch, Codelet};
-    use crate::coherence::Topology;
     use crate::handle::DataHandle;
-    use crate::memory::{EvictionPolicy, MemoryManager};
-    use crate::perfmodel::PerfRegistry;
     use crate::runtime::RuntimeConfig;
-    use crate::sched::WorkerClasses;
+    use crate::sched::dmda::tests::Fixture;
     use crate::stats::StatsCollector;
     use crate::task::TaskBuilder;
     use peppher_sim::MachineConfig;
 
-    struct Fixture {
-        machine: MachineConfig,
-        perf: PerfRegistry,
-        timelines: crate::sched::Timelines,
-        topo: Topology,
-        memory: MemoryManager,
-        config: RuntimeConfig,
-        stats: StatsCollector,
-        classes: WorkerClasses,
-    }
-
-    impl Fixture {
-        fn new(machine: MachineConfig) -> Self {
-            let timelines = crate::sched::Timelines::new(machine.total_workers());
-            let topo = Topology::new(&machine);
-            let memory = MemoryManager::new(&machine, EvictionPolicy::Lru, true);
-            let stats = StatsCollector::new(machine.total_workers(), false);
-            let classes = WorkerClasses::new(&machine);
-            Fixture {
-                perf: PerfRegistry::default(),
-                timelines,
-                topo,
-                memory,
-                config: RuntimeConfig::default(),
-                stats,
-                classes,
-                machine,
-            }
-        }
-        fn ctx(&self) -> SchedCtx<'_> {
-            SchedCtx {
-                machine: &self.machine,
-                perf: &self.perf,
-                timelines: &self.timelines,
-                topo: &self.topo,
-                memory: &self.memory,
-                config: &self.config,
-                stats: &self.stats,
-                classes: &self.classes,
-            }
-        }
+    fn fixture(machine: MachineConfig) -> Fixture {
+        Fixture::new(machine, RuntimeConfig::default())
     }
 
     fn cpu_task(i: u64) -> Arc<Task> {
@@ -210,7 +156,7 @@ mod tests {
 
     #[test]
     fn push_balances_queues() {
-        let f = Fixture::new(MachineConfig::cpu_only(4));
+        let f = fixture(MachineConfig::cpu_only(4));
         let s = WsScheduler::new(4);
         for i in 0..8 {
             s.push_ready(cpu_task(i), &f.ctx());
@@ -222,19 +168,16 @@ mod tests {
 
     #[test]
     fn idle_worker_steals() {
-        let f = Fixture::new(MachineConfig::cpu_only(2));
+        let f = fixture(MachineConfig::cpu_only(2));
         let s = WsScheduler::new(2);
         // Load everything onto worker 0 artificially.
         for i in 0..4 {
             s.seed(0, cpu_task(i));
         }
-        let view = f.memory.view();
-        let stolen = s
-            .pop_for_worker(1, &view, &f.ctx())
-            .expect("steal succeeds");
+        let stolen = s.pop_for_worker(1, &f.ctx()).expect("steal succeeds");
         assert_eq!(stolen.id, 3, "steals from the back");
         assert_eq!(
-            s.pop_for_worker(0, &view, &f.ctx()).unwrap().id,
+            s.pop_for_worker(0, &f.ctx()).unwrap().id,
             0,
             "owner pops from front"
         );
@@ -242,10 +185,10 @@ mod tests {
 
     #[test]
     fn gpu_worker_does_not_steal_cpu_only_tasks() {
-        let f = Fixture::new(MachineConfig::c2050_platform(1));
+        let f = fixture(MachineConfig::c2050_platform(1));
         let s = WsScheduler::new(2);
         s.seed(0, cpu_task(0));
-        assert!(s.pop_for_worker(1, &f.memory.view(), &f.ctx()).is_none());
+        assert!(s.pop_for_worker(1, &f.ctx()).is_none());
     }
 
     #[test]
@@ -254,7 +197,7 @@ mod tests {
         use crate::handle::AccessMode;
 
         // 1 CPU + 2 GPUs: the thief is GPU worker 1 (memory node 1).
-        let mut f = Fixture::new(MachineConfig::multi_gpu(1, 2));
+        let mut f = fixture(MachineConfig::multi_gpu(1, 2));
         f.stats = StatsCollector::new(f.machine.total_workers(), true);
         let s = WsScheduler::new(f.machine.total_workers());
         let c = Arc::new(
@@ -276,10 +219,7 @@ mod tests {
         // Fixed-order stealing would hit worker 0 (the cold task) first.
         s.seed(0, task_reading(10, &cold));
         s.seed(2, task_reading(11, &hot));
-        let view = f.memory.view();
-        let stolen = s
-            .pop_for_worker(1, &view, &f.ctx())
-            .expect("steal succeeds");
+        let stolen = s.pop_for_worker(1, &f.ctx()).expect("steal succeeds");
         assert_eq!(stolen.id, 11, "steals the task whose operand is resident");
         let snap = f.stats.snapshot();
         assert_eq!(snap.steals, 1);
@@ -295,7 +235,7 @@ mod tests {
         )));
         // Next steal has only the cold victim left: classic order.
         let stolen = s
-            .pop_for_worker(1, &view, &f.ctx())
+            .pop_for_worker(1, &f.ctx())
             .expect("cold steal still succeeds");
         assert_eq!(stolen.id, 10);
         assert_eq!(f.stats.snapshot().steals, 2);

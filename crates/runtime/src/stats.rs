@@ -189,8 +189,8 @@ struct WorkerCell {
     /// Modelled energy in millijoules, stored as `f64::to_bits`.
     energy_mj_bits: AtomicU64,
     /// Wall-clock nanoseconds this worker spent inside successful
-    /// `pop_for_worker` calls (residency snapshot + queue decision) — the
-    /// scheduler's real decision cost, not virtual time.
+    /// `pop_for_worker` calls — the scheduler's real decision cost, not
+    /// virtual time.
     pop_ns: AtomicU64,
     /// Successful pops, the divisor for `pop_ns`.
     pops: AtomicU64,
@@ -372,8 +372,8 @@ impl StatsCollector {
         }
     }
 
-    /// Records the wall-clock cost of one successful pop (snapshot +
-    /// scheduling decision) on `worker`'s cell.
+    /// Records the wall-clock cost of one successful pop (the scheduling
+    /// decision) on `worker`'s cell.
     pub(crate) fn record_pop(&self, worker: usize, ns: u64) {
         self.cells[worker].add_pop(ns);
     }
@@ -518,7 +518,7 @@ pub struct RuntimeStats {
     /// Deepest per-worker ready queue observed at any pop.
     pub max_queue_depth: u64,
     /// Total wall-clock nanoseconds workers spent inside successful
-    /// `pop_for_worker` calls (residency snapshot + scheduling decision).
+    /// `pop_for_worker` calls (the scheduling decision).
     /// Real time, not virtual — the scheduler's measured decision cost.
     pub sched_pop_ns: u64,
     /// Successful pops, the divisor for [`RuntimeStats::sched_pop_ns`].

@@ -11,34 +11,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One pop attempt. The scheduler's `pop_for_worker` detects the empty
-/// queue itself — a separate `has_ready` pre-check would acquire the same
-/// queue lock twice per successful pop. Successful pops are wall-clock
-/// timed (snapshot + scheduling decision) into the worker's stats cell so
-/// benchmarks can report the scheduler's real per-dispatch decision cost.
-///
-/// `view_cache` is the worker's private `(epoch, snapshot)` pair: the
-/// residency snapshot is refreshed only when the residency epoch moved, so
-/// a quiescent runtime pops against the cached `Arc` without touching the
-/// memory manager's shared snapshot mutex at all.
-fn try_pop(
-    inner: &RuntimeInner,
-    worker: usize,
-    view_cache: &mut Option<(u64, Arc<crate::memory::MemoryView>)>,
-) -> Option<Arc<Task>> {
+/// One pop attempt. Successful pops are wall-clock timed into the
+/// worker's stats cell so benchmarks can report the scheduler's real
+/// per-dispatch decision cost.
+fn try_pop(inner: &RuntimeInner, worker: usize) -> Option<Arc<Task>> {
     let t0 = Instant::now();
-    // Residency snapshot per pop attempt: pull schedulers may reorder the
-    // worker's queue against what is on its node right now. The epoch is
-    // loaded before the snapshot is taken, so a mutation racing the
-    // refresh is caught by the next pop's staleness check.
-    let epoch = inner.memory.epoch();
-    if !matches!(view_cache, Some((e, _)) if *e == epoch) {
-        *view_cache = Some((epoch, inner.memory.view()));
-    }
-    let view = &view_cache.as_ref().expect("cache just filled").1;
-    let task = inner
-        .sched
-        .pop_for_worker(worker, view, &inner.sched_ctx())?;
+    let task = inner.sched.pop_for_worker(worker, &inner.sched_ctx())?;
     // Fair-share accounting at the pop boundary: debit the owning job one
     // weight-scaled quantum and count the dispatch against its admission
     // cap. Single-tenant runtimes (no `Runtime::job` call ever) skip this
@@ -69,9 +47,8 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker: usize) {
             next = run_one(&inner, worker, t, true);
         }
     };
-    let mut view_cache = None;
     loop {
-        if let Some(t) = try_pop(&inner, worker, &mut view_cache) {
+        if let Some(t) = try_pop(&inner, worker) {
             run_chain(t);
             continue;
         }
@@ -79,7 +56,7 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker: usize) {
         // (and wakes us) or pushed before we set it (and the recheck finds
         // the task). Either way no wakeup is lost.
         inner.idle[worker].store(true, Ordering::SeqCst);
-        if let Some(t) = try_pop(&inner, worker, &mut view_cache) {
+        if let Some(t) = try_pop(&inner, worker) {
             inner.idle[worker].store(false, Ordering::SeqCst);
             run_chain(t);
             continue;

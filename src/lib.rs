@@ -50,8 +50,7 @@ pub mod prelude {
         CallContext, ComponentRegistry, ExecutionMode, InterfaceDecl, VariantBuilder,
     };
     pub use peppher_runtime::{
-        AccessMode, Data, MemoryView, Runtime, RuntimeConfig, SchedulerKind, TaskBuilder, TaskHint,
-        TaskHints,
+        AccessMode, Data, Runtime, RuntimeConfig, SchedulerKind, TaskBuilder, TaskHint, TaskHints,
     };
     pub use peppher_sim::{DeviceProfile, MachineConfig};
 }

@@ -1,11 +1,11 @@
 //! Integration tests for the routed transfer fabric: peer-to-peer device
-//! links, full-duplex host channels, and in-flight transfer dedup, all
-//! observed through the public `Runtime` API.
+//! links and in-flight transfer dedup, observed through the public
+//! `Runtime` API.
 
 use peppher::runtime::{
-    AccessMode, Arch, Codelet, DataHandle, Runtime, RuntimeConfig, SchedulerKind, TaskBuilder,
+    AccessMode, Arch, Codelet, Runtime, RuntimeConfig, SchedulerKind, TaskBuilder,
 };
-use peppher::sim::{KernelCost, MachineConfig};
+use peppher::sim::MachineConfig;
 use std::sync::Arc;
 
 fn fill_kernel(ctx: &mut peppher::runtime::KernelCtx<'_>) {
@@ -177,74 +177,4 @@ fn rt_sanity(busy: &[(String, peppher::sim::VTime)]) {
     assert!(busy
         .iter()
         .any(|(name, t)| name.starts_with("p2p:") && *t > peppher::sim::VTime::ZERO));
-}
-
-/// Repeated in-place updates under memory pressure: every task fetches an
-/// evicted operand (h2d) while the displaced victim writes back (d2h).
-/// With duplex channels the two directions overlap in virtual time, so
-/// the full-duplex makespan must beat the half-duplex baseline while
-/// producing bitwise-identical data.
-#[test]
-fn duplex_channels_beat_half_duplex_under_pressure() {
-    let run = |duplex: bool| {
-        let rt = Runtime::with_config(
-            MachineConfig::c2050_platform(1)
-                .without_noise()
-                .with_device_mem(8 * 1024),
-            RuntimeConfig {
-                scheduler: SchedulerKind::Eager,
-                duplex_links: duplex,
-                ..RuntimeConfig::default()
-            },
-        );
-        let scale = codelet("fab_scale", scale_kernel);
-        let handles: Vec<DataHandle> = (0..4).map(|_| rt.register(vec![1.0f32; 1024])).collect();
-        // Working set 16 KiB against an 8 KiB budget: each task evicts a
-        // Modified sibling (writeback) and refetches its own operand.
-        for _round in 0..10 {
-            for h in &handles {
-                TaskBuilder::new(&scale)
-                    .access(h, AccessMode::ReadWrite)
-                    .on_worker(1)
-                    .cost(KernelCost::new(1024.0, 4096.0, 4096.0))
-                    .submit(&rt);
-            }
-        }
-        rt.wait_all();
-        let outs: Vec<Vec<f32>> = handles
-            .iter()
-            .map(|h| rt.acquire_read::<Vec<f32>>(h).clone())
-            .collect();
-        let makespan = rt.makespan();
-        let stats = rt.stats();
-        rt.shutdown();
-        (outs, makespan, stats)
-    };
-
-    let (full_out, full_span, full_stats) = run(true);
-    let (half_out, half_span, _) = run(false);
-
-    assert!(full_out
-        .iter()
-        .zip(&half_out)
-        .all(|(a, b)| bitwise_eq(a, b)));
-    assert!(
-        full_stats.d2h_transfers > 0,
-        "pressure must force writebacks for the comparison to mean anything"
-    );
-    assert!(
-        full_span < half_span,
-        "duplex {full_span:?} must beat half-duplex {half_span:?}"
-    );
-    // Both directions of the device link accumulated busy time.
-    let busy_of = |tag: &str| {
-        full_stats
-            .channel_busy
-            .iter()
-            .find(|(name, _)| name == tag)
-            .map(|(_, t)| *t)
-            .expect("channel present in report")
-    };
-    assert!(busy_of("h2d:1") > peppher::sim::VTime::ZERO);
-    assert!(busy_of("d2h:1") > peppher::sim::VTime::ZERO);
 }
