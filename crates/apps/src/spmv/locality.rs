@@ -90,6 +90,13 @@ pub fn run_locality(rt: &Runtime, sc: &LocalityScenario) -> Vec<Vec<f32>> {
     // the same block are chained by the write-after-write dependency on
     // its y handle, so block b's round i+1 becomes ready exactly when
     // round i completes — the reorder opportunity dmdar exploits.
+    //
+    // Every product reads `x`, and its copy to the device waits for this
+    // host guard: the first product cannot finish its fetch until the
+    // whole graph is submitted. Without it the dispatch order would
+    // depend on how the submitting thread and the device's worker
+    // interleave — in lock-step the queue never holds a choice.
+    let hold = rt.acquire_write::<Vec<f32>>(&x);
     for _ in 0..sc.iters {
         for (b, m) in matrices.iter().enumerate() {
             let (row_ptr, col_idx, values) = &inputs[b];
@@ -107,6 +114,7 @@ pub fn run_locality(rt: &Runtime, sc: &LocalityScenario) -> Vec<Vec<f32>> {
                 .submit(rt);
         }
     }
+    drop(hold);
     rt.wait_all();
 
     for (row_ptr, col_idx, values) in inputs {

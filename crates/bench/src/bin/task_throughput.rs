@@ -25,11 +25,12 @@
 //!
 //! A fourth *scale* cell grows the machine instead of the graph: the same
 //! read-heavy independent frontier (seeded in one `submit_batch` call) on
-//! 8 vs 64 simulated devices under dmdar. With the incremental locality
-//! index and heap-ordered queues, per-pop cost must stay sub-linear in
-//! device count — the cell fails if the 64-device pop cost exceeds 4× the
-//! 8-device cost (an 8× machine), with a small absolute allowance so
-//! timer noise on near-zero costs cannot trip it.
+//! 8 vs 64 simulated devices under dmdar, timed after every task has run.
+//! A dmdar pop prices its queue from the handles' valid masks and stops at
+//! the first entry with nothing to fetch, so per-pop cost must stay
+//! sub-linear in device count — the cell fails if the 64-device pop cost
+//! exceeds 4× the 8-device cost (an 8× machine), with a small absolute
+//! allowance so timer noise on near-zero costs cannot trip it.
 //!
 //! Run: `cargo run --release -p peppher-bench --bin task_throughput`
 //!
@@ -62,8 +63,8 @@ const FANOUT_READERS: usize = 512;
 const RUNS: usize = 7;
 
 /// The scale cell's frontier: read-only operands drawn from a shared
-/// pool, so every task is independent but dmdar still has locality
-/// scores to compute and maintain.
+/// pool, so every task is independent but dmdar still has fetch costs to
+/// price.
 const SCALE_TASKS: usize = 4096;
 const SCALE_HANDLES: usize = 64;
 
@@ -83,11 +84,10 @@ const BASELINE_INDEPENDENT_EAGER: f64 = 428_379.0;
 const BASELINE_PR7_INDEPENDENT: f64 = 1_201_651.0;
 const FAIRSHARE_MAX_OVERHEAD: f64 = 0.05;
 
-/// Regression floor for the three `independent` cells. The heap-ordered
-/// queues and the incremental locality index put eager, dmda, and dmdar
-/// all above ~1.3M tasks/sec on the reference machine; 1M catches any
-/// slide back toward the rescan-per-pop hot path while leaving margin
-/// for slower CI runners. `BENCH_OVERHEAD_FLOOR` overrides.
+/// Regression floor for the three `independent` cells. Eager, dmda, and
+/// dmdar all measured above ~1.3M tasks/sec on the reference machine; 1M
+/// catches any slide back toward the rescan-per-pop hot path while
+/// leaving margin for slower CI runners. `BENCH_OVERHEAD_FLOOR` overrides.
 const FLOOR_TASKS_PER_SEC: f64 = 1_000_000.0;
 
 /// The 64-device pop cost may be at most this multiple of the 8-device
@@ -207,7 +207,8 @@ fn measure(kind: SchedulerKind, scenario: &str) -> (f64, f64) {
 /// `multi_gpu(2, gpus)` machine, best (lowest) of `RUNS`. The whole
 /// frontier is seeded through one `submit_batch` call — the same path
 /// graph replay uses — so push-side cost is batched exactly as in the
-/// scale test harness.
+/// scale test harness. Pop statistics are read only after the job's
+/// wait returns, and the run asserts that every task executed.
 fn measure_scale_pop(gpus: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..RUNS {
@@ -230,8 +231,13 @@ fn measure_scale_pop(gpus: usize) -> f64 {
                 })
                 .collect(),
         );
-        rt.wait_all();
-        let pop_ns = rt.stats().avg_pop_ns();
+        job.wait();
+        let stats = rt.stats();
+        assert_eq!(
+            stats.tasks_executed, SCALE_TASKS as u64,
+            "scale cell timed before its tasks ran"
+        );
+        let pop_ns = stats.avg_pop_ns();
         for h in handles {
             let _: Vec<u8> = rt.unregister(h);
         }

@@ -74,9 +74,6 @@ pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 /// A `HashMap` using [`FastHasher`].
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
-/// A `HashSet` using [`FastHasher`].
-pub type FastSet<T> = std::collections::HashSet<T, FastBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,8 +106,5 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert!(m.contains_key(&999));
-        let mut s: FastSet<u64> = FastSet::default();
-        s.insert(7);
-        assert!(s.contains(&7));
     }
 }

@@ -41,11 +41,15 @@
 //! [`MemoryManager::forget`] (unregistration) — and the dropped buffer is
 //! offered to the node's allocation cache on the way out.
 //! [`MemoryManager::validate`] checks the whole invariant on demand.
+//!
+//! Accounting is not residency. A replica is accounted before its copy
+//! lands, and main memory keeps its buffer and accounting when a device
+//! write makes the host copy stale. The schedulers therefore read
+//! residency from the handles' valid masks, never from these maps; this
+//! module answers only capacity questions (what fits, what must be
+//! evicted, what that costs).
 
 mod freelist;
-mod locality;
-
-pub use locality::LocalityIndex;
 
 use crate::coherence::Topology;
 use crate::handle::{DataHandle, HandleInner, PayloadBox, PayloadCell, ReplicaStatus};
@@ -166,17 +170,6 @@ impl NodeMem {
 pub struct MemoryManager {
     nodes: Vec<Mutex<NodeMem>>,
     policy: EvictionPolicy,
-    /// Bumped on every residency mutation (allocation accounting, eviction,
-    /// recycle, forget), so a [`LocalityIndex`] whose sync is tagged with
-    /// the current value knows it is up to date with one atomic load.
-    epoch: AtomicU64,
-    /// When set, every residency mutation appends a [`ResidencyDelta`] to
-    /// `residency_log` (under the mutated node's lock, so per-replica log
-    /// order matches mutation order). Off by default — only consumers like
-    /// [`LocalityIndex`] pay for the log.
-    log_residency: AtomicBool,
-    /// The pending delta log drained by [`MemoryManager::take_residency_deltas`].
-    residency_log: Mutex<Vec<ResidencyDelta>>,
     /// Per-job device-memory quotas (bytes per device node), set at job
     /// creation via [`MemoryManager::set_quota`].
     quotas: RwLock<HashMap<u64, u64>>,
@@ -195,20 +188,6 @@ pub struct MemoryManager {
     /// Fast flag mirroring `!families.is_empty()` — the family-free hot
     /// path pays one relaxed load per prepare, like `has_quotas`.
     has_families: AtomicBool,
-}
-
-/// One residency mutation, as observed by [`MemoryManager::take_residency_deltas`].
-/// `bytes` is the *absolute* accounted byte count after the mutation (0 =
-/// replica gone), not an increment — applying deltas is therefore idempotent
-/// and tolerant of a redundant replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResidencyDelta {
-    /// Memory node whose residency changed.
-    pub node: usize,
-    /// Handle id of the replica.
-    pub handle: u64,
-    /// Accounted bytes after the mutation; 0 removes the replica.
-    pub bytes: u64,
 }
 
 /// Outcome of one victim-selection pass under the node lock.
@@ -250,9 +229,6 @@ impl MemoryManager {
         MemoryManager {
             nodes,
             policy,
-            epoch: AtomicU64::new(0),
-            log_residency: AtomicBool::new(false),
-            residency_log: Mutex::new(Vec::new()),
             quotas: RwLock::new(HashMap::new()),
             has_quotas: AtomicBool::new(false),
             families: RwLock::new(HashMap::new()),
@@ -359,50 +335,6 @@ impl MemoryManager {
             .collect()
     }
 
-    /// Current residency epoch. A consumer whose cached state is tagged
-    /// with this value is up to date.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Turns on residency-delta logging (see [`ResidencyDelta`]). Must be
-    /// called *before* reading the state the deltas are applied to:
-    /// enable-then-read may replay a mutation already visible in what was
-    /// read, which absolute deltas absorb harmlessly.
-    pub fn enable_residency_log(&self) {
-        self.log_residency.store(true, Ordering::Release);
-    }
-
-    /// Drains and returns the pending residency deltas, in per-replica
-    /// mutation order. Empty when logging is off or nothing changed.
-    pub fn take_residency_deltas(&self) -> Vec<ResidencyDelta> {
-        let mut log = self.residency_log.lock();
-        if log.is_empty() {
-            return Vec::new();
-        }
-        std::mem::take(&mut *log)
-    }
-
-    /// Appends a delta when logging is enabled. Call while still holding
-    /// the mutated node's lock so log order matches mutation order (the
-    /// log mutex never takes a node lock, so node → log nesting is safe).
-    fn log_delta(&self, node: usize, handle: u64, bytes: u64) {
-        if self.log_residency.load(Ordering::Relaxed) {
-            self.residency_log.lock().push(ResidencyDelta {
-                node,
-                handle,
-                bytes,
-            });
-        }
-    }
-
-    /// Marks the residency state changed. Called by every mutation of
-    /// accounted replica bytes; pin placeholders (0-byte entries, not
-    /// residency) and `wont_use` flags do not count.
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
     /// The configured out-of-capacity behavior.
     pub fn policy(&self) -> EvictionPolicy {
         self.policy
@@ -415,18 +347,6 @@ impl MemoryManager {
         let nm = self.nodes[node].lock();
         nm.budget
             .map(|b| b.saturating_sub(nm.used + nm.cache.retained()))
-    }
-
-    /// Calls `f(node, handle_id, bytes)` for every allocated (accounted)
-    /// replica, one node lock at a time; pin placeholders are skipped.
-    pub(crate) fn for_each_resident(&self, mut f: impl FnMut(usize, u64, u64)) {
-        for (node, nm) in self.nodes.iter().enumerate() {
-            for (&id, r) in &nm.lock().residents {
-                if r.bytes > 0 {
-                    f(node, id, r.bytes);
-                }
-            }
-        }
     }
 
     /// Whether `handle_id` has an allocated (accounted) replica at `node`.
@@ -632,9 +552,6 @@ impl MemoryManager {
                 dirty: false,
             },
         );
-        self.log_delta(0, handle.id(), handle.bytes() as u64);
-        drop(nm);
-        self.bump_epoch();
     }
 
     /// Pins `handle` at `node` so it cannot be selected as an eviction
@@ -705,109 +622,95 @@ impl MemoryManager {
         let req_family = self.family_of(handle.id());
         let mut reused: Option<PayloadCell> = None;
         let mut reused_bytes = 0u64;
-        loop {
-            let selection = {
-                let mut nm = self.nodes[node].lock();
-                let stamp = nm.stamp();
-                if let Some(r) = nm.residents.get_mut(&handle.id()) {
-                    r.last_use = stamp;
-                    r.dead = false; // a new use resurrects the replica
-                    if r.bytes > 0 {
-                        // Already allocated and accounted. A cache buffer
-                        // grabbed on an earlier pass goes back (another
-                        // thread won the allocation race).
-                        if let Some(cell) = reused.take() {
-                            nm.cache.insert(cell, reused_bytes);
-                        }
-                        return None;
+        let mut nm = loop {
+            let mut nm = self.nodes[node].lock();
+            let stamp = nm.stamp();
+            if let Some(r) = nm.residents.get_mut(&handle.id()) {
+                r.last_use = stamp;
+                r.dead = false; // a new use resurrects the replica
+                if r.bytes > 0 {
+                    // Already allocated and accounted. A cache buffer
+                    // grabbed on an earlier pass goes back (another
+                    // thread won the allocation race).
+                    if let Some(cell) = reused.take() {
+                        nm.cache.insert(cell, reused_bytes);
+                    }
+                    return None;
+                }
+            }
+            // Per-job quota pre-pass: an allocation pushing the job
+            // past its per-node quota evicts the job's *own* replicas
+            // (its LRU first) before touching anyone else's. When the
+            // job has nothing evictable left here, it overcommits its
+            // quota softly — pinned working sets keep making progress
+            // — and the node-budget logic below still applies.
+            let quota_victim = quota
+                .filter(|&q| nm.job_used.get(&job).copied().unwrap_or(0) + need > q)
+                .and_then(|_| Self::select_victim_of_job(&mut nm, handle.id(), job));
+            // Allocation cache first: a retained buffer of a
+            // sufficient size class is reused outright — this is also
+            // how an eviction victim's buffer becomes the allocation
+            // that displaced it.
+            if reused.is_none() {
+                if let Some(buf) = nm.cache.take(need) {
+                    reused_bytes = buf.bytes;
+                    reused = Some(buf.cell);
+                }
+            }
+            let selection = if let Some(victim) = quota_victim {
+                Selection::Victim(vec![victim])
+            } else if !nm.over_budget(need) {
+                // Under budget with no retained buffer to reuse: honor
+                // `wont_use` hints eagerly. A dead replica whose buffer
+                // can serve this allocation is evicted now (its
+                // writeback was due at eviction anyway) so the new
+                // replica recycles the buffer instead of widening the
+                // footprint alongside semantically-garbage data. Only
+                // worthwhile when pressure is plausible — the node at
+                // least half full once this allocation lands — and the
+                // cache can actually retain the donated buffer.
+                let donate = reused.is_none()
+                    && self.policy != EvictionPolicy::FallbackCpu
+                    && nm.cache.cap() > 0
+                    && nm.budget.is_some_and(|b| (nm.used + need) * 2 >= b);
+                match donate {
+                    true => match Self::select_dead_donor(&mut nm, handle.id(), need) {
+                        Some(victim) => Selection::Victim(vec![victim]),
+                        None => Selection::Done,
+                    },
+                    false => Selection::Done,
+                }
+            } else {
+                // Over budget: dead cache memory goes first — trim
+                // retained buffers before touching any live replica.
+                while nm.over_budget(need) {
+                    match nm.cache.trim_oldest() {
+                        Some(freed) => stats.record_cache_trim(freed),
+                        None => break,
                     }
                 }
-                // Per-job quota pre-pass: an allocation pushing the job
-                // past its per-node quota evicts the job's *own* replicas
-                // (its LRU first) before touching anyone else's. When the
-                // job has nothing evictable left here, it overcommits its
-                // quota softly — pinned working sets keep making progress
-                // — and the node-budget logic below still applies.
-                let quota_victim = quota
-                    .filter(|&q| nm.job_used.get(&job).copied().unwrap_or(0) + need > q)
-                    .and_then(|_| Self::select_victim_of_job(&mut nm, handle.id(), job));
-                // Allocation cache first: a retained buffer of a
-                // sufficient size class is reused outright — this is also
-                // how an eviction victim's buffer becomes the allocation
-                // that displaced it.
-                if reused.is_none() {
-                    if let Some(buf) = nm.cache.take(need) {
-                        reused_bytes = buf.bytes;
-                        reused = Some(buf.cell);
-                    }
-                }
-                if let Some((vid, r)) = quota_victim {
-                    self.log_delta(node, vid, 0);
-                    Selection::Victim(vec![(vid, r)])
-                } else if !nm.over_budget(need) {
-                    // Under budget with no retained buffer to reuse: honor
-                    // `wont_use` hints eagerly. A dead replica whose buffer
-                    // can serve this allocation is evicted now (its
-                    // writeback was due at eviction anyway) so the new
-                    // replica recycles the buffer instead of widening the
-                    // footprint alongside semantically-garbage data. Only
-                    // worthwhile when pressure is plausible — the node at
-                    // least half full once this allocation lands — and the
-                    // cache can actually retain the donated buffer.
-                    let donate = reused.is_none()
-                        && self.policy != EvictionPolicy::FallbackCpu
-                        && nm.cache.cap() > 0
-                        && nm.budget.is_some_and(|b| (nm.used + need) * 2 >= b);
-                    match donate {
-                        true => match Self::select_dead_donor(&mut nm, handle.id(), need) {
-                            Some((vid, r)) => {
-                                self.log_delta(node, vid, 0);
-                                Selection::Victim(vec![(vid, r)])
-                            }
-                            None => Selection::Done,
-                        },
-                        false => Selection::Done,
-                    }
+                if !nm.over_budget(need) || self.policy == EvictionPolicy::FallbackCpu {
+                    // FallbackCpu never evicts live replicas:
+                    // feasibility is the scheduler's job; forced
+                    // placements overcommit.
+                    Selection::Done
                 } else {
-                    // Over budget: dead cache memory goes first — trim
-                    // retained buffers before touching any live replica.
-                    while nm.over_budget(need) {
-                        match nm.cache.trim_oldest() {
-                            Some(freed) => stats.record_cache_trim(freed),
-                            None => break,
+                    let victims = match self.policy {
+                        EvictionPolicy::Family => {
+                            Self::select_victim_family(&mut nm, handle.id(), req_family).or_else(
+                                || Self::select_victim(&mut nm, handle.id()).map(|v| vec![v]),
+                            )
                         }
-                    }
-                    if !nm.over_budget(need) || self.policy == EvictionPolicy::FallbackCpu {
-                        // FallbackCpu never evicts live replicas:
-                        // feasibility is the scheduler's job; forced
-                        // placements overcommit.
-                        Selection::Done
-                    } else {
-                        let victims = match self.policy {
-                            EvictionPolicy::Family => {
-                                Self::select_victim_family(&mut nm, handle.id(), req_family)
-                                    .or_else(|| {
-                                        Self::select_victim(&mut nm, handle.id()).map(|v| vec![v])
-                                    })
-                            }
-                            _ => Self::select_victim(&mut nm, handle.id()).map(|v| vec![v]),
-                        };
-                        match victims {
-                            Some(vs) => {
-                                for (vid, _) in &vs {
-                                    self.log_delta(node, *vid, 0);
-                                }
-                                Selection::Victim(vs)
-                            }
-                            None => Selection::Overcommit,
-                        }
-                    }
+                        _ => Self::select_victim(&mut nm, handle.id()).map(|v| vec![v]),
+                    };
+                    victims.map_or(Selection::Overcommit, Selection::Victim)
                 }
             };
             match selection {
                 Selection::Victim(victims) => {
-                    // The victims already left the accounting under the lock.
-                    self.bump_epoch();
+                    // The victims already left the accounting under the
+                    // lock; their surgery takes handle locks, so release it.
+                    drop(nm);
                     if victims.len() > 1 {
                         stats.record_family_eviction(victims.len() as u64);
                     }
@@ -815,19 +718,15 @@ impl MemoryManager {
                         self.evict(vid, r, node, topo, stats);
                     }
                 }
-                Selection::Done | Selection::Overcommit => break,
+                // Account under the lock that found the room (or found
+                // nothing evictable): released in between, a concurrent
+                // allocation could take the same room and overshoot the
+                // budget.
+                Selection::Done | Selection::Overcommit => break nm,
             }
-        }
-        let mut nm = self.nodes[node].lock();
+        };
         let stamp = nm.stamp();
-        // Re-check under the lock: a racing prepare for the same replica
-        // may have won between the selection loop and here — accounting
-        // twice would leak budget (a pin placeholder has `bytes == 0` and
-        // does not count as a win).
-        let already_accounted = nm.residents.get(&handle.id()).is_some_and(|r| r.bytes > 0);
-        if !already_accounted {
-            nm.account(job, need);
-        }
+        nm.account(job, need);
         let weak = Arc::downgrade(&handle.inner);
         let entry = nm.residents.entry(handle.id()).or_insert_with(|| Resident {
             weak,
@@ -846,13 +745,7 @@ impl MemoryManager {
         // The buffer is (about to be) filled from a valid source copy; any
         // write that dirties it again goes through `mark_dirty`.
         entry.dirty = false;
-        if !already_accounted {
-            self.log_delta(node, handle.id(), need);
-        }
         drop(nm);
-        if !already_accounted {
-            self.bump_epoch();
-        }
         match reused {
             Some(cell) => {
                 stats.record_cache_hit();
@@ -1085,9 +978,8 @@ impl MemoryManager {
         stats: &StatsCollector,
     ) {
         let mut nm = self.nodes[node].lock();
-        let mut freed = 0;
         if let Some(r) = nm.residents.get_mut(&handle_id) {
-            freed = std::mem::take(&mut r.bytes);
+            let freed = std::mem::take(&mut r.bytes);
             let unpinned = r.pinned == 0;
             let job = r.job;
             nm.unaccount(job, freed);
@@ -1105,13 +997,6 @@ impl MemoryManager {
                 }
             }
         }
-        if freed > 0 {
-            self.log_delta(node, handle_id, 0);
-        }
-        drop(nm);
-        if freed > 0 {
-            self.bump_epoch();
-        }
     }
 
     /// Returns a cache buffer that lost an allocation race back to the
@@ -1127,19 +1012,11 @@ impl MemoryManager {
 
     /// Drops every node's accounting for a handle being unregistered.
     pub(crate) fn forget(&self, handle_id: u64) {
-        let mut changed = false;
-        for (i, node) in self.nodes.iter().enumerate() {
+        for node in &self.nodes {
             let mut nm = node.lock();
             if let Some(r) = nm.residents.remove(&handle_id) {
                 nm.unaccount(r.job, r.bytes);
-                if r.bytes > 0 {
-                    self.log_delta(i, handle_id, 0);
-                    changed = true;
-                }
             }
-        }
-        if changed {
-            self.bump_epoch();
         }
     }
 
@@ -1156,23 +1033,13 @@ impl MemoryManager {
             return 0;
         }
         let mut evicted = 0;
+        // The victim leaves the accounting under the node lock, released
+        // before the eviction surgery takes the handle's lock.
         loop {
-            let victim = {
-                let mut nm = self.nodes[node].lock();
-                let v = Self::select_victim(&mut nm, u64::MAX);
-                if let Some((vid, _)) = &v {
-                    self.log_delta(node, *vid, 0);
-                }
-                v
-            };
-            match victim {
-                Some((vid, r)) => {
-                    self.bump_epoch();
-                    self.evict(vid, r, node, topo, stats);
-                    evicted += 1;
-                }
-                None => break,
-            }
+            let victim = Self::select_victim(&mut self.nodes[node].lock(), u64::MAX);
+            let Some((vid, r)) = victim else { break };
+            self.evict(vid, r, node, topo, stats);
+            evicted += 1;
         }
         let drained = self.nodes[node].lock().cache.drain();
         if drained > 0 {
@@ -1191,22 +1058,11 @@ impl MemoryManager {
         let mut freed = 0;
         for node in 1..self.nodes.len() {
             loop {
-                let victim = {
-                    let mut nm = self.nodes[node].lock();
-                    let v = Self::select_victim_of_job(&mut nm, u64::MAX, job);
-                    if let Some((vid, _)) = &v {
-                        self.log_delta(node, *vid, 0);
-                    }
-                    v
-                };
-                match victim {
-                    Some((vid, r)) => {
-                        freed += r.bytes;
-                        self.bump_epoch();
-                        self.evict(vid, r, node, topo, stats);
-                    }
-                    None => break,
-                }
+                let victim =
+                    Self::select_victim_of_job(&mut self.nodes[node].lock(), u64::MAX, job);
+                let Some((vid, r)) = victim else { break };
+                freed += r.bytes;
+                self.evict(vid, r, node, topo, stats);
             }
         }
         freed

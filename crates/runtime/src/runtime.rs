@@ -649,9 +649,9 @@ impl Runtime {
     /// Observably equivalent to submitting each builder in order — the
     /// same implicit data dependencies are recorded, including intra-batch
     /// edges — but the simultaneously-ready frontier is seeded through the
-    /// scheduler's batch entry point: one queue-lock acquisition (and one
-    /// locality-index sync) covers the whole batch instead of one per
-    /// task. [`crate::graph::TaskGraph`] replay seeding and high-rate
+    /// scheduler's batch entry point: one queue-lock acquisition per
+    /// target queue covers the whole batch instead of one per task.
+    /// [`crate::graph::TaskGraph`] replay seeding and high-rate
     /// stress harnesses use the same path internally.
     ///
     /// Validation is all-or-nothing: every task is checked *before* any

@@ -31,24 +31,27 @@
 //! # Readiness ordering (`dmdar`)
 //!
 //! [`SchedulerKind::Dmdar`](super::SchedulerKind::Dmdar) — StarPU's "dmda
-//! ready" — keeps the placement and turns on readiness ordering. Each
-//! queued task is scored with the route-aware cost of fetching the read
-//! operands it is missing from the worker's memory node: each missing
-//! operand is priced along its cheapest route from any node holding a
-//! replica (a direct peer link beats two hops through the host) including
-//! the backlog already queued on the route's channels. Among equal
-//! priorities the most "ready" task dispatches first (see
-//! the `queue` module), so under capacity pressure tasks that share resident
-//! operands run together and a block is fetched once and fully consumed
-//! instead of being evicted and re-fetched every round trip.
+//! ready" — keeps the placement and turns on readiness ordering. When a
+//! worker pops, its queued tasks are priced with the route-aware cost of
+//! fetching the read operands they are missing from the worker's memory
+//! node: each missing operand is priced along its cheapest route from any
+//! node holding a valid replica (a direct peer link beats two hops through
+//! the host) including the backlog already queued on the route's channels
+//! beyond the worker's current clock. Among equal priorities the most
+//! "ready" task dispatches first (see the `queue` module), so under
+//! capacity pressure tasks that share resident operands run together and a
+//! block is fetched once and fully consumed instead of being evicted and
+//! re-fetched every round trip.
 //!
-//! Scores are cached at push time against an incremental
-//! [`LocalityIndex`] and recomputed only for entries whose operands the
-//! index reports as moved since the last pop (replica added, evicted, or
-//! written back — see the residency-delta log in `memory`), so a pop is
-//! O(log depth) plus O(changed entries). Placement prices transfers
-//! against the same index, so both halves of the policy agree on which
-//! bytes are resident. Starvation is bounded by `AGE_LIMIT`.
+//! Residency comes from the handles' valid masks, the one model every
+//! policy reads: one fetch estimate ([`fetch_delay`]) prices both
+//! placement and readiness, so the two halves of the policy agree on which
+//! bytes are resident. Nothing is cached at push time. The pop scan stops
+//! at the first task with nothing to fetch, so it costs the queue's cold
+//! prefix; starvation is bounded by `AGE_LIMIT`. The scan reads handle
+//! state and channel backlogs under the worker's queue lock: the lock
+//! order is queue → handle → channel, and no path takes a queue lock
+//! while holding either of the others.
 //!
 //! # Steal fallback (`dmda` only)
 //!
@@ -71,62 +74,45 @@ use super::{is_option, options_into, resident_read_bytes, SchedCtx, Scheduler};
 use crate::codelet::Arch;
 use crate::handle::DataHandle;
 use crate::intern::CodeletId;
-use crate::memory::LocalityIndex;
 use crate::perfmodel::{Estimate, PerfKey};
 use crate::runtime::ExplorationMode;
 use crate::stats::TraceEvent;
 use crate::task::{ExecChoice, Task};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use peppher_sim::VTime;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// dmdar's anti-starvation bound: once the front entry of a worker's ready
-/// queue has been passed over this many times by readiness reordering, it
-/// dispatches next regardless of how many operand bytes it must transfer.
+/// dmdar's anti-starvation bound: once the oldest top-priority entry of a
+/// worker's ready queue has been passed over this many times by readiness
+/// ordering, it dispatches next regardless of what it must transfer.
 pub(crate) const AGE_LIMIT: u32 = 16;
 
-/// Route-aware delay beyond `now` of bringing `h` to `node` from the
-/// cheapest replica the index records (main memory when none is); `None`
-/// when `h` is already resident at `node`.
-fn indexed_fetch(
-    index: &LocalityIndex,
-    h: &DataHandle,
-    node: usize,
-    now: VTime,
-    ctx: &SchedCtx<'_>,
-) -> Option<VTime> {
-    if index.resident_bytes(node, h.id()) > 0 {
+/// Route-aware delay beyond `now` of bringing `h` to `node` from its
+/// cheapest valid replica; `None` when `h` is already valid at `node`. A
+/// replica that is allocated but not yet valid counts as missing.
+fn fetch_delay(h: &DataHandle, node: usize, now: VTime, ctx: &SchedCtx<'_>) -> Option<VTime> {
+    if h.valid_on(node) {
         return None;
     }
-    let route = |src| {
-        ctx.topo
-            .estimate_transfer_after(src, node, h.bytes() as u64, now)
-    };
+    let bytes = h.bytes() as u64;
     Some(
-        index
-            .sources(h.id())
+        h.valid_nodes()
             .iter()
-            .map(|&(src, _)| route(src))
+            .map(|&src| ctx.topo.estimate_transfer_after(src, node, bytes, now))
             .min()
-            .unwrap_or_else(|| route(0)),
+            .unwrap_or(VTime::ZERO),
     )
 }
 
 /// dmdar's readiness score: the fetch cost of the read operands `task` is
 /// missing from `node`, occupancy-aware beyond `now`.
-fn fetch_cost(
-    index: &LocalityIndex,
-    node: usize,
-    task: &Task,
-    now: VTime,
-    ctx: &SchedCtx<'_>,
-) -> VTime {
+fn fetch_cost(node: usize, task: &Task, now: VTime, ctx: &SchedCtx<'_>) -> VTime {
     task.accesses
         .iter()
         .filter(|(_, mode)| mode.reads())
-        .filter_map(|(h, _)| indexed_fetch(index, h, node, now, ctx))
+        .filter_map(|(h, _)| fetch_delay(h, node, now, ctx))
         .sum()
 }
 
@@ -143,8 +129,7 @@ struct PlaceScratch {
 
 /// Performance-aware scheduler (see module docs).
 pub struct DmdaScheduler {
-    /// Readiness ordering on (`dmdar`): scored queues, index-priced
-    /// placement, no steals.
+    /// Readiness ordering on (`dmdar`): pops price the queue, no steals.
     readiness: bool,
     /// Predicted residual occupancy of each worker's queue, in virtual
     /// nanoseconds. Per-worker atomics instead of one mutex: the
@@ -159,17 +144,6 @@ pub struct DmdaScheduler {
     /// (nothing stale) never touches it. Every `1/epsilon`-th opportunity
     /// diverts the task to the stale option.
     explore_seq: AtomicU64,
-    /// The incremental locality index (readiness only), created on the
-    /// first push or pop — one instance per memory manager, since it
-    /// drains a shared delta log. Write-locked only to create it or apply
-    /// residency deltas; the scoring paths share read access.
-    index: RwLock<Option<LocalityIndex>>,
-    /// Residency epoch the index was last reconciled against, mirrored
-    /// outside the lock so the unchanged-epoch fast path is one atomic
-    /// load against [`crate::memory::MemoryManager::epoch`]. `u64::MAX`
-    /// until the index exists, which funnels the first caller into the
-    /// slow path that creates it.
-    synced_epoch: AtomicU64,
     /// Per-worker ready queues, laned per job for fair-share dispatch
     /// (see [`super::fair`]).
     queues: Vec<Mutex<JobLanes<ReadyQueue>>>,
@@ -183,8 +157,6 @@ impl DmdaScheduler {
             queued_pred: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             calib_rr: Mutex::new(HashMap::new()),
             explore_seq: AtomicU64::new(0),
-            index: RwLock::new(None),
-            synced_epoch: AtomicU64::new(u64::MAX),
             queues: (0..workers).map(|_| Mutex::new(JobLanes::new())).collect(),
         }
     }
@@ -266,36 +238,22 @@ impl DmdaScheduler {
     /// along its cheapest route from any valid source (direct P2P beats
     /// two hops via the host when configured), occupancy-aware: channel
     /// backlog beyond `now` (the candidate worker's availability) delays
-    /// the estimate, so a congested link steers placement elsewhere.
-    ///
-    /// Residency comes from the handles' valid masks, or — under readiness
-    /// ordering — from the locality `index`, so placement prices exactly
-    /// the resident bytes the pop-side readiness scores price.
+    /// the estimate, so a congested link steers placement elsewhere. Each
+    /// operand goes through [`fetch_delay`], the estimate dmdar's pops
+    /// price readiness with.
     fn transfer_estimate(
         &self,
         task: &Task,
         worker: usize,
         now: VTime,
-        index: Option<&LocalityIndex>,
         ctx: &SchedCtx<'_>,
     ) -> VTime {
         let node = ctx.machine.worker_memory_node(worker);
         let mut total = VTime::ZERO;
         for (h, mode) in &task.accesses {
-            let fetch = match index {
-                Some(index) => indexed_fetch(index, h, node, now, ctx),
-                None => (!h.valid_on(node)).then(|| {
-                    h.valid_nodes()
-                        .iter()
-                        .map(|&src| {
-                            ctx.topo
-                                .estimate_transfer_after(src, node, h.bytes() as u64, now)
-                        })
-                        .min()
-                        .unwrap_or(VTime::ZERO)
-                }),
+            let Some(t) = fetch_delay(h, node, now, ctx) else {
+                continue;
             };
-            let Some(t) = fetch else { continue };
             if mode.reads() {
                 total += t;
             } else {
@@ -330,13 +288,7 @@ impl DmdaScheduler {
     /// prediction can lag a sample recorded mid-batch by a worker —
     /// acceptable, since placement is already interleaving-dependent
     /// (calibration round-robin) and results never depend on it.
-    fn place(
-        &self,
-        task: &Arc<Task>,
-        ctx: &SchedCtx<'_>,
-        scratch: &mut PlaceScratch,
-        index: Option<&LocalityIndex>,
-    ) -> usize {
+    fn place(&self, task: &Arc<Task>, ctx: &SchedCtx<'_>, scratch: &mut PlaceScratch) -> usize {
         let PlaceScratch {
             memo,
             opts,
@@ -457,7 +409,7 @@ impl DmdaScheduler {
                 exec
             };
             let avail = avail_of(w, a).max(vdeps);
-            let transfer = self.transfer_estimate(task, w, avail, index, ctx);
+            let transfer = self.transfer_estimate(task, w, avail, ctx);
             let finish = avail + transfer + exec_scored;
             let score = match ctx.config.objective {
                 crate::runtime::Objective::ExecTime => finish.as_secs_f64(),
@@ -533,71 +485,22 @@ impl DmdaScheduler {
         placed: bool,
         ctx: &SchedCtx<'_>,
         scratch: &mut PlaceScratch,
-        index: Option<&LocalityIndex>,
     ) -> usize {
         match placed.then(|| *task.chosen.lock()).flatten() {
             Some(c) => {
                 self.charge_pred(c.worker, c.pred_delta);
                 c.worker
             }
-            None => self.place(task, ctx, scratch, index),
+            None => self.place(task, ctx, scratch),
         }
-    }
-
-    /// Brings the index up to the memory manager's residency epoch and
-    /// tells every queue which handles moved. The unchanged-epoch fast
-    /// path is one atomic load and takes no lock; only a stale epoch (or
-    /// a missing index) pays for the write lock.
-    ///
-    /// Lock order here and everywhere else in this scheduler: index
-    /// before queue. The epoch stored is the one read *before* draining
-    /// the delta log — deltas that land mid-drain bump the epoch again,
-    /// so the next call re-syncs (a replayed absolute delta is harmless).
-    fn sync_if_stale(&self, ctx: &SchedCtx<'_>) {
-        if self.synced_epoch.load(Ordering::Acquire) == ctx.memory.epoch() {
-            return;
-        }
-        let mut guard = self.index.write();
-        // Reload under the lock: a racing caller may have synced already.
-        let epoch = ctx.memory.epoch();
-        if self.synced_epoch.load(Ordering::Acquire) == epoch {
-            return;
-        }
-        let index = guard.get_or_insert_with(|| LocalityIndex::new(ctx.memory));
-        let moved = index.sync(ctx.memory);
-        if !moved.is_empty() {
-            for q in &self.queues {
-                for lane in q.lock().queues_mut() {
-                    lane.mark_moved(&moved);
-                }
-            }
-        }
-        self.synced_epoch.store(epoch, Ordering::Release);
-    }
-
-    /// Runs `f` with the synced locality index under readiness ordering,
-    /// or with `None` (touching no index state) without it.
-    fn with_index<R>(&self, ctx: &SchedCtx<'_>, f: impl FnOnce(Option<&LocalityIndex>) -> R) -> R {
-        if !self.readiness {
-            return f(None);
-        }
-        self.sync_if_stale(ctx);
-        let guard = self.index.read();
-        f(Some(guard.as_ref().expect("index created by sync")))
     }
 
     /// Places (or, with `placed`, re-targets) one task and enqueues it.
     fn push(&self, task: Arc<Task>, placed: bool, ctx: &SchedCtx<'_>) -> Option<usize> {
-        self.with_index(ctx, |index| {
-            let w = self.target(&task, placed, ctx, &mut PlaceScratch::default(), index);
-            let score = index.map(|index| {
-                let node = ctx.machine.worker_memory_node(w);
-                fetch_cost(index, node, &task, ctx.timelines.get(w), ctx)
-            });
-            let job = Arc::clone(&task.job);
-            self.queues[w].lock().queue_for(&job).push(task, score);
-            Some(w)
-        })
+        let w = self.target(&task, placed, ctx, &mut PlaceScratch::default());
+        let job = Arc::clone(&task.job);
+        self.queues[w].lock().queue_for(&job).push(task);
+        Some(w)
     }
 
     #[cfg(test)]
@@ -728,7 +631,7 @@ impl DmdaScheduler {
                 let mut q = self.queues[worker].lock();
                 for t in taken {
                     let job = Arc::clone(&t.job);
-                    q.queue_for(&job).push(t, None);
+                    q.queue_for(&job).push(t);
                 }
             }
             let resident = resident_read_bytes(node, &first.accesses);
@@ -746,26 +649,15 @@ impl Scheduler for DmdaScheduler {
 
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
         let node = ctx.machine.worker_memory_node(worker);
-        if self.readiness {
-            self.sync_if_stale(ctx);
-        }
         let mut q = self.queues[worker].lock();
-        if q.queues().any(ReadyQueue::is_dirty) {
-            // Rescoring consults the index, and the lock order is index
-            // before queue (the sync fan-out relies on it): give the queue
-            // lock back, take the index read guard, and re-acquire. Pops
-            // on a clean queue never touch the index lock at all.
-            drop(q);
-            let guard = self.index.read();
-            let index = guard.as_ref().expect("dirty queues imply an index");
-            q = self.queues[worker].lock();
-            let now = ctx.timelines.get(worker);
-            for lane in q.queues_mut() {
-                lane.rescore(|t| fetch_cost(index, node, t, now, ctx));
-            }
-        }
         let depth = q.total_len();
-        let popped = q.pop_with(|lane| lane.pop());
+        let popped = if self.readiness {
+            // Priced now, against the worker's current clock.
+            let now = ctx.timelines.get(worker);
+            q.pop_with(|lane| lane.pop_ready(|t| fetch_cost(node, t, now, ctx)))
+        } else {
+            q.pop_with(ReadyQueue::pop).map(|t| (t, 0))
+        };
         drop(q);
         let Some((task, jumped)) = popped else {
             return if self.readiness {
@@ -804,31 +696,26 @@ impl Scheduler for DmdaScheduler {
         ctx: &SchedCtx<'_>,
     ) -> Vec<Option<usize>> {
         // Place every task first (sharing one prediction memo across the
-        // batch, under one index sync), then enqueue per-worker groups
-        // under one queue-lock acquisition each instead of one per task.
-        self.with_index(ctx, |index| {
-            let mut targets = Vec::with_capacity(tasks.len());
-            let mut groups: Vec<(usize, Vec<&Arc<Task>>)> = Vec::new();
-            let mut scratch = PlaceScratch::default();
-            for task in tasks {
-                let w = self.target(task, placed, ctx, &mut scratch, index);
-                targets.push(Some(w));
-                match groups.iter_mut().find(|(gw, _)| *gw == w) {
-                    Some((_, g)) => g.push(task),
-                    None => groups.push((w, vec![task])),
-                }
+        // batch), then enqueue per-worker groups under one queue-lock
+        // acquisition each instead of one per task.
+        let mut targets = Vec::with_capacity(tasks.len());
+        let mut groups: Vec<(usize, Vec<&Arc<Task>>)> = Vec::new();
+        let mut scratch = PlaceScratch::default();
+        for task in tasks {
+            let w = self.target(task, placed, ctx, &mut scratch);
+            targets.push(Some(w));
+            match groups.iter_mut().find(|(gw, _)| *gw == w) {
+                Some((_, g)) => g.push(task),
+                None => groups.push((w, vec![task])),
             }
-            for (w, group) in groups {
-                let node = ctx.machine.worker_memory_node(w);
-                let now = ctx.timelines.get(w);
-                let mut q = self.queues[w].lock();
-                for task in group {
-                    let score = index.map(|index| fetch_cost(index, node, task, now, ctx));
-                    q.queue_for(&task.job).push(Arc::clone(task), score);
-                }
+        }
+        for (w, group) in groups {
+            let mut q = self.queues[w].lock();
+            for task in group {
+                q.queue_for(&task.job).push(Arc::clone(task));
             }
-            targets
-        })
+        }
+        targets
     }
 }
 
@@ -1071,7 +958,7 @@ pub(crate) mod tests {
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         // 6 KiB used + 4 KiB needed > 8 KiB budget: 2 KiB of eviction
         // writeback (d2h) is charged on top of the operand's own h2d fetch.
-        let est = s.transfer_estimate(&t, 1, now, None, &f.ctx());
+        let est = s.transfer_estimate(&t, 1, now, &f.ctx());
         let link = &f.machine.accelerators[0].link;
         let base = link.transfer_time(4 * 1024);
         let overflow = link.transfer_time(2 * 1024);
@@ -1444,10 +1331,6 @@ pub(crate) mod tests {
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
         assert_eq!(reorders(&f), 0);
-        assert!(
-            s.index.read().is_none(),
-            "no locality index without readiness"
-        );
     }
 
     #[test]
@@ -1495,20 +1378,16 @@ pub(crate) mod tests {
         let c = gpu_codelet();
         let t_peer = task_on(&c, 0, &peer_h);
         let t_host = task_on(&c, 1, &host_h);
-        let index = LocalityIndex::new(&f.memory);
         let ctx = f.ctx();
-        let peer_cost = fetch_cost(&index, 1, &t_peer, VTime::ZERO, &ctx);
-        let host_cost = fetch_cost(&index, 1, &t_host, VTime::ZERO, &ctx);
+        let peer_cost = fetch_cost(1, &t_peer, VTime::ZERO, &ctx);
+        let host_cost = fetch_cost(1, &t_host, VTime::ZERO, &ctx);
         assert!(peer_cost > VTime::ZERO);
         assert!(
             peer_cost < host_cost,
             "peer hop ({peer_cost:?}) must undercut the host link ({host_cost:?})"
         );
         // Already resident at the target node: nothing to fetch.
-        assert_eq!(
-            fetch_cost(&index, 2, &t_peer, VTime::ZERO, &ctx),
-            VTime::ZERO
-        );
+        assert_eq!(fetch_cost(2, &t_peer, VTime::ZERO, &ctx), VTime::ZERO);
     }
 
     #[test]
@@ -1539,11 +1418,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn residency_change_after_push_rescores_queue() {
-        // Regression for the cached-score design: scores are computed at
-        // push time, so a replica that lands *after* the push must flow
-        // through the delta log and rescore the affected entries before
-        // the next pop — otherwise the hot task would stay priced cold.
+    fn residency_change_after_push_is_read_at_pop() {
+        // Readiness is priced when the worker pops, not when the task is
+        // pushed: a replica that lands *after* the push must reorder the
+        // queue at the next pop.
         let (f, cold, hot) = hot_and_cold(true);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
@@ -1554,9 +1432,39 @@ pub(crate) mod tests {
         crate::coherence::make_valid(&hot, 1, AccessMode::Read, &f.topo, &f.stats, &f.memory);
 
         let first = s.pop_for_worker(1, &f.ctx()).expect("queued");
-        assert_eq!(first.id, 1, "rescored hot task jumps the cold one");
+        assert_eq!(first.id, 1, "the now-hot task jumps the cold one");
         assert_eq!(reorders(&f), 1);
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
+    }
+
+    #[test]
+    fn cpu_lane_prices_a_device_written_operand_as_missing() {
+        // A device write leaves main memory's buffer (and its accounting)
+        // behind but makes that copy stale: the CPU lane must price the
+        // operand as a fetch from the device, not as resident.
+        let f = Fixture::new(MachineConfig::c2050_platform(1), RuntimeConfig::default());
+        let written = DataHandle::new(1, vec![0u8; 4 * 1024], 4 * 1024, 2);
+        let clean = DataHandle::new(2, vec![0u8; 4 * 1024], 4 * 1024, 2);
+        f.memory.register_host(&written);
+        f.memory.register_host(&clean);
+        let done = crate::coherence::make_valid(
+            &written,
+            1,
+            AccessMode::ReadWrite,
+            &f.topo,
+            &f.stats,
+            &f.memory,
+        );
+        crate::coherence::mark_written(&written, 1, done, &f.stats, &f.memory);
+        assert!(!written.valid_on(0), "premise: the host copy is stale");
+
+        let c = Arc::new(Codelet::new("k").with_impl(Arch::Cpu, |_| {}));
+        let s = DmdaScheduler::new(f.machine.total_workers(), true);
+        push_on(&s, &f, task_on(&c, 0, &written), 0);
+        push_on(&s, &f, task_on(&c, 1, &clean), 0);
+        assert_eq!(s.pop_for_worker(0, &f.ctx()).unwrap().id, 1);
+        assert_eq!(reorders(&f), 1);
+        assert_eq!(s.pop_for_worker(0, &f.ctx()).unwrap().id, 0);
     }
 
     #[test]

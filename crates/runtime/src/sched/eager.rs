@@ -39,7 +39,7 @@ impl Default for EagerScheduler {
 impl Scheduler for EagerScheduler {
     fn push_ready(&self, task: Arc<Task>, _ctx: &SchedCtx<'_>) -> Option<usize> {
         let job = Arc::clone(&task.job);
-        self.queue.lock().queue_for(&job).push(task, None);
+        self.queue.lock().queue_for(&job).push(task);
         None
     }
 
@@ -52,7 +52,7 @@ impl Scheduler for EagerScheduler {
         // One queue-lock acquisition seeds the whole batch.
         let mut q = self.queue.lock();
         for task in tasks {
-            q.queue_for(&task.job).push(Arc::clone(task), None);
+            q.queue_for(&task.job).push(Arc::clone(task));
         }
         vec![None; tasks.len()]
     }

@@ -112,16 +112,6 @@ impl<Q: LaneQueue> JobLanes<Q> {
         self.order = order;
         found
     }
-
-    /// Immutable walk over every lane's queue.
-    pub fn queues(&self) -> impl Iterator<Item = &Q> {
-        self.lanes.iter().map(|l| &l.queue)
-    }
-
-    /// Mutable walk over every lane's queue (dmdar's rescoring).
-    pub fn queues_mut(&mut self) -> impl Iterator<Item = &mut Q> {
-        self.lanes.iter_mut().map(|l| &mut l.queue)
-    }
 }
 
 impl<Q: LaneQueue> Default for JobLanes<Q> {

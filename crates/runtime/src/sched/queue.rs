@@ -1,36 +1,35 @@
 //! The ready queue shared by eager, random and the dmda family.
 //!
-//! Entries dispatch in `(priority desc, readiness score asc, push seq asc)`
-//! order. Every policy but dmdar leaves the score at zero, which makes that
-//! highest-priority-first, FIFO among equals; dmdar scores each entry with
-//! the cost of fetching the read operands it is missing from the worker's
-//! memory node, so among equal priorities the most "ready" task goes first.
+//! Entries dispatch in `(priority desc, push seq asc)` order: highest
+//! priority first, FIFO among equals. dmdar pops through
+//! [`ReadyQueue::pop_ready`] instead, which prices the top priority's
+//! entries with the caller's fetch-cost closure at pop time and takes the
+//! cheapest, so among equal priorities the most "ready" task goes first.
+//! No score is stored: residency is read when a worker asks for work.
 //!
 //! Sequence numbers are monotonic, so entries live in a dense slab
 //! (`slots[i]` holds sequence `base + i`) instead of a map: lookup is
 //! pointer arithmetic, and the slab's front compacts away as entries leave
-//! — the front slot is always live while the queue is non-empty, which
-//! makes the FIFO-oldest entry (the aging candidate) an O(1) read.
+//! — the front slot is always live while the queue is non-empty.
 //!
-//! While every live entry has priority 0 and score 0 — the common case:
-//! no priorities set, or every operand already resident — dispatch order
-//! is plain FIFO, pops take the slab front in O(1) and the heap stays
-//! empty. The first *keyed* entry (nonzero priority or score) builds a
-//! heap of one key per live entry, and pops go through it in O(log n)
-//! until the last keyed entry leaves. Rescoring pushes a fresh key and
-//! leaves the old one behind; a popped key whose score no longer matches
-//! its entry is stale and skipped, and the heap is rebuilt from the live
+//! While every live entry has priority 0 — the common case: no priorities
+//! set — dispatch order is plain FIFO, the head is the slab front and the
+//! heap stays empty. The first prioritized entry builds a heap of one key
+//! per live entry, and the head comes from it until the last prioritized
+//! entry leaves. A removed entry leaves its key behind; a key whose entry
+//! is gone is stale and skipped, and the heap is rebuilt from the live
 //! entries once stale keys outnumber them, so it stays bounded by the live
 //! count.
 //!
-//! Starvation of transfer-heavy tasks is bounded by aging: every time the
-//! front entry is passed over by a readiness reorder within its own
-//! priority its skip count increments, and once it reaches
-//! [`AGE_LIMIT`] the front dispatches next regardless of readiness.
+//! A readiness pop scans the top priority's entries oldest first and stops
+//! at the first one with nothing to fetch, so it costs the queue's cold
+//! prefix, not its depth. Starvation of transfer-heavy tasks is bounded by
+//! aging: every pop that passes over the oldest top-priority entry bumps
+//! its skip count, and once that reaches [`AGE_LIMIT`] the entry
+//! dispatches next without being priced.
 
 use super::dmda::AGE_LIMIT;
 use super::fair::LaneQueue;
-use crate::hash::{FastMap, FastSet};
 use crate::task::Task;
 use peppher_sim::VTime;
 use std::cmp::Reverse;
@@ -39,25 +38,16 @@ use std::sync::Arc;
 
 struct Entry {
     task: Arc<Task>,
-    /// Readiness score cached at push (or last rescore) time.
-    score: VTime,
-    /// Times this entry, while at the queue front, was passed over by a
-    /// readiness reorder (the aging term).
+    /// Times this entry, as the oldest of the top priority, was passed
+    /// over by a readiness pop (the aging term).
     skipped: u32,
 }
 
-impl Entry {
-    /// Whether the entry's key can order it anywhere but FIFO.
-    fn keyed(&self) -> bool {
-        self.task.priority != 0 || self.score != VTime::ZERO
-    }
-}
+/// Max-heap key: higher priority first, then the older sequence.
+type Key = (i32, Reverse<u64>);
 
-/// Max-heap key ordering `(priority desc, score asc, seq asc)` first.
-type Key = Reverse<(Reverse<i32>, VTime, u64)>;
-
-/// A heap-ordered ready queue (see module docs). Not internally locked —
-/// callers wrap it in their own per-worker or central mutex.
+/// A priority-ordered ready queue (see module docs). Not internally
+/// locked — callers wrap it in their own per-worker or central mutex.
 #[derive(Default)]
 pub(super) struct ReadyQueue {
     slots: VecDeque<Option<Entry>>,
@@ -66,15 +56,10 @@ pub(super) struct ReadyQueue {
     base: u64,
     /// Live entries (slots not yet removed).
     live: usize,
-    /// Live keyed entries; 0 means FIFO order and an empty heap.
-    keyed: usize,
+    /// Live entries with a nonzero priority; 0 means FIFO order and an
+    /// empty heap.
+    prioritized: usize,
     heap: BinaryHeap<Key>,
-    /// Read-operand handle → sequence numbers of the scored entries that
-    /// read it, so a residency delta rescores only those entries.
-    by_handle: FastMap<u64, Vec<u64>>,
-    /// Handles that moved since this queue last reconciled its scores.
-    /// Filled by the scheduler's index sync; drained by [`ReadyQueue::rescore`].
-    dirty: FastSet<u64>,
 }
 
 impl LaneQueue for ReadyQueue {
@@ -84,8 +69,8 @@ impl LaneQueue for ReadyQueue {
 }
 
 impl ReadyQueue {
-    fn key(e: &Entry, seq: u64) -> Key {
-        Reverse((Reverse(e.task.priority), e.score, seq))
+    fn key(task: &Task, seq: u64) -> Key {
+        (task.priority, Reverse(seq))
     }
 
     fn get(&self, seq: u64) -> Option<&Entry> {
@@ -94,52 +79,20 @@ impl ReadyQueue {
             .as_ref()
     }
 
-    fn get_mut(&mut self, seq: u64) -> Option<&mut Entry> {
-        let idx = seq.checked_sub(self.base)? as usize;
-        self.slots.get_mut(idx)?.as_mut()
-    }
-
-    /// Enqueues `task` with readiness `score`. `None` — every policy but
-    /// dmdar — queues it by priority and arrival alone and keeps it out of
-    /// the rescoring index.
-    pub fn push(&mut self, task: Arc<Task>, score: Option<VTime>) {
+    /// Enqueues `task` behind every entry of its priority.
+    pub fn push(&mut self, task: Arc<Task>) {
         let seq = self.base + self.slots.len() as u64;
-        if score.is_some() {
-            for (h, mode) in &task.accesses {
-                if mode.reads() {
-                    self.by_handle.entry(h.id()).or_default().push(seq);
-                }
-            }
+        let key = Self::key(&task, seq);
+        let leaves_fifo = task.priority != 0 && self.prioritized == 0;
+        if task.priority != 0 {
+            self.prioritized += 1;
         }
-        self.slots.push_back(Some(Entry {
-            task,
-            score: score.unwrap_or(VTime::ZERO),
-            skipped: 0,
-        }));
+        self.slots.push_back(Some(Entry { task, skipped: 0 }));
         self.live += 1;
-        self.publish(seq, false);
-    }
-
-    /// Publishes entry `seq`'s key after it was pushed or rescored;
-    /// `was_keyed` is whether it counted as keyed before.
-    fn publish(&mut self, seq: u64, was_keyed: bool) {
-        let e = self.get(seq).expect("live entry");
-        let key = Self::key(e, seq);
-        match (was_keyed, e.keyed()) {
-            (false, true) => {
-                self.keyed += 1;
-                if self.keyed == 1 {
-                    // Leaving FIFO order: every live entry needs its key.
-                    self.rebuild_heap();
-                    return;
-                }
-            }
-            (true, false) => self.keyed -= 1,
-            _ => {}
-        }
-        if self.keyed == 0 {
-            self.heap.clear();
-        } else {
+        if leaves_fifo {
+            // Leaving FIFO order: every live entry needs its key.
+            self.rebuild_heap();
+        } else if self.prioritized > 0 {
             self.heap.push(key);
         }
     }
@@ -147,7 +100,7 @@ impl ReadyQueue {
     fn rebuild_heap(&mut self) {
         self.heap = (self.base..)
             .zip(&self.slots)
-            .filter_map(|(seq, s)| s.as_ref().map(|e| Self::key(e, seq)))
+            .filter_map(|(seq, s)| s.as_ref().map(|e| Self::key(&e.task, seq)))
             .collect();
     }
 
@@ -156,90 +109,88 @@ impl ReadyQueue {
             .take()
             .expect("sequence number queued");
         self.live -= 1;
-        if e.keyed() {
-            self.keyed -= 1;
-            if self.keyed == 0 {
-                self.heap.clear();
-            }
+        if e.task.priority != 0 {
+            self.prioritized -= 1;
         }
         // Compact dead front slots so `base` stays the live FIFO front.
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.base += 1;
         }
-        if !self.by_handle.is_empty() {
-            for (h, mode) in &e.task.accesses {
-                if mode.reads() {
-                    if let Some(seqs) = self.by_handle.get_mut(&h.id()) {
-                        seqs.retain(|&s| s != seq);
-                        if seqs.is_empty() {
-                            self.by_handle.remove(&h.id());
-                        }
-                    }
-                }
-            }
+        if self.prioritized == 0 {
+            self.heap.clear();
+        } else if self.heap.len() > 2 * self.live {
+            self.rebuild_heap();
         }
         e.task
     }
 
-    /// Pops heap keys until one matches a live entry, and returns it.
-    fn pop_live_key(&mut self) -> Option<Key> {
-        while let Some(key) = self.heap.pop() {
-            let Reverse((_, score, seq)) = key;
-            if self.get(seq).is_some_and(|e| e.score == score) {
-                return Some(key);
+    /// The oldest entry of the top priority: the slab front in FIFO order,
+    /// else the first live heap key (stale keys on top are dropped).
+    fn head(&mut self) -> Option<u64> {
+        if self.prioritized == 0 {
+            return (self.live > 0).then_some(self.base);
+        }
+        while let Some(&(_, Reverse(seq))) = self.heap.peek() {
+            if self.get(seq).is_some() {
+                return Some(seq);
+            }
+            self.heap.pop();
+        }
+        unreachable!("a prioritized queue keys every live entry")
+    }
+
+    /// Removes and returns the next entry in `(priority desc, seq asc)`
+    /// order.
+    pub fn pop(&mut self) -> Option<Arc<Task>> {
+        let seq = self.head()?;
+        Some(self.remove(seq))
+    }
+
+    /// Readiness pop (dmdar): prices the top priority's entries with
+    /// `score`, oldest first and stopping at the first zero, and removes
+    /// the cheapest (ties go to the older). Returns it with the number of
+    /// older top-priority entries it jumped — 0 for an in-order dispatch.
+    /// A jump ages the oldest entry; aged [`AGE_LIMIT`] times, that entry
+    /// dispatches next unpriced.
+    pub fn pop_ready(
+        &mut self,
+        mut score: impl FnMut(&Task) -> VTime,
+    ) -> Option<(Arc<Task>, usize)> {
+        let head = self.head()?;
+        let offset = (head - self.base) as usize;
+        let oldest = self.slots[offset].as_ref().expect("head live");
+        if oldest.skipped >= AGE_LIMIT {
+            return Some((self.remove(head), 0));
+        }
+        let priority = oldest.task.priority;
+        let mut best: Option<(VTime, u64, usize)> = None;
+        let top = self
+            .slots
+            .range(offset..)
+            .zip(head..)
+            .filter_map(|(s, seq)| s.as_ref().map(|e| (e, seq)))
+            .filter(|(e, _)| e.task.priority == priority);
+        for (older, (e, seq)) in top.enumerate() {
+            let cost = score(&e.task);
+            if best.is_none_or(|(b, _, _)| cost < b) {
+                best = Some((cost, seq, older));
+            }
+            if cost == VTime::ZERO {
+                break;
             }
         }
-        None
-    }
-
-    /// Rebuilds the heap once stale keys (left by rescores and aged-out
-    /// dispatches) outnumber the live entries.
-    fn bound_heap(&mut self) {
-        if self.heap.len() > 2 * self.live {
-            self.rebuild_heap();
+        let (_, seq, jumped) = best.expect("the head is scored");
+        if jumped > 0 {
+            self.slots[offset].as_mut().expect("head live").skipped += 1;
         }
-    }
-
-    /// Removes and returns the next entry to dispatch, with the number of
-    /// older live entries a readiness reorder jumped (0 when the dispatch
-    /// followed priority-then-FIFO order). Scores must already be
-    /// reconciled ([`ReadyQueue::rescore`]).
-    pub fn pop(&mut self) -> Option<(Arc<Task>, usize)> {
-        if self.keyed == 0 {
-            return (self.live > 0).then(|| (self.remove(self.base), 0));
-        }
-        let key = self.pop_live_key().expect("keyed queues key every entry");
-        let Reverse((Reverse(priority), _, seq)) = key;
-        let front = self.base;
-        let front_entry = self.get(front).expect("front live");
-        // Only a jump within the front's own priority is a readiness
-        // reorder; a higher-priority entry overtakes the front by right.
-        if seq == front || front_entry.task.priority != priority {
-            return Some((self.remove(seq), 0));
-        }
-        if front_entry.skipped >= AGE_LIMIT {
-            // Aged out: the front dispatches FIFO. The more-ready entry
-            // keeps its place; the front's own key retires as stale.
-            self.heap.push(key);
-            let task = self.remove(front);
-            self.bound_heap();
-            return Some((task, 0));
-        }
-        self.get_mut(front).expect("front live").skipped += 1;
-        let jumped = self
-            .slots
-            .iter()
-            .take((seq - self.base) as usize)
-            .filter(|s| s.is_some())
-            .count();
         Some((self.remove(seq), jumped))
     }
 
     /// Removes the first entry in dispatch order that satisfies `pred`;
     /// the entries skipped keep their places.
     pub fn pop_where(&mut self, pred: impl Fn(&Task) -> bool) -> Option<Arc<Task>> {
-        if self.keyed == 0 {
+        if self.prioritized == 0 {
             let seq = (self.base..)
                 .zip(&self.slots)
                 .find(|(_, s)| s.as_ref().is_some_and(|e| pred(&e.task)))?
@@ -248,9 +199,12 @@ impl ReadyQueue {
         }
         let mut skipped = Vec::new();
         let mut found = None;
-        while let Some(key) = self.pop_live_key() {
-            let Reverse((_, _, seq)) = key;
-            if pred(&self.get(seq).expect("live key").task) {
+        while let Some(key) = self.heap.pop() {
+            let (_, Reverse(seq)) = key;
+            let Some(e) = self.get(seq) else {
+                continue; // stale
+            };
+            if pred(&e.task) {
                 found = Some(seq);
                 break;
             }
@@ -263,46 +217,6 @@ impl ReadyQueue {
     /// The queued tasks, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<Task>> {
         self.slots.iter().flatten().map(|e| &e.task)
-    }
-
-    /// Records that the residency of `handles` moved; the scored entries
-    /// reading any of them are rescored before the next dispatch.
-    pub fn mark_moved(&mut self, handles: &[u64]) {
-        let by_handle = &self.by_handle;
-        self.dirty
-            .extend(handles.iter().filter(|&h| by_handle.contains_key(h)));
-    }
-
-    /// Whether a residency move awaits [`ReadyQueue::rescore`].
-    pub fn is_dirty(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
-    /// Rescores every entry that reads a moved handle with `score`.
-    pub fn rescore(&mut self, score: impl Fn(&Task) -> VTime) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        let by_handle = &self.by_handle;
-        let mut seqs: Vec<u64> = self
-            .dirty
-            .drain()
-            .filter_map(|h| by_handle.get(&h))
-            .flatten()
-            .copied()
-            .collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        for seq in seqs {
-            let e = self.get_mut(seq).expect("indexed entries are live");
-            let fresh = score(&e.task);
-            if fresh != e.score {
-                let was_keyed = e.keyed();
-                e.score = fresh;
-                self.publish(seq, was_keyed);
-            }
-        }
-        self.bound_heap();
     }
 }
 
@@ -318,14 +232,25 @@ mod tests {
     }
 
     fn drain(q: &mut ReadyQueue) -> Vec<u64> {
-        std::iter::from_fn(|| q.pop()).map(|(t, _)| t.id).collect()
+        std::iter::from_fn(|| q.pop()).map(|t| t.id).collect()
+    }
+
+    /// A score pricing the tasks in `ready` at zero and the rest at 1µs.
+    fn ready_ids(ready: &[u64]) -> impl FnMut(&Task) -> VTime + '_ {
+        move |t| {
+            if ready.contains(&t.id) {
+                VTime::ZERO
+            } else {
+                VTime::from_micros(1)
+            }
+        }
     }
 
     #[test]
     fn equal_priority_pops_fifo() {
         let mut q = ReadyQueue::default();
         for id in 0..5 {
-            q.push(task(id, 0), None);
+            q.push(task(id, 0));
         }
         assert_eq!(drain(&mut q), vec![0, 1, 2, 3, 4]);
         assert_eq!(q.lane_len(), 0);
@@ -334,10 +259,10 @@ mod tests {
     #[test]
     fn higher_priority_pops_first_fifo_among_equals() {
         let mut q = ReadyQueue::default();
-        q.push(task(0, 0), None);
-        q.push(task(1, 5), None);
-        q.push(task(2, 5), None);
-        q.push(task(3, -1), None);
+        q.push(task(0, 0));
+        q.push(task(1, 5));
+        q.push(task(2, 5));
+        q.push(task(3, -1));
         assert_eq!(drain(&mut q), vec![1, 2, 0, 3]);
     }
 
@@ -345,7 +270,7 @@ mod tests {
     fn pop_where_skips_and_preserves_order() {
         let mut q = ReadyQueue::default();
         for id in 0..3 {
-            q.push(task(id, 0), None);
+            q.push(task(id, 0));
         }
         // Skip the front entry; it must stay queued in its original slot.
         assert_eq!(q.pop_where(|t| t.id != 0).unwrap().id, 1);
@@ -356,29 +281,69 @@ mod tests {
     #[test]
     fn readiness_orders_within_a_priority_only() {
         let mut q = ReadyQueue::default();
-        q.push(task(0, 0), Some(VTime::from_micros(5)));
-        q.push(task(1, 0), Some(VTime::ZERO));
-        q.push(task(2, 1), Some(VTime::from_micros(9)));
+        q.push(task(0, 0));
+        q.push(task(1, 0));
+        q.push(task(2, 1));
         // Priority first, even over a more-ready entry; then the ready
         // entry jumps the older cold one, which counts as a reorder.
-        assert_eq!(q.pop().map(|(t, j)| (t.id, j)), Some((2, 0)));
-        assert_eq!(q.pop().map(|(t, j)| (t.id, j)), Some((1, 1)));
-        assert_eq!(q.pop().map(|(t, j)| (t.id, j)), Some((0, 0)));
+        let pop = |q: &mut ReadyQueue| q.pop_ready(ready_ids(&[1])).map(|(t, j)| (t.id, j));
+        assert_eq!(pop(&mut q), Some((2, 0)));
+        assert_eq!(pop(&mut q), Some((1, 1)));
+        assert_eq!(pop(&mut q), Some((0, 0)));
     }
 
-    /// Churns 10,000 zero-score pops through a queue holding `held`
-    /// besides, and returns its heap size over its live entries.
+    #[test]
+    fn pop_ready_prices_the_top_priority_up_to_the_first_ready_entry() {
+        let mut q = ReadyQueue::default();
+        q.push(task(0, 0)); // lower priority: never priced
+        for id in 1..=5 {
+            q.push(task(id, 1));
+        }
+        let mut priced = Vec::new();
+        let mut score = ready_ids(&[3, 4]);
+        let popped = q.pop_ready(|t| {
+            priced.push(t.id);
+            score(t)
+        });
+        assert_eq!(popped.map(|(t, j)| (t.id, j)), Some((3, 2)));
+        assert_eq!(priced, vec![1, 2, 3], "the scan stops at the first zero");
+    }
+
+    #[test]
+    fn aging_counts_on_the_oldest_top_priority_entry() {
+        let limit = AGE_LIMIT as u64;
+        let mut q = ReadyQueue::default();
+        q.push(task(0, 0)); // older, but a lower priority: never aged
+        q.push(task(1, 1)); // the oldest top-priority entry, and cold
+        for id in 2..=limit + 2 {
+            q.push(task(id, 1));
+        }
+        let hot: Vec<u64> = (2..=limit + 2).collect();
+        for id in 2..limit + 2 {
+            let popped = q.pop_ready(ready_ids(&hot));
+            assert_eq!(popped.map(|(t, j)| (t.id, j)), Some((id, 1)));
+        }
+        // Passed over AGE_LIMIT times: dispatches unpriced, in order.
+        let popped = q.pop_ready(|_| unreachable!("the aged entry is not priced"));
+        assert_eq!(popped.map(|(t, j)| (t.id, j)), Some((1, 0)));
+        assert_eq!(drain(&mut q), vec![limit + 2, 0]);
+    }
+
+    /// Churns 10,000 readiness pops through a queue holding `held` besides.
+    /// Each pop prefers the entry just pushed, so most picks remove an
+    /// entry from mid-queue (aging dispatches the oldest every 17th pop).
+    /// Returns the heap size and the live entries.
     fn churn(held: Option<Arc<Task>>) -> (usize, usize) {
         let mut q = ReadyQueue::default();
         if let Some(t) = held {
-            q.push(t, Some(VTime::from_micros(1)));
+            q.push(t);
         }
         for id in 0..8 {
-            q.push(task(id, 0), Some(VTime::ZERO));
+            q.push(task(id, 0));
         }
         for id in 8..10_008 {
-            q.push(task(id, 0), Some(VTime::ZERO));
-            assert_eq!(q.pop().unwrap().0.id, id - 8);
+            q.push(task(id, 0));
+            assert!(q.pop_ready(ready_ids(&[id])).is_some());
         }
         (q.heap.len(), q.lane_len())
     }
@@ -387,9 +352,10 @@ mod tests {
     fn heap_stays_bounded_by_live_entries() {
         // FIFO order needs no keys at all.
         assert_eq!(churn(None), (0, 8));
-        // A low-priority keyed entry holds the queue in heap order: every
-        // pop retires its own key.
+        // A low-priority entry holds the queue in heap order: the keys the
+        // mid-queue picks leave behind are swept.
         let (keys, live) = churn(Some(task(99, -1)));
-        assert!(keys <= live, "{keys} heap keys for {live} live entries");
+        assert_eq!(live, 9);
+        assert!(keys <= 2 * live, "{keys} heap keys for {live} live entries");
     }
 }

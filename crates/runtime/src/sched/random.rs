@@ -48,7 +48,7 @@ impl Scheduler for RandomScheduler {
     fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
         let worker = self.draw(&task, ctx);
         let job = Arc::clone(&task.job);
-        self.queues[worker].lock().queue_for(&job).push(task, None);
+        self.queues[worker].lock().queue_for(&job).push(task);
         Some(worker)
     }
 
@@ -59,10 +59,7 @@ impl Scheduler for RandomScheduler {
         match choice {
             Some(c) => {
                 let job = Arc::clone(&task.job);
-                self.queues[c.worker]
-                    .lock()
-                    .queue_for(&job)
-                    .push(task, None);
+                self.queues[c.worker].lock().queue_for(&job).push(task);
                 Some(c.worker)
             }
             None => self.push_ready(task, ctx),
@@ -93,7 +90,7 @@ impl Scheduler for RandomScheduler {
         for (w, group) in groups {
             let mut q = self.queues[w].lock();
             for task in group {
-                q.queue_for(&task.job).push(task, None);
+                q.queue_for(&task.job).push(task);
             }
         }
         targets
@@ -103,7 +100,7 @@ impl Scheduler for RandomScheduler {
         let (task, depth) = {
             let mut q = self.queues[worker].lock();
             let depth = q.total_len();
-            (q.pop_with(|lane| lane.pop())?.0, depth)
+            (q.pop_with(|lane| lane.pop())?, depth)
         };
         let node = ctx.machine.worker_memory_node(worker);
         ctx.stats

@@ -16,8 +16,8 @@
 //!   the heap-ordered queues' push side.
 //! * `fanout` — one producer gating every other task: a single completion
 //!   releases the whole frontier at once, stressing the completion-side
-//!   batch push and dmdar's rescore-on-residency-change path (every
-//!   reader wants the producer's output).
+//!   batch push and dmdar's pop-time pricing (every reader wants the
+//!   producer's output, whose residency changes as readers fetch it).
 //!
 //! The small cells run in the tier-1 suite; the 100k-task × 64-device
 //! sweep is `#[ignore]`d and runs in the release CI job next to the
