@@ -596,7 +596,7 @@ mod tests {
         let machine = MachineConfig::c2050_platform(2);
         let topo = Topology::new(&machine);
         let stats = StatsCollector::new(machine.total_workers(), true);
-        let memory = MemoryManager::new(&machine, EvictionPolicy::Lru, true);
+        let memory = MemoryManager::new(&machine, EvictionPolicy::Lru);
         // 1 MiB payload (the 3 GiB device budget is ample: no evictions).
         let h = DataHandle::new(7, vec![1.0f32; 262_144], 1 << 20, machine.memory_nodes());
         (topo, stats, h, memory)
@@ -772,7 +772,7 @@ mod tests {
         let machine = MachineConfig::multi_gpu(1, 2);
         let topo = Topology::new(&machine);
         let stats = StatsCollector::new(machine.total_workers(), true);
-        let mm = MemoryManager::new(&machine, EvictionPolicy::Lru, true);
+        let mm = MemoryManager::new(&machine, EvictionPolicy::Lru);
         let h = DataHandle::new(9, vec![0u8; 4096], 4096, machine.memory_nodes());
 
         // Write on device 1, then read on device 2: d2h + h2d.
@@ -792,7 +792,7 @@ mod tests {
         let machine = MachineConfig::c2050_platform_p2p(1, 2);
         let topo = Topology::new(&machine);
         let stats = StatsCollector::new(machine.total_workers(), true);
-        let mm = MemoryManager::new(&machine, EvictionPolicy::Lru, true);
+        let mm = MemoryManager::new(&machine, EvictionPolicy::Lru);
         let h = DataHandle::new(9, vec![3u8; 4096], 4096, machine.memory_nodes());
 
         make_valid(&h, 1, AccessMode::Write, &topo, &stats, &mm);
@@ -898,7 +898,7 @@ mod tests {
         let m = MachineConfig::c2050_platform_mesh(1);
         let topo = Topology::new(&m);
         let stats = StatsCollector::new(m.total_workers(), true);
-        let mm = MemoryManager::new(&m, EvictionPolicy::Lru, true);
+        let mm = MemoryManager::new(&m, EvictionPolicy::Lru);
         let h = DataHandle::new(5, vec![9u8; 4096], 4096, m.memory_nodes());
 
         make_valid(&h, 1, AccessMode::Write, &topo, &stats, &mm);
@@ -1062,7 +1062,7 @@ mod tests {
         let machine = MachineConfig::c2050_platform(2);
         let topo = Arc::new(Topology::new(&machine));
         let stats = Arc::new(StatsCollector::new(machine.total_workers(), false));
-        let mm = Arc::new(MemoryManager::new(&machine, EvictionPolicy::Lru, true));
+        let mm = Arc::new(MemoryManager::new(&machine, EvictionPolicy::Lru));
         let h = Arc::new(DataHandle::new(
             7,
             vec![1.0f32; 262_144],
@@ -1109,7 +1109,7 @@ mod tests {
         let machine = MachineConfig::c2050_platform(2);
         let topo = Arc::new(Topology::new(&machine));
         let stats = Arc::new(StatsCollector::new(machine.total_workers(), false));
-        let mm = Arc::new(MemoryManager::new(&machine, EvictionPolicy::Lru, true));
+        let mm = Arc::new(MemoryManager::new(&machine, EvictionPolicy::Lru));
         let nodes = machine.memory_nodes();
 
         for round in 0..8u64 {

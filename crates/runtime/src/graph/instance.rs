@@ -1,6 +1,7 @@
-//! Replayable graph instances: recorded tasks + edge lists + seeding.
+//! Replayable graph instances: recorded tasks, seeding and the iteration
+//! countdown.
 
-use super::{wire, GraphLink, GraphSlot, TaskGraph};
+use super::{wire, GraphSlot, TaskGraph};
 use crate::handle::DataHandle;
 use crate::job::JobCore;
 use crate::perfmodel::PerfKey;
@@ -30,17 +31,15 @@ pub struct RunRecord {
     pub vfinish: VTime,
 }
 
-/// Shared core of a [`GraphInstance`]: the recorded tasks, the edge lists,
-/// and the per-iteration countdown state. Workers reach it through the
-/// [`GraphLink`] weak reference on each task.
+/// Shared core of a [`GraphInstance`]: the recorded tasks (their
+/// dependents wired onto them once) and the per-iteration countdown
+/// state. Workers reach it through the weak reference on each task.
 pub(crate) struct InstanceCore {
     pub(crate) id: u32,
     /// Owning job: every iteration's tasks count toward its scoped wait,
     /// fair-share account, and cancellation drain.
     job: Arc<JobCore>,
     tasks: Vec<Arc<Task>>,
-    /// Successor node lists, fixed at instantiation.
-    succs: Vec<Vec<u32>>,
     /// Predecessor counts, used to rewind each task's dependency counter.
     preds: Vec<u32>,
     /// Nodes with no predecessors — the seed frontier.
@@ -75,26 +74,17 @@ impl InstanceCore {
         self.total_runs.load(Ordering::Relaxed) >= self.freeze_after.load(Ordering::Relaxed)
     }
 
-    /// Whether a frozen `task` should be handed straight back to the
-    /// worker that just freed up instead of going through the scheduler
-    /// queues (self-continuation): its recorded placement is this worker.
-    fn continues_on(task: &Task, worker: Option<usize>) -> bool {
-        match worker {
-            Some(w) => matches!(*task.chosen.lock(), Some(c) if c.worker == w),
-            None => false,
-        }
-    }
-
     /// Starts one iteration: rewind every task, account the batch in the
-    /// runtime's pending counter, and push the root frontier through the
-    /// scheduler's batch entry point. Only called with no iteration in
-    /// flight (from `try_execute_many` or `finish_iteration`), so no
-    /// worker observes the intermediate state.
+    /// pending counters, and release the root frontier in one call. Only
+    /// called with no iteration in flight (from `try_execute_many` or the
+    /// previous iteration's last completion), so no worker observes the
+    /// intermediate state.
     ///
-    /// When the caller is a worker (`continue_on`) and the placement is
-    /// frozen, one root placed on that worker is held out of the batch
-    /// and returned for the worker to run directly — no queue round trip,
-    /// no wakeup.
+    /// A frozen iteration keeps every task's placement from the previous
+    /// one; an unfrozen one clears them, so the scheduler places afresh.
+    /// When the caller is a worker (`continue_on`), a root placed on that
+    /// worker comes back for it to run directly — no queue round trip, no
+    /// wakeup.
     ///
     /// Drift-aware thaw: every unfrozen seed notes the perf registry's
     /// drift epoch. A frozen seed that finds the epoch moved since then
@@ -108,106 +98,59 @@ impl InstanceCore {
         inner: &RuntimeInner,
         continue_on: Option<usize>,
     ) -> Option<Arc<Task>> {
+        let epoch = inner.perf.drift_epoch();
+        let mut frozen = self.is_frozen();
+        if frozen && self.frozen_epoch.load(Ordering::Relaxed) != epoch {
+            // Thaw: models drifted under the frozen schedule. The
+            // `u32::MAX` sentinel (freezing disabled) never reaches here —
+            // with it, `is_frozen` is false.
+            let runs = self.total_runs.load(Ordering::Relaxed);
+            self.freeze_after
+                .store(runs.saturating_add(DEFAULT_FREEZE_AFTER), Ordering::Relaxed);
+            frozen = false;
+        }
+        if !frozen {
+            self.frozen_epoch.store(epoch, Ordering::Relaxed);
+        }
         let run = RunId {
             instance: self.id,
             iteration: self.total_runs.load(Ordering::Relaxed),
         };
         self.iter_max_ns.store(0, Ordering::Relaxed);
         self.remaining.store(self.tasks.len(), Ordering::Release);
-        for (i, t) in self.tasks.iter().enumerate() {
-            t.reset_for_replay(self.preds[i] as usize, run);
+        for (t, &preds) in self.tasks.iter().zip(&self.preds) {
+            t.reset_for_replay(preds as usize, run, frozen);
         }
         // Per-iteration accounting: this add happens before the previous
         // iteration's last `task_finished` decrement (seed runs inside
-        // `on_complete`), so `pending` never transiently reaches zero
+        // `task_done`), so `pending` never transiently reaches zero
         // between chained iterations and `wait_all` cannot wake early.
-        inner
-            .pending
-            .fetch_add(self.tasks.len() as u64, Ordering::SeqCst);
-        if self.job.add_pending(self.tasks.len() as u64) {
-            self.job.catch_up(inner.jobs.vclock());
-        }
-        let frozen = if self.is_frozen() {
-            let epoch = inner.perf.drift_epoch();
-            if self.frozen_epoch.load(Ordering::Relaxed) == epoch {
-                true
-            } else {
-                // Thaw: models drifted under the frozen schedule. The
-                // `u32::MAX` sentinel (freezing disabled) never reaches
-                // here — with it, `is_frozen` is false.
-                let runs = self.total_runs.load(Ordering::Relaxed);
-                self.freeze_after
-                    .store(runs.saturating_add(DEFAULT_FREEZE_AFTER), Ordering::Relaxed);
-                self.frozen_epoch.store(epoch, Ordering::Relaxed);
-                false
-            }
-        } else {
-            self.frozen_epoch
-                .store(inner.perf.drift_epoch(), Ordering::Relaxed);
-            false
-        };
-        let mut continuation: Option<Arc<Task>> = None;
-        let mut roots: Vec<Arc<Task>> = Vec::with_capacity(self.roots.len());
-        for &r in &self.roots {
-            let t = Arc::clone(&self.tasks[r as usize]);
-            if frozen && continuation.is_none() && Self::continues_on(&t, continue_on) {
-                continuation = Some(t);
-            } else {
-                roots.push(t);
-            }
-        }
-        if !roots.is_empty() {
-            inner.push_ready_batch(&roots, frozen);
-        }
-        continuation
+        inner.admit(&self.job, self.tasks.len());
+        let roots = self
+            .roots
+            .iter()
+            .map(|&r| Arc::clone(&self.tasks[r as usize]))
+            .collect();
+        inner.release(roots, continue_on)
     }
 
-    /// Worker-side completion hook for node `node`, running on `worker`:
-    /// release successors along the recorded edges and, when the
-    /// iteration's last task finishes, either chain the next iteration or
-    /// wake the waiter. Returns at most one ready successor whose frozen
-    /// placement is `worker` itself — the caller runs it directly,
-    /// skipping the queue push, the wakeup, and the pop (the dominant
-    /// per-task costs of replaying a near-sequential DAG).
-    pub(crate) fn on_complete(
+    /// Worker-side countdown for one completed task of the current
+    /// iteration, running on `worker` after the task released its
+    /// dependents. The iteration's last task either chains the next
+    /// iteration — whose root placed on `worker`, if any, comes back as a
+    /// self-continuation — or wakes the waiter. Exactly one task wins the
+    /// countdown, so the rest of this runs single-threaded.
+    pub(crate) fn task_done(
         &self,
-        node: u32,
         vfinish: VTime,
         inner: &RuntimeInner,
         worker: usize,
     ) -> Option<Arc<Task>> {
         self.iter_max_ns
             .fetch_max(vfinish.as_nanos(), Ordering::Relaxed);
-        let frozen = self.is_frozen();
-        let mut continuation: Option<Arc<Task>> = None;
-        for &s in &self.succs[node as usize] {
-            let succ = &self.tasks[s as usize];
-            succ.observe_dep(vfinish);
-            if succ.dep_satisfied() {
-                if frozen {
-                    if continuation.is_none() && Self::continues_on(succ, Some(worker)) {
-                        continuation = Some(Arc::clone(succ));
-                    } else {
-                        inner.push_ready_placed(Arc::clone(succ));
-                    }
-                } else {
-                    inner.push_ready(Arc::clone(succ));
-                }
-            }
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
         }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // The iteration's last task has no ready successors, so no
-            // continuation was held out above.
-            return self.finish_iteration(inner, worker);
-        }
-        continuation
-    }
-
-    /// Runs on the worker that completed the iteration's last task —
-    /// single-threaded by construction (exactly one task wins the
-    /// `remaining` countdown). May return the next iteration's root as a
-    /// self-continuation for that worker.
-    fn finish_iteration(&self, inner: &RuntimeInner, worker: usize) -> Option<Arc<Task>> {
         let run = RunId {
             instance: self.id,
             iteration: self.total_runs.load(Ordering::Relaxed),
@@ -227,7 +170,8 @@ impl InstanceCore {
     }
 }
 
-/// Builds the long-lived tasks and edge lists for `graph` on `rt`.
+/// Builds the long-lived tasks for `graph` on `rt`, each wired to its
+/// dependents.
 pub(crate) fn instantiate(
     graph: &TaskGraph,
     handles: Vec<DataHandle>,
@@ -241,8 +185,7 @@ pub(crate) fn instantiate(
         let tasks: Vec<Arc<Task>> = graph
             .nodes
             .iter()
-            .enumerate()
-            .map(|(i, spec)| {
+            .map(|spec| {
                 let mut b = TaskBuilder::new(&spec.codelet)
                     .for_job(job)
                     .cost(spec.cost)
@@ -270,18 +213,20 @@ pub(crate) fn instantiate(
                     })
                     .collect();
                 task.placement = Some(StaticPlacement { options, keys });
-                task.graph = Some(GraphLink {
-                    instance: weak.clone(),
-                    node: i as u32,
-                });
+                task.graph = Some(weak.clone());
                 Arc::new(task)
             })
             .collect();
+        for (task, succ) in tasks.iter().zip(&succs) {
+            *task.successors.lock() = succ
+                .iter()
+                .map(|&s| Arc::clone(&tasks[s as usize]))
+                .collect();
+        }
         InstanceCore {
             id,
             job: Arc::clone(job),
             tasks,
-            succs,
             preds,
             roots,
             remaining: AtomicUsize::new(0),
@@ -392,7 +337,7 @@ impl GraphInstance {
             instance: self.core.id,
             iteration: self.core.total_runs.load(Ordering::Relaxed) - 1,
         };
-        match self.rt.inner.fault.lock().take() {
+        match self.core.job.take_fault() {
             Some(msg) => Err(msg),
             None => Ok(last),
         }
@@ -412,10 +357,11 @@ impl GraphInstance {
 
 #[cfg(test)]
 mod tests {
-    use super::DEFAULT_FREEZE_AFTER;
+    use super::{GraphInstance, DEFAULT_FREEZE_AFTER};
     use crate::codelet::{Arch, ArchClass, Codelet};
     use crate::graph::{GraphTask, TaskGraph};
     use crate::handle::AccessMode;
+    use crate::job::JobConfig;
     use crate::perfmodel::PerfKey;
     use crate::runtime::Runtime;
     use crate::sched::SchedulerKind;
@@ -478,24 +424,35 @@ mod tests {
         rt.shutdown();
     }
 
-    /// A replayed task whose body panics outside its kernel (here: a
-    /// placement corrupted to an unimplemented architecture, the way only
-    /// an internal scheduler bug could) must drain the whole iteration
-    /// batch and surface as `Err` from `try_execute_many` — never hang
-    /// the waiting thread.
-    #[test]
-    fn try_execute_many_reports_task_fault_as_error() {
-        let rt = Runtime::new(MachineConfig::cpu_only(2), SchedulerKind::Eager);
-        let c = Arc::new(Codelet::new("graph_cpu_cl").with_impl(Arch::Cpu, |_| {}));
+    /// Records a one-task graph whose CPU-only task carries a placement
+    /// corrupted to an unimplemented architecture, the way only an
+    /// internal scheduler bug could. Frozen from the first run, so the
+    /// replay keeps that placement.
+    fn mislabelled(
+        name: &str,
+        instantiate: impl FnOnce(&TaskGraph) -> GraphInstance,
+    ) -> GraphInstance {
+        let c = Arc::new(Codelet::new(name).with_impl(Arch::Cpu, |_| {}));
         let mut g = TaskGraph::new();
         let s = g.slot(vec![0.0f32; 4]);
         g.add(GraphTask::new(&c).access(s, AccessMode::ReadWrite));
-        let inst = g.instantiate(&rt);
+        let inst = instantiate(&g);
+        inst.set_freeze_after(0);
         *inst.core.tasks[0].chosen.lock() = Some(ExecChoice {
             worker: 0,
             arch: Arch::Gpu,
             pred_delta: VTime::ZERO,
         });
+        inst
+    }
+
+    /// A replayed task whose body panics outside its kernel must drain the
+    /// whole iteration batch and surface as `Err` from `try_execute_many`
+    /// — never hang the waiting thread.
+    #[test]
+    fn try_execute_many_reports_task_fault_as_error() {
+        let rt = Runtime::new(MachineConfig::cpu_only(2), SchedulerKind::Eager);
+        let inst = mislabelled("graph_cpu_cl", |g| g.instantiate(&rt));
         let err = inst
             .try_execute_many(2)
             .expect_err("the dispatch fault must be reported");
@@ -503,6 +460,27 @@ mod tests {
             err.contains("graph_cpu_cl"),
             "error should identify the codelet: {err:?}"
         );
+        rt.shutdown();
+    }
+
+    /// The same fault in a replay instantiated through a job is the job's:
+    /// `try_execute_many` reports it, not a later `try_wait`.
+    #[test]
+    fn job_scoped_replay_reports_task_fault_as_error() {
+        let rt = Runtime::new(MachineConfig::cpu_only(2), SchedulerKind::Eager);
+        let job = rt.job(JobConfig {
+            weight: 2,
+            ..JobConfig::default()
+        });
+        let inst = mislabelled("job_graph_cpu_cl", |g| job.instantiate(g));
+        let err = inst
+            .try_execute_many(2)
+            .expect_err("the job's dispatch fault must be reported");
+        assert!(
+            err.contains("job_graph_cpu_cl"),
+            "error should identify the codelet: {err:?}"
+        );
+        assert_eq!(job.try_wait(), Ok(()), "the fault is reported once");
         rt.shutdown();
     }
 }

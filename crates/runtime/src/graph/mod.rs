@@ -12,29 +12,33 @@
 //!    add tasks over those slots ([`TaskGraph::add`]). Dependencies are
 //!    derived from the operand access modes with the same
 //!    sequential-consistency rules the submit path uses, but computed a
-//!    single time into explicit edge lists.
+//!    single time.
 //! 2. **Instantiate** against a runtime ([`TaskGraph::instantiate`]): each
 //!    node becomes one long-lived [`crate::Task`] with its eligible-worker
 //!    table and performance-model keys precomputed
-//!    ([`crate::task::StaticPlacement`]), and each slot one registered
-//!    [`DataHandle`] private to the instance.
-//! 3. **Replay** ([`GraphInstance::execute`] / `execute_many`): the ready
-//!    frontier is seeded through one scheduler batch call; completions
-//!    flow along the recorded edge lists (`InstanceCore::on_complete`)
-//!    without touching per-task successor vectors or the handles' access
-//!    histories. Between replays, operands are *rebound* wholesale with
+//!    ([`crate::task::StaticPlacement`]) and its dependents wired onto it
+//!    once, and each slot one registered [`DataHandle`] private to the
+//!    instance.
+//! 3. **Replay** ([`GraphInstance::execute`] / `execute_many`): each
+//!    iteration rewinds the tasks' dependency counters and releases the
+//!    root frontier in one call. Completions then release dependents
+//!    exactly as submitted tasks do — the same per-task successor lists,
+//!    the same `RuntimeInner::release` — without touching the handles'
+//!    access histories; the instance only counts the iteration down.
+//!    Between replays, operands are *rebound* wholesale with
 //!    [`GraphInstance::bind`] (no device writeback — the old contents are
 //!    declared dead).
 //!
 //! After `freeze_after` replays (default 4, past the scheduler's history
-//! calibration threshold), the instance stops re-running placement and
-//! re-enqueues each task on the worker the previous iteration chose
-//! ([`crate::sched::Scheduler::push_ready_placed`]).
+//! calibration threshold), the instance stops re-running placement: each
+//! task keeps the placement the previous iteration chose, and a scheduler
+//! re-enqueues a task that carries one on that worker.
 //!
-//! The [`stream`] half of this module builds a frame-pipeline runner on
-//! top: stages connected by bounded channels with a per-frame [`RunId`]
+//! The [`stream`] half of this module is a frame-pipeline runner: stage
+//! threads connected by bounded channels, with a per-frame [`RunId`]
 //! threaded through trace events, so overlapping in-flight frames stay
-//! distinguishable in the gantt output.
+//! distinguishable in the gantt output. It shares only the instance-id
+//! counter with replay.
 
 pub mod instance;
 pub mod stream;
@@ -46,10 +50,9 @@ use crate::codelet::Codelet;
 use crate::handle::{AccessMode, Data, DataHandle};
 use crate::job::JobCore;
 use crate::runtime::Runtime;
-use instance::InstanceCore;
 use peppher_sim::KernelCost;
 use std::any::Any;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// A data operand position in a [`TaskGraph`], bound to a fresh
 /// [`DataHandle`] when the graph is instantiated.
@@ -59,16 +62,6 @@ pub struct GraphSlot(pub(crate) usize);
 /// A node position in a [`TaskGraph`] (addition order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraphNodeId(pub(crate) u32);
-
-/// Back-link from a recorded task to its owning graph instance: the worker
-/// routes completion through the instance's edge lists instead of the
-/// (empty) per-task successor list. Weak so an abandoned instance (and its
-/// handles) can be dropped even though the scheduler might still hold task
-/// Arcs.
-pub(crate) struct GraphLink {
-    pub(crate) instance: Weak<InstanceCore>,
-    pub(crate) node: u32,
-}
 
 /// Registers a slot's initial payload at instantiation time, owned by the
 /// given job id.

@@ -111,8 +111,10 @@ pub(crate) struct JobCore {
     account: AtomicU64,
     /// Dispatched-but-unfinished tasks (admission-cap gauge).
     inflight: AtomicU64,
-    /// First out-of-kernel panic among this job's tasks; re-raised by the
-    /// job-scoped wait.
+    /// First out-of-kernel panic among this job's tasks, replayed graph
+    /// tasks included; re-raised by the job-scoped wait
+    /// ([`crate::Runtime::wait_all`] for the default job) or reported by
+    /// `try_execute_many` of an instance the job owns.
     fault: Mutex<Option<String>>,
     /// Live user-facing [`JobHandle`] clones; when the last one drops the
     /// job is closed and its empty scheduler lanes become reclaimable.
@@ -389,8 +391,8 @@ impl JobHandle {
     }
 
     /// Submits a whole sub-graph of tasks as one unit under this job:
-    /// all-or-nothing validation, then the frontier seeds through the
-    /// scheduler's batch entry point (see DESIGN.md §5f).
+    /// all-or-nothing validation, then the frontier is released in one
+    /// call (see DESIGN.md §5e).
     pub fn submit_batch(&self, builders: Vec<crate::TaskBuilder>) -> Batch {
         self.rt.submit_batch_for(&self.core, builders)
     }

@@ -203,18 +203,14 @@ enum Selection {
 
 impl MemoryManager {
     /// Builds the per-node allocators with budgets from the machine config.
-    /// `alloc_cache` enables buffer retention on budgeted device nodes
+    /// Budgeted device nodes retain freed buffers in an allocation cache
     /// (node 0's host allocations are cheap and an unbounded cache would
     /// never trim, so those nodes never cache).
-    pub(crate) fn new(machine: &MachineConfig, policy: EvictionPolicy, alloc_cache: bool) -> Self {
+    pub(crate) fn new(machine: &MachineConfig, policy: EvictionPolicy) -> Self {
         let nodes = (0..machine.memory_nodes())
             .map(|n| {
                 let budget = machine.node_budget(n);
-                let cap = if n == 0 || !alloc_cache {
-                    0
-                } else {
-                    budget.unwrap_or(0)
-                };
+                let cap = if n == 0 { 0 } else { budget.unwrap_or(0) };
                 Mutex::new(NodeMem {
                     budget,
                     used: 0,
@@ -1088,7 +1084,7 @@ mod tests {
         let m = tiny_machine(budget);
         let topo = Topology::new(&m);
         let stats = StatsCollector::new(m.total_workers(), true);
-        let mm = MemoryManager::new(&m, EvictionPolicy::Lru, true);
+        let mm = MemoryManager::new(&m, EvictionPolicy::Lru);
         (m, topo, stats, mm)
     }
 
@@ -1096,7 +1092,7 @@ mod tests {
         let m = tiny_machine(budget);
         let topo = Topology::new(&m);
         let stats = StatsCollector::new(m.total_workers(), true);
-        let mm = MemoryManager::new(&m, EvictionPolicy::Family, true);
+        let mm = MemoryManager::new(&m, EvictionPolicy::Family);
         (m, topo, stats, mm)
     }
 
@@ -1435,7 +1431,7 @@ mod tests {
         let m = tiny_machine(6 * 1024);
         let topo = Topology::new(&m);
         let stats = StatsCollector::new(m.total_workers(), false);
-        let mm = MemoryManager::new(&m, EvictionPolicy::FallbackCpu, true);
+        let mm = MemoryManager::new(&m, EvictionPolicy::FallbackCpu);
         let a = handle(1, 4, m.memory_nodes());
         let b = handle(2, 4, m.memory_nodes());
         coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
@@ -1567,22 +1563,5 @@ mod tests {
         assert_eq!(mm.used_bytes()[0], 4 * 1024);
         mm.forget(a.id());
         assert_eq!(mm.used_bytes()[0], 0);
-    }
-
-    #[test]
-    fn cache_disabled_frees_buffers_outright() {
-        let m = tiny_machine(10 * 1024);
-        let topo = Topology::new(&m);
-        let stats = StatsCollector::new(m.total_workers(), false);
-        let mm = MemoryManager::new(&m, EvictionPolicy::Lru, false);
-        let a = handle(1, 4, m.memory_nodes());
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        coherence::mark_written(&a, 0, VTime::from_micros(1), &stats, &mm);
-        assert_eq!(mm.alloc_cache_retained()[1], 0);
-        let b = handle(2, 4, m.memory_nodes());
-        coherence::make_valid(&b, 1, AccessMode::Read, &topo, &stats, &mm);
-        let snap = stats.snapshot();
-        assert_eq!(snap.alloc_cache_hits, 0);
-        assert!(snap.alloc_cache_misses >= 2);
     }
 }

@@ -102,11 +102,6 @@ pub struct RuntimeConfig {
     /// LRU eviction with MSI-aware writeback (default), or no eviction
     /// with the scheduler falling back to CPU placements.
     pub eviction: EvictionPolicy,
-    /// Retain evicted/invalidated device buffers in a per-node allocation
-    /// cache for reuse by later allocations of a compatible size class
-    /// (StarPU's allocation cache; on by default). Disable for ablation
-    /// runs that should pay every allocation fresh.
-    pub alloc_cache: bool,
     /// How `dmda`/`dmdar` placement treats cold or low-confidence model
     /// keys (epsilon-greedy by default; see [`ExplorationMode`]).
     pub exploration: ExplorationMode,
@@ -131,7 +126,6 @@ impl Default for RuntimeConfig {
             enable_prefetch: true,
             objective: Objective::ExecTime,
             eviction: EvictionPolicy::Lru,
-            alloc_cache: true,
             exploration: ExplorationMode::EpsilonGreedy,
             explore_epsilon: 0.05,
             drift_detection: true,
@@ -172,12 +166,6 @@ pub(crate) struct RuntimeInner {
     pub done_mx: Mutex<()>,
     pub all_done: Condvar,
     pub shutdown: AtomicBool,
-    /// First panic that escaped a task body outside its kernel (e.g. a
-    /// missing implementation for the chosen architecture). The worker
-    /// records it here and completes the task anyway so the pending
-    /// counter drains; [`Runtime::wait_all`] re-raises it on the waiting
-    /// thread instead of hanging the condvar handshake.
-    pub fault: Mutex<Option<String>>,
     /// Per-worker parking spots for targeted wakeups.
     pub parkers: Vec<Parker>,
     /// `idle[w]` is set by worker `w` just before it parks and cleared by
@@ -206,62 +194,63 @@ impl RuntimeInner {
         }
     }
 
-    pub(crate) fn push_ready(&self, task: Arc<Task>) {
-        let target = self.sched.push_ready(Arc::clone(&task), &self.sched_ctx());
-        self.prefetch_for(&task);
-        self.wake_for(&task, target);
+    /// Counts `n` new tasks of `job` as pending, runtime-wide and in the
+    /// job, whose fair-share account catches up if the job was idle.
+    /// Submission and replay seeding both count here before they release
+    /// anything.
+    pub(crate) fn admit(&self, job: &JobCore, n: usize) {
+        self.pending.fetch_add(n as u64, Ordering::SeqCst);
+        if job.add_pending(n as u64) {
+            job.catch_up(self.jobs.vclock());
+        }
     }
 
-    /// Re-enqueues a recorded graph task that carries a frozen placement
-    /// decision (see [`Scheduler::push_ready_placed`]). No prefetch: the
-    /// frozen placement repeats the previous iteration's worker, so read
-    /// operands are already resident there (a slot rebound between
-    /// executions is faulted in by `make_valid` at execution instead) —
-    /// the pin/probe round trips would be pure per-push overhead.
-    pub(crate) fn push_ready_placed(&self, task: Arc<Task>) {
-        let target = self
-            .sched
-            .push_ready_placed(Arc::clone(&task), &self.sched_ctx());
-        self.wake_for(&task, target);
-    }
-
-    /// Seeds a batch of simultaneously-ready tasks (a graph replay's root
-    /// frontier) through the scheduler's batch entry point — one queue
-    /// lock for central-queue policies — then prefetches per task and
-    /// wakes once per distinct target. The whole batch is enqueued before
-    /// any wakeup, so a single notify per worker is lossless: a woken (or
-    /// still-busy) worker drains its queue in a loop and finds every task
-    /// of the batch on its own, while per-task wakes would pay one SeqCst
-    /// swap on an idle flag the workers are spinning on for each of the
-    /// potentially tens of thousands of tasks seeded here.
-    pub(crate) fn push_ready_batch(&self, tasks: &[Arc<Task>], placed: bool) {
-        let targets = self
-            .sched
-            .push_ready_batch(tasks, placed, &self.sched_ctx());
-        if !placed {
-            for task in tasks {
-                self.prefetch_for(task);
-            }
+    /// Publishes tasks whose dependencies are all satisfied — the one path
+    /// for submits, batch submits, replay seeds and completions.
+    ///
+    /// When `on` is the worker releasing them, the first task already
+    /// placed on that worker (a frozen replay's) is handed back for it to
+    /// run directly: no push, no wakeup, no pop (see `worker::run_one`).
+    /// The rest go to the scheduler in one call — one queue lock per
+    /// target queue — which keeps any placement a task carries. Tasks it
+    /// placed just now get their operands prefetched (a carried placement
+    /// repeats the previous iteration's worker, so its operands are
+    /// already there). Targets are woken only after every task is
+    /// enqueued: a woken (or still-busy) worker drains its queue in a
+    /// loop, so the first wake of a worker serves the whole batch and the
+    /// rest cost one load each.
+    pub(crate) fn release(
+        &self,
+        mut tasks: Vec<Arc<Task>>,
+        on: Option<usize>,
+    ) -> Option<Arc<Task>> {
+        let next = on.and_then(|w| {
+            let i = tasks
+                .iter()
+                .position(|t| t.chosen.lock().is_some_and(|c| c.worker == w))?;
+            Some(tasks.remove(i))
+        });
+        if tasks.is_empty() {
+            return next;
         }
-        // Centrally-queued tasks (no target) are discoverable by any
-        // worker, so they degrade to waking every parked worker once; a
-        // worker woken for a task it cannot run just parks again.
-        let mut wake_all = false;
-        let mut distinct: Vec<usize> = Vec::new();
-        for target in targets {
-            match target {
-                Some(w) if !distinct.contains(&w) => distinct.push(w),
-                Some(_) => {}
-                None => wake_all = true,
-            }
-        }
-        if wake_all {
-            self.wake_all_workers();
+        let fresh: Vec<bool> = if self.config.enable_prefetch {
+            tasks.iter().map(|t| t.chosen.lock().is_none()).collect()
         } else {
-            for w in distinct {
-                self.wake_worker(w);
+            Vec::new()
+        };
+        let targets = self.sched.push(&tasks, &self.sched_ctx());
+        for (task, _) in tasks.iter().zip(&fresh).filter(|(_, &placed)| placed) {
+            self.prefetch_for(task);
+        }
+        for (task, target) in tasks.iter().zip(targets) {
+            match target {
+                Some(w) => {
+                    self.wake_worker(w);
+                }
+                None => self.wake_any_for(task),
             }
         }
+        next
     }
 
     /// Wakes every parked worker (cancellation must drain queued tasks of
@@ -363,21 +352,18 @@ impl RuntimeInner {
         }
     }
 
-    fn wake_for(&self, task: &Task, target: Option<usize>) {
-        match target {
-            Some(w) => self.wake_worker(w),
-            None => self.wake_any_for(task),
+    /// Wakes worker `w` if it is parked (or about to park); returns whether
+    /// it did. The idle flag is swap-claimed so concurrent producers pay
+    /// one notify between them; the load first keeps repeated wakes of a
+    /// busy worker off the flag's cache line.
+    pub(crate) fn wake_worker(&self, w: usize) -> bool {
+        if !(self.idle[w].load(Ordering::SeqCst) && self.idle[w].swap(false, Ordering::SeqCst)) {
+            return false;
         }
-    }
-
-    /// Wakes worker `w` if it is parked (or about to park). The idle flag
-    /// is swap-claimed so concurrent producers pay one notify between them.
-    pub(crate) fn wake_worker(&self, w: usize) {
-        if self.idle[w].swap(false, Ordering::SeqCst) {
-            let mut token = self.parkers[w].token.lock();
-            *token = true;
-            self.parkers[w].cv.notify_one();
-        }
+        let mut token = self.parkers[w].token.lock();
+        *token = true;
+        self.parkers[w].cv.notify_one();
+        true
     }
 
     /// For centrally-queued tasks (scheduler returned no target): wake one
@@ -385,16 +371,7 @@ impl RuntimeInner {
     /// discover the task themselves on their next pop.
     fn wake_any_for(&self, task: &Task) {
         for w in 0..self.idle.len() {
-            if !self.idle[w].load(Ordering::SeqCst) {
-                continue;
-            }
-            if !task.runnable_on(w, self.machine.worker_is_gpu(w)) {
-                continue;
-            }
-            if self.idle[w].swap(false, Ordering::SeqCst) {
-                let mut token = self.parkers[w].token.lock();
-                *token = true;
-                self.parkers[w].cv.notify_one();
+            if task.runnable_on(w, self.machine.worker_is_gpu(w)) && self.wake_worker(w) {
                 return;
             }
         }
@@ -417,15 +394,6 @@ impl RuntimeInner {
             // observed a non-zero count but has not blocked yet.
             let _guard = self.done_mx.lock();
             self.all_done.notify_all();
-        }
-    }
-
-    /// Records the first out-of-kernel task panic; later ones lose (the
-    /// first is what a sequential execution would have raised).
-    pub(crate) fn record_fault(&self, msg: String) {
-        let mut fault = self.fault.lock();
-        if fault.is_none() {
-            *fault = Some(msg);
         }
     }
 
@@ -534,7 +502,7 @@ impl Runtime {
         let sched = make_scheduler(config.scheduler, &machine);
         let inner = Arc::new(RuntimeInner {
             topo: Topology::new(&machine),
-            memory: MemoryManager::new(&machine, config.eviction, config.alloc_cache),
+            memory: MemoryManager::new(&machine, config.eviction),
             sched,
             perf,
             stats: StatsCollector::new(workers, config.enable_trace),
@@ -549,7 +517,6 @@ impl Runtime {
             done_mx: Mutex::new(()),
             all_done: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            fault: Mutex::new(None),
             parkers: (0..workers)
                 .map(|_| Parker {
                     token: Mutex::new(false),
@@ -613,52 +580,29 @@ impl Runtime {
 
     /// Job-scoped single-task submission (the implementation behind both
     /// [`crate::JobHandle::submit`] and [`TaskBuilder::submit`], which
-    /// targets the implicit default job).
+    /// targets the implicit default job): a batch of one.
     pub(crate) fn submit_for(&self, job: &Arc<JobCore>, builder: TaskBuilder) -> TaskHandle {
-        let id = self.inner.alloc_task_id();
-        let task = Arc::new(builder.for_job(job).into_task(id));
-        validate_task(&task, &self.inner.machine);
-
-        self.inner.pending.fetch_add(1, Ordering::SeqCst);
-        if job.add_pending(1) {
-            job.catch_up(self.inner.jobs.vclock());
-        }
-
-        // Sequential data consistency: collect implicit dependencies.
-        // `link` counts each created edge on the successor *before*
-        // publishing it, so a predecessor completing mid-loop cannot make
-        // the task ready early (the submission guard also protects us
-        // until the end of this function).
-        let deps: Vec<Arc<Task>> = task
-            .accesses
-            .iter()
-            .flat_map(|(h, mode)| h.record_access(&task, *mode))
-            .collect();
-        for dep in deps {
-            Task::link(&dep, &task);
-        }
-        // Drop the submission guard; push if no outstanding deps.
-        if task.dep_satisfied() {
-            self.inner.push_ready(Arc::clone(&task));
-        }
-        TaskHandle(task)
+        let mut handles = self.submit_batch_for(job, [builder]).into_handles();
+        handles.pop().expect("one handle per builder")
     }
 
     /// Job-scoped batch submission: a whole sub-graph of tasks as one unit
     /// (the implementation behind [`crate::JobHandle::submit_batch`]).
     /// Observably equivalent to submitting each builder in order — the
     /// same implicit data dependencies are recorded, including intra-batch
-    /// edges — but the simultaneously-ready frontier is seeded through the
-    /// scheduler's batch entry point: one queue-lock acquisition per
-    /// target queue covers the whole batch instead of one per task.
-    /// [`crate::graph::TaskGraph`] replay seeding and high-rate
-    /// stress harnesses use the same path internally.
+    /// edges — but the simultaneously-ready frontier is released in one
+    /// call: one queue-lock acquisition per target queue covers the whole
+    /// batch instead of one per task.
     ///
     /// Validation is all-or-nothing: every task is checked *before* any
     /// side effect, so a batch containing an undispatchable codelet (or an
     /// aliased writable operand) panics without enqueuing a prefix,
     /// counting pending work, or recording any dependency edge.
-    pub(crate) fn submit_batch_for(&self, job: &Arc<JobCore>, builders: Vec<TaskBuilder>) -> Batch {
+    pub(crate) fn submit_batch_for(
+        &self,
+        job: &Arc<JobCore>,
+        builders: impl IntoIterator<Item = TaskBuilder>,
+    ) -> Batch {
         let tasks: Vec<Arc<Task>> = builders
             .into_iter()
             .map(|b| Arc::new(b.for_job(job).into_task(self.inner.alloc_task_id())))
@@ -666,21 +610,18 @@ impl Runtime {
         for task in &tasks {
             validate_task(task, &self.inner.machine);
         }
+        self.inner.admit(job, tasks.len());
 
-        self.inner
-            .pending
-            .fetch_add(tasks.len() as u64, Ordering::SeqCst);
-        if job.add_pending(tasks.len() as u64) {
-            job.catch_up(self.inner.jobs.vclock());
-        }
-
-        // Record dependencies in submission order so intra-batch edges
-        // resolve exactly as sequential submits would. Later batch members
-        // that depend on earlier ones cannot be raced ready here — nothing
-        // from the batch executes before the frontier push below — and an
-        // *external* predecessor completing mid-loop publishes the task
-        // through its own completion path instead of our frontier (the
-        // 1→0 dependency-counter transition happens exactly once).
+        // Sequential data consistency, recorded in submission order so
+        // intra-batch edges resolve exactly as sequential submits would.
+        // `link` counts each created edge on the successor *before*
+        // publishing it, and the submission guard holds every task until
+        // its own dependencies are wired. Later batch members that depend
+        // on earlier ones cannot be raced ready here — nothing from the
+        // batch executes before the release below — and an *external*
+        // predecessor completing mid-loop publishes the task through its
+        // own completion instead of this frontier (the 1→0 dependency
+        // counter transition happens exactly once).
         let mut ready: Vec<Arc<Task>> = Vec::new();
         for task in &tasks {
             let deps: Vec<Arc<Task>> = task
@@ -695,9 +636,7 @@ impl Runtime {
                 ready.push(Arc::clone(task));
             }
         }
-        if !ready.is_empty() {
-            self.inner.push_ready_batch(&ready, false);
-        }
+        self.inner.release(ready, None);
         Batch::new(tasks.into_iter().map(TaskHandle).collect())
     }
 
@@ -713,8 +652,7 @@ impl Runtime {
     /// still drains, so this reports the failure instead of deadlocking.
     /// Use [`Runtime::try_wait_all`] for a non-panicking variant.
     pub fn wait_all(&self) {
-        self.inner.jobs.default.wait_idle();
-        if let Some(msg) = self.inner.fault.lock().take() {
+        if let Err(msg) = self.try_wait_all() {
             panic!("{msg}");
         }
     }
@@ -723,7 +661,7 @@ impl Runtime {
     /// as an `Err` instead of re-raising it.
     pub fn try_wait_all(&self) -> Result<(), String> {
         self.inner.jobs.default.wait_idle();
-        match self.inner.fault.lock().take() {
+        match self.inner.jobs.default.take_fault() {
             Some(msg) => Err(msg),
             None => Ok(()),
         }
@@ -1028,7 +966,7 @@ impl Runtime {
     pub fn sync_virtual_clocks(&self) -> VTime {
         // Runtime-wide: every job's clocks advance together.
         self.wait_pending();
-        if let Some(msg) = self.inner.fault.lock().take() {
+        if let Some(msg) = self.inner.jobs.default.take_fault() {
             panic!("{msg}");
         }
         let m = self.stats().makespan;

@@ -64,13 +64,13 @@
 //! on the thief's memory node, transferring the victim's queued-work charge
 //! to itself. A task is stealable only onto an option placement could
 //! have chosen for it, in the class its prediction came from; recorded
-//! graph tasks are never stolen — replay re-pushes reuse the recorded
-//! placement, and moving one instance would invalidate the charge
+//! graph tasks are never stolen — a frozen replay keeps the placement
+//! each task carries, and moving one instance would invalidate the charge
 //! bookkeeping the next iteration re-applies. `dmdar` never steals.
 
 use super::fair::JobLanes;
 use super::queue::ReadyQueue;
-use super::{is_option, options_into, resident_read_bytes, SchedCtx, Scheduler};
+use super::{enqueue, is_option, options_into, resident_read_bytes, SchedCtx, Scheduler};
 use crate::codelet::Arch;
 use crate::handle::DataHandle;
 use crate::intern::CodeletId;
@@ -475,32 +475,19 @@ impl DmdaScheduler {
         self.charge_pred(worker, pred_delta);
     }
 
-    /// The worker `task` goes to: with `placed`, the placement it already
-    /// carries (a frozen graph replay), re-charging its prediction —
-    /// `task_timed` releases it after execution, so the load estimate
-    /// stays balanced; otherwise a fresh [`DmdaScheduler::place`].
-    fn target(
-        &self,
-        task: &Arc<Task>,
-        placed: bool,
-        ctx: &SchedCtx<'_>,
-        scratch: &mut PlaceScratch,
-    ) -> usize {
-        match placed.then(|| *task.chosen.lock()).flatten() {
+    /// The worker `task` goes to: the placement it already carries (a
+    /// frozen graph replay), re-charging its prediction — `task_timed`
+    /// releases it after execution, so the load estimate stays balanced —
+    /// or else a fresh [`DmdaScheduler::place`].
+    fn target(&self, task: &Arc<Task>, ctx: &SchedCtx<'_>, scratch: &mut PlaceScratch) -> usize {
+        let carried = *task.chosen.lock();
+        match carried {
             Some(c) => {
                 self.charge_pred(c.worker, c.pred_delta);
                 c.worker
             }
             None => self.place(task, ctx, scratch),
         }
-    }
-
-    /// Places (or, with `placed`, re-targets) one task and enqueues it.
-    fn push(&self, task: Arc<Task>, placed: bool, ctx: &SchedCtx<'_>) -> Option<usize> {
-        let w = self.target(&task, placed, ctx, &mut PlaceScratch::default());
-        let job = Arc::clone(&task.job);
-        self.queues[w].lock().queue_for(&job).push(task);
-        Some(w)
     }
 
     #[cfg(test)]
@@ -643,8 +630,16 @@ impl DmdaScheduler {
 }
 
 impl Scheduler for DmdaScheduler {
-    fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
-        self.push(task, false, ctx)
+    fn push(&self, tasks: &[Arc<Task>], ctx: &SchedCtx<'_>) -> Vec<Option<usize>> {
+        // Place every task first (sharing one prediction memo across the
+        // batch), then enqueue per-worker groups.
+        let mut scratch = PlaceScratch::default();
+        let targets: Vec<Option<usize>> = tasks
+            .iter()
+            .map(|task| Some(self.target(task, ctx, &mut scratch)))
+            .collect();
+        enqueue(&self.queues, tasks, &targets);
+        targets
     }
 
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
@@ -684,39 +679,6 @@ impl Scheduler for DmdaScheduler {
         // release the prediction charged at push time.
         self.release(worker, choice.map(|c| c.pred_delta).unwrap_or(VTime::ZERO));
     }
-
-    fn push_ready_placed(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
-        self.push(task, true, ctx)
-    }
-
-    fn push_ready_batch(
-        &self,
-        tasks: &[Arc<Task>],
-        placed: bool,
-        ctx: &SchedCtx<'_>,
-    ) -> Vec<Option<usize>> {
-        // Place every task first (sharing one prediction memo across the
-        // batch), then enqueue per-worker groups under one queue-lock
-        // acquisition each instead of one per task.
-        let mut targets = Vec::with_capacity(tasks.len());
-        let mut groups: Vec<(usize, Vec<&Arc<Task>>)> = Vec::new();
-        let mut scratch = PlaceScratch::default();
-        for task in tasks {
-            let w = self.target(task, placed, ctx, &mut scratch);
-            targets.push(Some(w));
-            match groups.iter_mut().find(|(gw, _)| *gw == w) {
-                Some((_, g)) => g.push(task),
-                None => groups.push((w, vec![task])),
-            }
-        }
-        for (w, group) in groups {
-            let mut q = self.queues[w].lock();
-            for task in group {
-                q.queue_for(&task.job).push(Arc::clone(task));
-            }
-        }
-        targets
-    }
 }
 
 #[cfg(test)]
@@ -747,7 +709,7 @@ pub(crate) mod tests {
         pub fn new(machine: MachineConfig, config: RuntimeConfig) -> Self {
             let timelines = crate::sched::Timelines::new(machine.total_workers());
             let topo = Topology::new(&machine);
-            let memory = MemoryManager::new(&machine, config.eviction, true);
+            let memory = MemoryManager::new(&machine, config.eviction);
             let stats = StatsCollector::new(machine.total_workers(), false);
             let classes = crate::sched::WorkerClasses::new(&machine);
             Fixture {
@@ -797,7 +759,7 @@ pub(crate) mod tests {
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         let c = dual_codelet();
         for i in 0..6 {
-            s.push_ready(task_of(&c, i), &f.ctx());
+            s.push(&[task_of(&c, i)], &f.ctx());
         }
         // Classes alternate Cpu/Gpu: 3 CPU tasks (spread over cpu0/cpu1 by
         // load) and 3 GPU tasks.
@@ -833,7 +795,7 @@ pub(crate) mod tests {
         // GPU is 10x faster in recorded history.
         calibrate(&f, probe.footprint(), 100, 10);
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push_ready(probe, &f.ctx());
+        s.push(&[probe], &f.ctx());
         assert_eq!(s.queue_len(2), 1, "task should land on the GPU worker");
     }
 
@@ -856,7 +818,7 @@ pub(crate) mod tests {
         let c = calibrated_cpu_codelet(&f);
         let s = DmdaScheduler::new(2, false);
         for i in 0..4 {
-            s.push_ready(task_of_no_cost(&c, i), &f.ctx());
+            s.push(&[task_of_no_cost(&c, i)], &f.ctx());
         }
         assert_eq!(s.queue_len(0), 2);
         assert_eq!(s.queue_len(1), 2);
@@ -882,7 +844,7 @@ pub(crate) mod tests {
         );
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..4 {
-            s.push_ready(task_of(&c, i), &f.ctx());
+            s.push(&[task_of(&c, i)], &f.ctx());
         }
         // Both classes received calibration tasks despite the prediction.
         assert!(s.queue_len(0) > 0, "CPU sampled");
@@ -908,7 +870,7 @@ pub(crate) mod tests {
                 }),
         );
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push_ready(task_of(&c, 0), &f.ctx());
+        s.push(&[task_of(&c, 0)], &f.ctx());
         assert_eq!(s.queue_len(1), 1, "wrong prediction steers to GPU");
     }
 
@@ -927,7 +889,7 @@ pub(crate) mod tests {
                 .cost(KernelCost::new(5e9, 1e6, 1e6))
                 .into_task(0),
         );
-        s.push_ready(t, &f.ctx());
+        s.push(&[t], &f.ctx());
         assert_eq!(s.queue_len(1), 1);
     }
 
@@ -988,7 +950,7 @@ pub(crate) mod tests {
                 .into_task(0),
         );
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push_ready(t, &f.ctx());
+        s.push(&[t], &f.ctx());
         assert_eq!(s.queue_len(0), 1, "infeasible GPU filtered out");
         assert_eq!(s.queue_len(1), 0);
     }
@@ -1031,7 +993,7 @@ pub(crate) mod tests {
                 .into_task(0),
         );
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push_ready(t, &f.ctx());
+        s.push(&[t], &f.ctx());
         assert_eq!(
             s.queue_len(1),
             1,
@@ -1045,7 +1007,7 @@ pub(crate) mod tests {
         let f = Fixture::new(MachineConfig::cpu_only(1), RuntimeConfig::default());
         let c = calibrated_cpu_codelet(&f);
         let s = DmdaScheduler::new(1, false);
-        s.push_ready(task_of_no_cost(&c, 0), &f.ctx());
+        s.push(&[task_of_no_cost(&c, 0)], &f.ctx());
         assert!(s.queued(0) > VTime::ZERO);
         let t = s.pop_for_worker(0, &f.ctx()).unwrap();
         assert!(s.queued(0) > VTime::ZERO, "still charged until timed");
@@ -1062,7 +1024,7 @@ pub(crate) mod tests {
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..3 {
-            s.push_ready(task_on(&c, i, &operand), &f.ctx());
+            s.push(&[task_on(&c, i, &operand)], &f.ctx());
         }
         // GPU worker is index 1 on the single-CPU platform.
         assert!(s.pop_for_worker(1, &f.ctx()).is_some());
@@ -1076,8 +1038,8 @@ pub(crate) mod tests {
     /// Pushes `task` and asserts it was placed on `worker` (the tests
     /// below need to know which queue the steal must raid).
     fn push_on(s: &DmdaScheduler, f: &Fixture, task: Arc<Task>, worker: usize) {
-        let placed = s.push_ready(task, &f.ctx());
-        assert_eq!(placed, Some(worker), "test premise: placement target");
+        let placed = s.push(&[task], &f.ctx());
+        assert_eq!(placed, [Some(worker)], "test premise: placement target");
     }
 
     #[test]
@@ -1183,7 +1145,7 @@ pub(crate) mod tests {
         assert!(est.explore, "premise: CPU key must be stale");
         assert!(est.expected.is_some(), "premise: still calibrated");
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push_ready(task_of(&dual_codelet(), 0), &f.ctx());
+        s.push(&[task_of(&dual_codelet(), 0)], &f.ctx());
         assert_eq!(s.queue_len(0), 1, "stale CPU explored");
         assert_eq!(s.queue_len(1), 0);
     }
@@ -1196,7 +1158,7 @@ pub(crate) mod tests {
         };
         let f = stale_cpu_fixture(config, 100, 10, 16 * 1024);
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push_ready(task_of(&dual_codelet(), 0), &f.ctx());
+        s.push(&[task_of(&dual_codelet(), 0)], &f.ctx());
         assert_eq!(s.queue_len(1), 1, "no exploration: best score wins");
         assert_eq!(s.queue_len(0), 0);
     }
@@ -1212,7 +1174,7 @@ pub(crate) mod tests {
         };
         let f = stale_cpu_fixture(config, 12, 10, 16 * 1024);
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push_ready(task_of(&dual_codelet(), 0), &f.ctx());
+        s.push(&[task_of(&dual_codelet(), 0)], &f.ctx());
         assert_eq!(s.queue_len(0), 1, "optimistic stale option wins");
 
         // Same histories, exploration off: the honest means favor the GPU.
@@ -1226,7 +1188,7 @@ pub(crate) mod tests {
             16 * 1024,
         );
         let s2 = DmdaScheduler::new(f2.machine.total_workers(), false);
-        s2.push_ready(task_of(&dual_codelet(), 0), &f2.ctx());
+        s2.push(&[task_of(&dual_codelet(), 0)], &f2.ctx());
         assert_eq!(s2.queue_len(1), 1);
     }
 
@@ -1241,7 +1203,7 @@ pub(crate) mod tests {
         let f = stale_cpu_fixture(config, 100, 10, 8);
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..4 {
-            s.push_ready(task_of(&dual_codelet(), i), &f.ctx());
+            s.push(&[task_of(&dual_codelet(), i)], &f.ctx());
         }
         assert_eq!(s.queue_len(1), 4, "all tasks stay on the better GPU");
         assert_eq!(s.explore_seq.load(Ordering::Relaxed), 0);
@@ -1249,16 +1211,10 @@ pub(crate) mod tests {
 
     #[test]
     fn recorded_graph_tasks_are_not_stolen() {
-        use crate::graph::GraphLink;
-        use std::sync::Weak;
-
         let f = Fixture::new(MachineConfig::cpu_only(2), RuntimeConfig::default());
         let c = calibrated_cpu_codelet(&f);
         let mut t = TaskBuilder::new(&c).into_task(4);
-        t.graph = Some(GraphLink {
-            instance: Weak::new(),
-            node: 0,
-        });
+        t.graph = Some(std::sync::Weak::new());
         let s = DmdaScheduler::new(2, false);
         push_on(&s, &f, Arc::new(t), 0);
         assert!(
@@ -1304,8 +1260,8 @@ pub(crate) mod tests {
         let (f, cold, hot) = hot_and_cold(false);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
-        s.push_ready(task_on(&c, 0, &cold), &f.ctx());
-        s.push_ready(task_on(&c, 1, &hot), &f.ctx());
+        s.push(&[task_on(&c, 0, &cold)], &f.ctx());
+        s.push(&[task_on(&c, 1, &hot)], &f.ctx());
 
         let first = s.pop_for_worker(1, &f.ctx()).expect("queued");
         assert_eq!(first.id, 1, "resident-operand task dispatches first");
@@ -1326,8 +1282,8 @@ pub(crate) mod tests {
         let (f, cold, hot) = hot_and_cold(false);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push_ready(task_on(&c, 0, &cold), &f.ctx());
-        s.push_ready(task_on(&c, 1, &hot), &f.ctx());
+        s.push(&[task_on(&c, 0, &cold)], &f.ctx());
+        s.push(&[task_on(&c, 1, &hot)], &f.ctx());
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
         assert_eq!(reorders(&f), 0);
@@ -1338,12 +1294,12 @@ pub(crate) mod tests {
         let (f, cold, hot) = hot_and_cold(false);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
-        s.push_ready(task_on(&c, 0, &hot), &f.ctx());
+        s.push(&[task_on(&c, 0, &hot)], &f.ctx());
         let urgent = TaskBuilder::new(&c)
             .access(&cold, AccessMode::Read)
             .priority(5)
             .into_task(1);
-        s.push_ready(Arc::new(urgent), &f.ctx());
+        s.push(&[Arc::new(urgent)], &f.ctx());
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
         assert_eq!(reorders(&f), 0, "a priority jump is not a reorder");
@@ -1354,8 +1310,8 @@ pub(crate) mod tests {
         let (f, a, b) = hot_and_cold(true);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
-        s.push_ready(task_on(&c, 0, &a), &f.ctx());
-        s.push_ready(task_on(&c, 1, &b), &f.ctx());
+        s.push(&[task_on(&c, 0, &a)], &f.ctx());
+        s.push(&[task_on(&c, 1, &b)], &f.ctx());
 
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
@@ -1397,10 +1353,10 @@ pub(crate) mod tests {
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
         // The cold task is pushed first, then a stream of hot tasks that
         // would each out-ready it forever without aging.
-        s.push_ready(task_on(&c, 0, &cold), &f.ctx());
+        s.push(&[task_on(&c, 0, &cold)], &f.ctx());
         let hot_tasks = AGE_LIMIT as u64 + 1;
         for i in 1..=hot_tasks {
-            s.push_ready(task_on(&c, i, &hot), &f.ctx());
+            s.push(&[task_on(&c, i, &hot)], &f.ctx());
         }
         for i in 1..=AGE_LIMIT as u64 {
             assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, i);
@@ -1426,8 +1382,8 @@ pub(crate) mod tests {
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
         // Both tasks are cold at push time: equal scores, FIFO order.
-        s.push_ready(task_on(&c, 0, &cold), &f.ctx());
-        s.push_ready(task_on(&c, 1, &hot), &f.ctx());
+        s.push(&[task_on(&c, 0, &cold)], &f.ctx());
+        s.push(&[task_on(&c, 1, &hot)], &f.ctx());
         // Now the second task's operand becomes resident on the GPU node.
         crate::coherence::make_valid(&hot, 1, AccessMode::Read, &f.topo, &f.stats, &f.memory);
 
@@ -1477,7 +1433,7 @@ pub(crate) mod tests {
             task_on(&c, 1, &cold),
             task_on(&c, 2, &hot),
         ];
-        let targets = s.push_ready_batch(&batch, false, &f.ctx());
+        let targets = s.push(&batch, &f.ctx());
         assert_eq!(targets, vec![Some(1); 3], "GPU-only tasks target worker 1");
         assert_eq!(s.queue_len(1), 3);
 

@@ -37,19 +37,8 @@ impl Default for EagerScheduler {
 }
 
 impl Scheduler for EagerScheduler {
-    fn push_ready(&self, task: Arc<Task>, _ctx: &SchedCtx<'_>) -> Option<usize> {
-        let job = Arc::clone(&task.job);
-        self.queue.lock().queue_for(&job).push(task);
-        None
-    }
-
-    fn push_ready_batch(
-        &self,
-        tasks: &[Arc<Task>],
-        _placed: bool,
-        _ctx: &SchedCtx<'_>,
-    ) -> Vec<Option<usize>> {
-        // One queue-lock acquisition seeds the whole batch.
+    fn push(&self, tasks: &[Arc<Task>], _ctx: &SchedCtx<'_>) -> Vec<Option<usize>> {
+        // One queue-lock acquisition covers the whole batch.
         let mut q = self.queue.lock();
         for task in tasks {
             q.queue_for(&task.job).push(Arc::clone(task));
@@ -98,8 +87,7 @@ mod tests {
         let f = Fixture::new(MachineConfig::c2050_platform(1), RuntimeConfig::default());
         let ctx = f.ctx();
         let s = EagerScheduler::new();
-        s.push_ready(task(&[Arch::Gpu], 0), &ctx);
-        s.push_ready(task(&[Arch::Cpu], 0), &ctx);
+        s.push(&[task(&[Arch::Gpu], 0), task(&[Arch::Cpu], 0)], &ctx);
 
         // CPU worker 0 must skip the GPU-only task and take the CPU one.
         let got = s.pop_for_worker(0, &ctx).expect("cpu task available");
@@ -115,8 +103,7 @@ mod tests {
         let f = Fixture::new(MachineConfig::cpu_only(1), RuntimeConfig::default());
         let ctx = f.ctx();
         let s = EagerScheduler::new();
-        s.push_ready(task(&[Arch::Cpu], 0), &ctx);
-        s.push_ready(task(&[Arch::Cpu], 5), &ctx);
+        s.push(&[task(&[Arch::Cpu], 0), task(&[Arch::Cpu], 5)], &ctx);
         assert_eq!(s.pop_for_worker(0, &ctx).unwrap().priority, 5);
         assert_eq!(s.pop_for_worker(0, &ctx).unwrap().priority, 0);
     }

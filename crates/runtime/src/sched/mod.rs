@@ -13,14 +13,16 @@
 //!
 //! # The pull model
 //!
-//! Scheduling is split into two halves. [`Scheduler::push_ready`] is
-//! called once per task, when its dependencies are all satisfied; policies
-//! that *place* (dmda, dmdar, random) decide the worker there and enqueue
-//! onto that worker's ready queue. [`Scheduler::pop_for_worker`] is polled
-//! by each idle worker — the queue-aware half, where a policy may reorder
-//! or steal. Keeping the ordering decision on the pop path means it sees
-//! the *current* memory state, not the state at submission time: that is
-//! what lets dmdar run resident-operand tasks first and turn the eviction
+//! Scheduling is split into two halves. [`Scheduler::push`] takes each
+//! task once, when its dependencies are all satisfied (a
+//! simultaneously-ready batch in one call); policies that *place* (dmda,
+//! dmdar, random) decide the worker there, unless the task already
+//! carries a placement (a frozen replay), and enqueue onto that worker's
+//! ready queue. [`Scheduler::pop_for_worker`] is polled by each idle
+//! worker — the queue-aware half, where a policy may reorder or steal.
+//! Keeping the ordering decision on the pop path means it sees the
+//! *current* memory state, not the state at submission time: that is what
+//! lets dmdar run resident-operand tasks first and turn the eviction
 //! machinery into avoided transfers instead of survived ones.
 //!
 //! # Online adaptation
@@ -52,7 +54,10 @@ use crate::perfmodel::{ArchClassId, PerfRegistry};
 use crate::runtime::RuntimeConfig;
 use crate::stats::StatsCollector;
 use crate::task::{ExecChoice, Task};
+use fair::JobLanes;
+use parking_lot::Mutex;
 use peppher_sim::{MachineConfig, VTime};
+use queue::ReadyQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -190,12 +195,16 @@ impl WorkerClasses {
 
 /// A scheduling policy over per-worker ready queues.
 pub trait Scheduler: Send + Sync {
-    /// Accepts a task whose dependencies are all satisfied. Placing
-    /// policies decide the target worker here, enqueue on its queue, and
-    /// return the chosen worker so the runtime can wake exactly that
-    /// worker; `None` means any eligible worker may take it (central
-    /// queue).
-    fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize>;
+    /// Accepts tasks whose dependencies are all satisfied — one, or a
+    /// simultaneously-ready batch (a submitted sub-graph's frontier, a
+    /// replay seed, a fan-out). Placing policies decide each task's worker
+    /// here, unless the task already carries a placement in `task.chosen`
+    /// (a frozen graph replay), which they keep. Returns one wake target
+    /// per task, in order: the worker whose queue received it, or `None`
+    /// when any eligible worker may take it (central queue). Eager, random
+    /// and dmda take each queue lock once for the whole batch; ws picks the
+    /// shortest queue task by task.
+    fn push(&self, tasks: &[Arc<Task>], ctx: &SchedCtx<'_>) -> Vec<Option<usize>>;
     /// Hands worker `worker` its next task, if any.
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>>;
     /// Notifies the policy that `task`'s contribution is now reflected in
@@ -205,37 +214,26 @@ pub trait Scheduler: Send + Sync {
     /// caller — the worker reads it once per task to pick the architecture
     /// and threads it here so the policy need not re-lock it.
     fn task_timed(&self, _worker: usize, _task: &Task, _choice: Option<ExecChoice>) {}
+}
 
-    /// Re-enqueues a task that already carries a placement decision in
-    /// `task.chosen` (a frozen graph replay reusing the previous
-    /// iteration's choice). The default re-places from scratch; placing
-    /// policies override it to enqueue directly on the recorded worker and
-    /// skip the placement search.
-    fn push_ready_placed(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
-        self.push_ready(task, ctx)
-    }
-
-    /// Accepts a batch of simultaneously-ready tasks (a graph replay's
-    /// seed frontier). Returns one wake target per task, in order; `placed`
-    /// selects the [`Scheduler::push_ready_placed`] path. The default loops
-    /// over the single-task entry points; central-queue policies override
-    /// it to take their queue lock once for the whole batch.
-    fn push_ready_batch(
-        &self,
-        tasks: &[Arc<Task>],
-        placed: bool,
-        ctx: &SchedCtx<'_>,
-    ) -> Vec<Option<usize>> {
-        tasks
+/// Enqueues each task on its target worker's queue, taking every distinct
+/// target queue's lock once (the placing policies' half of
+/// [`Scheduler::push`]).
+fn enqueue(queues: &[Mutex<JobLanes<ReadyQueue>>], tasks: &[Arc<Task>], targets: &[Option<usize>]) {
+    let mut locked = vec![false; queues.len()];
+    for (i, target) in targets.iter().enumerate() {
+        let w = target.expect("placing policies target a worker");
+        if std::mem::replace(&mut locked[w], true) {
+            continue;
+        }
+        let mut q = queues[w].lock();
+        for (task, _) in tasks[i..]
             .iter()
-            .map(|t| {
-                if placed {
-                    self.push_ready_placed(Arc::clone(t), ctx)
-                } else {
-                    self.push_ready(Arc::clone(t), ctx)
-                }
-            })
-            .collect()
+            .zip(&targets[i..])
+            .filter(|(_, t)| *t == target)
+        {
+            q.queue_for(&task.job).push(Arc::clone(task));
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use super::fair::JobLanes;
 use super::queue::ReadyQueue;
-use super::{options_for, resident_read_bytes, SchedCtx, Scheduler};
+use super::{enqueue, options_for, resident_read_bytes, SchedCtx, Scheduler};
 use crate::task::{ExecChoice, Task};
 use parking_lot::Mutex;
 use peppher_sim::VTime;
@@ -45,54 +45,18 @@ impl RandomScheduler {
 }
 
 impl Scheduler for RandomScheduler {
-    fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
-        let worker = self.draw(&task, ctx);
-        let job = Arc::clone(&task.job);
-        self.queues[worker].lock().queue_for(&job).push(task);
-        Some(worker)
-    }
-
-    fn push_ready_placed(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
-        // Keep the previous iteration's draw — re-rolling every replay
-        // would burn RNG state for no scheduling benefit.
-        let choice = *task.chosen.lock();
-        match choice {
-            Some(c) => {
-                let job = Arc::clone(&task.job);
-                self.queues[c.worker].lock().queue_for(&job).push(task);
-                Some(c.worker)
-            }
-            None => self.push_ready(task, ctx),
-        }
-    }
-
-    fn push_ready_batch(
-        &self,
-        tasks: &[Arc<Task>],
-        placed: bool,
-        ctx: &SchedCtx<'_>,
-    ) -> Vec<Option<usize>> {
-        // Draw every placement first, then enqueue per-worker groups under
-        // one queue-lock acquisition each instead of one per task.
-        let mut targets = Vec::with_capacity(tasks.len());
-        let mut groups: Vec<(usize, Vec<Arc<Task>>)> = Vec::new();
-        for task in tasks {
-            let w = match placed.then(|| *task.chosen.lock()).flatten() {
-                Some(c) => c.worker,
-                None => self.draw(task, ctx),
-            };
-            targets.push(Some(w));
-            match groups.iter_mut().find(|(gw, _)| *gw == w) {
-                Some((_, g)) => g.push(Arc::clone(task)),
-                None => groups.push((w, vec![Arc::clone(task)])),
-            }
-        }
-        for (w, group) in groups {
-            let mut q = self.queues[w].lock();
-            for task in group {
-                q.queue_for(&task.job).push(task);
-            }
-        }
+    fn push(&self, tasks: &[Arc<Task>], ctx: &SchedCtx<'_>) -> Vec<Option<usize>> {
+        // Draw every placement first, then enqueue per-worker groups. A
+        // carried draw (a frozen replay's) is kept — re-rolling every
+        // replay would burn RNG state for no scheduling benefit.
+        let targets: Vec<Option<usize>> = tasks
+            .iter()
+            .map(|task| {
+                let carried = *task.chosen.lock();
+                Some(carried.map_or_else(|| self.draw(task, ctx), |c| c.worker))
+            })
+            .collect();
+        enqueue(&self.queues, tasks, &targets);
         targets
     }
 
@@ -126,9 +90,10 @@ mod tests {
                 .with_impl(Arch::Gpu, |_| {}),
         );
         let s = RandomScheduler::new(f.machine.total_workers(), seed);
-        for i in 0..n {
-            s.push_ready(Arc::new(TaskBuilder::new(&codelet).into_task(i)), &f.ctx());
-        }
+        let tasks: Vec<Arc<Task>> = (0..n)
+            .map(|i| Arc::new(TaskBuilder::new(&codelet).into_task(i)))
+            .collect();
+        s.push(&tasks, &f.ctx());
         s
     }
 

@@ -45,22 +45,30 @@ impl WsScheduler {
 }
 
 impl Scheduler for WsScheduler {
-    fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
-        let opts = options_for(&task, ctx.machine);
-        assert!(
-            !opts.is_empty(),
-            "task for codelet `{}` has no eligible worker",
-            task.codelet.name
-        );
-        // Shortest queue among eligible workers; ties favour earlier workers.
-        let (worker, _) = opts
+    fn push(&self, tasks: &[Arc<Task>], ctx: &SchedCtx<'_>) -> Vec<Option<usize>> {
+        tasks
             .iter()
-            .copied()
-            .min_by_key(|&(w, _)| self.queues[w].lock().total_len())
-            .expect("non-empty options");
-        let job = Arc::clone(&task.job);
-        self.queues[worker].lock().queue_for(&job).push_back(task);
-        Some(worker)
+            .map(|task| {
+                let opts = options_for(task, ctx.machine);
+                assert!(
+                    !opts.is_empty(),
+                    "task for codelet `{}` has no eligible worker",
+                    task.codelet.name
+                );
+                // Shortest queue among eligible workers; ties favour
+                // earlier workers.
+                let (worker, _) = opts
+                    .iter()
+                    .copied()
+                    .min_by_key(|&(w, _)| self.queues[w].lock().total_len())
+                    .expect("non-empty options");
+                self.queues[worker]
+                    .lock()
+                    .queue_for(&task.job)
+                    .push_back(Arc::clone(task));
+                Some(worker)
+            })
+            .collect()
     }
 
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
@@ -158,9 +166,8 @@ mod tests {
     fn push_balances_queues() {
         let f = fixture(MachineConfig::cpu_only(4));
         let s = WsScheduler::new(4);
-        for i in 0..8 {
-            s.push_ready(cpu_task(i), &f.ctx());
-        }
+        let tasks: Vec<Arc<Task>> = (0..8).map(cpu_task).collect();
+        s.push(&tasks, &f.ctx());
         for w in 0..4 {
             assert_eq!(s.queue_len(w), 2, "queue {w} unbalanced");
         }

@@ -1,7 +1,7 @@
 //! Tasks, the submission API, and sequential-consistency dependencies.
 
 use crate::codelet::{Arch, Codelet};
-use crate::graph::GraphLink;
+use crate::graph::instance::InstanceCore;
 use crate::handle::{AccessMode, DataHandle};
 use crate::job::JobCore;
 use crate::perfmodel::PerfKey;
@@ -11,7 +11,7 @@ use parking_lot::{Condvar, Mutex};
 use peppher_sim::{KernelCost, VTime};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// The scheduler's placement decision for a task (filled in by `dmda`;
 /// greedy schedulers leave it empty and the worker decides at pop time).
@@ -91,16 +91,18 @@ pub struct Task {
     /// eager-eviction candidates once the operands are unpinned.
     pub wont_use: Vec<u64>,
     /// Scheduler decision, if the scheduling policy makes one at push time.
-    /// Deliberately *not* cleared by [`Task::reset_for_replay`]: a frozen
-    /// graph instance re-enqueues with the previous iteration's placement.
+    /// A task that already carries one when it becomes ready keeps it: a
+    /// frozen graph replay re-enqueues with the previous iteration's
+    /// placement ([`Task::reset_for_replay`] clears it otherwise).
     pub chosen: Mutex<Option<ExecChoice>>,
     /// Placement table recorded at graph-instantiation time; `None` for
     /// ordinary submitted tasks (computed on the fly instead).
     pub(crate) placement: Option<StaticPlacement>,
-    /// Back-link to the owning graph instance for recorded tasks: the
-    /// worker routes completion through the instance's edge lists instead
-    /// of the (empty) per-task successor list.
-    pub(crate) graph: Option<GraphLink>,
+    /// The owning graph instance of a recorded task, whose iteration
+    /// countdown each completion advances; `None` for submitted tasks.
+    /// Weak so an abandoned instance (and its handles) can be dropped even
+    /// though the scheduler might still hold task Arcs.
+    pub(crate) graph: Option<Weak<InstanceCore>>,
     /// Packed [`RunId`] of the replay iteration / pipeline frame currently
     /// executing this task (`u64::MAX` = none); threaded into trace events.
     pub(crate) run_tag: AtomicU64,
@@ -113,7 +115,10 @@ pub struct Task {
     footprint: u64,
     /// Dependencies not yet satisfied, +1 submission guard.
     ndeps: AtomicUsize,
-    successors: Mutex<Vec<Arc<Task>>>,
+    /// Dependents released when this task completes: added by
+    /// [`Task::link`] for submitted tasks (dropped on completion), wired
+    /// once at instantiation for recorded tasks (kept across replays).
+    pub(crate) successors: Mutex<Vec<Arc<Task>>>,
     pub(crate) state: Mutex<TaskRunState>,
     pub(crate) cv: Condvar,
 }
@@ -133,15 +138,18 @@ impl Task {
     /// Rewinds a recorded graph task for the next replay iteration: not
     /// completed, `preds` unsatisfied dependencies (roots get 0 — the seed
     /// pushes them directly, so no submission guard is needed), virtual
-    /// times cleared, and the new run tag for trace events. Only called
-    /// when no iteration is in flight, so no worker can observe the
-    /// intermediate state.
-    pub(crate) fn reset_for_replay(&self, preds: usize, run: RunId) {
+    /// times cleared, the placement dropped unless `frozen`, and the new
+    /// run tag for trace events. Only called when no iteration is in
+    /// flight, so no worker can observe the intermediate state.
+    pub(crate) fn reset_for_replay(&self, preds: usize, run: RunId, frozen: bool) {
         {
             let mut st = self.state.lock();
             st.completed = false;
             st.vdeps = VTime::ZERO;
             st.vfinish = VTime::ZERO;
+        }
+        if !frozen {
+            *self.chosen.lock() = None;
         }
         self.ndeps.store(preds, Ordering::Release);
         self.run_tag.store(run.pack(), Ordering::Relaxed);
@@ -210,15 +218,21 @@ impl Task {
         drop(st);
         self.cv.notify_all();
 
-        let succs = std::mem::take(&mut *self.successors.lock());
-        let mut ready = Vec::new();
-        for s in succs {
+        let satisfied = |s: &Arc<Task>| {
             s.observe_dep(vfinish);
-            if s.dep_satisfied() {
-                ready.push(s);
-            }
+            s.dep_satisfied()
+        };
+        if self.graph.is_some() {
+            self.successors
+                .lock()
+                .iter()
+                .filter(|s| satisfied(s))
+                .cloned()
+                .collect()
+        } else {
+            let succs = std::mem::take(&mut *self.successors.lock());
+            succs.into_iter().filter(satisfied).collect()
         }
-        ready
     }
 
     /// Blocks until the task has executed.

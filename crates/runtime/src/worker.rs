@@ -8,7 +8,7 @@ use crate::stats::TraceEvent;
 use crate::task::{ExecChoice, Task};
 use peppher_sim::VTime;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// One pop attempt. Successful pops are wall-clock timed into the
@@ -39,8 +39,8 @@ fn try_pop(inner: &RuntimeInner, worker: usize) -> Option<Arc<Task>> {
 /// herd per submit.
 pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker: usize) {
     // Frozen graph replays chain task-to-task: `run_one` hands back the
-    // ready successor placed on this very worker, which runs without ever
-    // touching the scheduler queues.
+    // ready successor already placed on this very worker, which runs
+    // without ever touching the scheduler queues.
     let run_chain = |t: Arc<Task>| {
         let mut next = run_one(&inner, worker, t, false);
         while let Some(t) = next.take() {
@@ -104,19 +104,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `execute_task` *outside* the kernel (kernel panics are already caught
 /// and counted inside `run_kernel`; what reaches here is runtime-level
 /// misuse, e.g. a codelet scheduled on an architecture it has no
-/// implementation for). The panic is recorded as a runtime fault and the
-/// task still completes — successors run, the pending counter drains, and
-/// `wait_all` re-raises the fault on the waiting thread instead of the
-/// whole process hanging on a dead worker.
+/// implementation for). The panic is recorded as a fault of the task's
+/// job and the task still completes — successors run, the pending
+/// counters drain, and the job's wait (`wait_all` for the default job)
+/// re-raises the fault on the waiting thread instead of the whole process
+/// hanging on a dead worker.
 ///
-/// Returns a self-continuation, if any: a ready successor of a frozen
-/// graph task whose recorded placement is this worker (see
-/// [`crate::graph`]) — the caller runs it immediately, queue-free,
-/// passing `direct = true`. Direct tasks bypass the scheduler entirely:
-/// they were never pushed, so no load prediction was charged and
-/// `task_timed` must not release one, and by the freeze point the
-/// execution-history model has converged, so re-recording the same
-/// stationary sample every iteration is skipped too.
+/// Returns a self-continuation, if any: a ready successor (or, after a
+/// graph iteration's last task, a root of the next iteration) already
+/// placed on this worker — see [`RuntimeInner::release`]. The caller runs
+/// it immediately, queue-free, passing `direct = true`. Direct tasks
+/// bypass the scheduler entirely: they were never pushed, so no load
+/// prediction was charged and `task_timed` must not release one, and by
+/// the freeze point that carried their placement the execution-history
+/// model has converged, so re-recording the same stationary sample every
+/// iteration is skipped too.
 fn run_one(
     inner: &RuntimeInner,
     worker: usize,
@@ -143,18 +145,10 @@ fn run_one(
             Ok(vfinish) => vfinish,
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
-                let msg = format!(
+                task.job.record_fault(format!(
                     "task {} (codelet `{}`) panicked on worker {worker}: {msg}",
                     task.id, task.codelet.name
-                );
-                // Default-job (and detached) faults surface through the
-                // legacy `wait_all`; a tenant job's fault is its own —
-                // re-raised by that job's `wait`, invisible to others.
-                if task.job.id == 0 || task.job.detached {
-                    inner.record_fault(msg);
-                } else {
-                    task.job.record_fault(msg);
-                }
+                ));
                 // Complete at the dependency horizon so successors still
                 // get a monotone virtual time. Pins/accounting from the
                 // unwound execution may be leaked — acceptable in fault
@@ -163,16 +157,12 @@ fn run_one(
             }
         }
     };
-    for succ in task.complete(vfinish) {
-        inner.push_ready(succ);
-    }
-    // Recorded graph tasks route completion through the instance's edge
-    // lists (their per-task successor list above is empty).
-    let mut next = None;
-    if let Some(link) = &task.graph {
-        if let Some(core) = link.instance.upgrade() {
-            next = core.on_complete(link.node, vfinish, inner, worker);
-        }
+    let mut next = inner.release(task.complete(vfinish), Some(worker));
+    if let Some(core) = task.graph.as_ref().and_then(Weak::upgrade) {
+        // The iteration's last task has no successors, so at most one of
+        // the two hands back a continuation.
+        let seeded = core.task_done(vfinish, inner, worker);
+        next = next.or(seeded);
     }
     inner.task_finished(&task, !cancelled, !direct);
     next
@@ -416,10 +406,9 @@ mod tests {
     use crate::sched::SchedulerKind;
     use crate::task::{ExecChoice, TaskBuilder};
     use peppher_sim::{MachineConfig, VTime};
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
-    /// Pushes a CPU-only task mislabelled with a GPU placement past the
+    /// Releases a CPU-only task mislabelled with a GPU placement past the
     /// submission guard, the way only an internal scheduler bug could.
     /// The dispatch panic it provokes happens outside the kernel, so it
     /// exercises the worker's fault backstop rather than the kernel
@@ -437,9 +426,8 @@ mod tests {
             pred_delta: VTime::ZERO,
         });
         assert!(task.dep_satisfied(), "fresh task has only the guard dep");
-        rt.inner.pending.fetch_add(1, Ordering::SeqCst);
-        rt.inner.jobs.default.add_pending(1);
-        rt.inner.push_ready(task);
+        rt.inner.admit(&rt.inner.jobs.default, 1);
+        rt.inner.release(vec![task], None);
     }
 
     #[test]

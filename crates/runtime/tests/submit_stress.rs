@@ -135,8 +135,9 @@ fn repeated_park_unpark_rounds_complete() {
 }
 
 /// Dependent chains force workers to park while predecessors run, then be
-/// woken by the completion path (`push_ready` from `task.complete`), not
-/// by a submitter — covering the second wakeup producer.
+/// woken by the completion path (the worker's `release` of the successors
+/// `task.complete` returns), not by a submitter — covering the second
+/// wakeup producer.
 #[test]
 fn completion_driven_wakeups_deliver_chains() {
     let rt = Runtime::new(

@@ -3,8 +3,11 @@
 //! multi-GPU based systems". These tests exercise two simulated
 //! accelerators, each with its own memory node and PCIe link.
 
+use peppher::apps::sgemm::{self, SgemmArgs};
 use peppher::apps::spmv;
-use peppher::runtime::{AccessMode, Arch, Codelet, Runtime, SchedulerKind, TaskBuilder};
+use peppher::runtime::{
+    AccessMode, Arch, Codelet, Runtime, RuntimeConfig, SchedulerKind, TaskBuilder,
+};
 use peppher::sim::{KernelCost, MachineConfig};
 use std::sync::Arc;
 
@@ -92,4 +95,62 @@ fn dmda_prefers_the_gpu_already_holding_the_data() {
     );
     assert!(rt.unregister::<Vec<f32>>(h).iter().all(|&v| v == 12.0));
     rt.shutdown();
+}
+
+/// Tiled SGEMM on two 1 MiB GPUs with operand prefetch on (the default):
+/// placement, prefetch and eviction race over the same C tiles, and dmda
+/// and dmdar once returned a stale tile now and then. Every run builds a
+/// fresh runtime and must match the sequential reference bit for bit.
+fn tiled_sgemm_with_prefetch_matches_reference(kind: SchedulerKind, runs: usize) {
+    let n = 192;
+    let (a, b, c) = sgemm::generate(n, 0xA11CE);
+    let args = SgemmArgs {
+        m: n,
+        k: n,
+        n,
+        alpha: 1.0,
+        beta: 0.5,
+    };
+    let want = sgemm::reference(&a, &b, &c, args);
+    for run in 0..runs {
+        let rt = Runtime::with_config(
+            MachineConfig::multi_gpu(1, 2)
+                .without_noise()
+                .with_device_mem(1 << 20),
+            RuntimeConfig {
+                scheduler: kind,
+                ..RuntimeConfig::default()
+            },
+        );
+        assert!(rt.config().enable_prefetch, "premise: prefetch is on");
+        let got = sgemm::run_tiled(&rt, n, 4);
+        rt.shutdown();
+        let wrong = got
+            .iter()
+            .zip(&want)
+            .filter(|(g, w)| g.to_bits() != w.to_bits())
+            .count();
+        assert_eq!(wrong, 0, "{kind:?} run {run}: {wrong} elements differ");
+    }
+}
+
+const PREFETCH_POLICIES: [SchedulerKind; 3] = [
+    SchedulerKind::Eager,
+    SchedulerKind::Dmda,
+    SchedulerKind::Dmdar,
+];
+
+#[test]
+fn tiled_sgemm_with_prefetch_is_bitwise_exact() {
+    for kind in PREFETCH_POLICIES {
+        tiled_sgemm_with_prefetch_matches_reference(kind, 1);
+    }
+}
+
+#[test]
+#[ignore = "300 runs per policy; run in release"]
+fn tiled_sgemm_with_prefetch_is_bitwise_exact_300_runs() {
+    for kind in PREFETCH_POLICIES {
+        tiled_sgemm_with_prefetch_matches_reference(kind, 300);
+    }
 }
