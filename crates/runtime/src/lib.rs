@@ -30,7 +30,7 @@
 //! - **Schedulers** ([`SchedulerKind`]): a pull-based API — ready tasks are
 //!   pushed once into per-worker queues and idle workers pop from them.
 //!   Policies: `eager` (central queue, late binding), `ws`
-//!   (work-stealing), `random`, `dmda` — the performance-model-aware
+//!   (work-stealing), `dmda` — the performance-model-aware
 //!   policy (HEFT-style earliest-finish-time with transfer costs) that
 //!   gives the paper's "performance-aware dynamic scheduling" — and
 //!   `dmdar`, the same policy with memory-aware dispatch order (StarPU's

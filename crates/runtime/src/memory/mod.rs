@@ -10,7 +10,9 @@
 //! unpinned replica is evicted, StarPU-style: a `Shared` copy is simply
 //! dropped, while a `Modified` (sole-valid) copy is first written back to
 //! main memory over the device's PCIe link — a virtually-timed transfer —
-//! and only then invalidated. Operands of running or placed tasks are
+//! and only then invalidated ([`EvictionPolicy::Lru`], the default;
+//! [`EvictionPolicy::Family`] evicts partitioned data a whole block family
+//! at a time instead). Operands of running or placed tasks are
 //! pinned and never victim candidates, so forward progress is guaranteed
 //! (a task whose operands alone exceed the budget overcommits rather than
 //! deadlocks).
@@ -61,7 +63,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-/// What happens when a device memory node runs out of capacity.
+/// Which replicas a device memory node evicts when it runs out of
+/// capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// Evict the least-recently-used unpinned replica, writing Modified
@@ -69,17 +72,15 @@ pub enum EvictionPolicy {
     /// execution).
     #[default]
     Lru,
-    /// Never evict: the `dmda` scheduler instead filters out placements
-    /// whose operands do not fit on the device, falling back to CPU
-    /// workers (the ablation baseline; forced placements overcommit).
-    FallbackCpu,
     /// Partition-aware eviction: victims are chosen *family-at-a-time*.
     /// When pressure hits, the whole sibling set of the best candidate
     /// family is evicted together — clean (never-written) families before
     /// dirty ones, oldest family first — instead of LRU shredding a
     /// partition's blocks interleaved with hot data. Handles without a
-    /// family degrade to per-replica LRU, so this is a strict superset of
-    /// [`EvictionPolicy::Lru`] behavior on unpartitioned workloads.
+    /// family compete as single replicas under the same dead-first,
+    /// clean-first, oldest-first order, so this is *not* LRU even on
+    /// unpartitioned workloads: a clean replica is evicted before an older
+    /// dirty one.
     Family,
 }
 
@@ -132,8 +133,7 @@ struct NodeMem {
     /// is bounded by the number of jobs with live replicas here).
     job_used: HashMap<u64, u64>,
     /// The allocation-reuse cache of retained (evicted/invalidated)
-    /// buffers. Capped at the node budget; zero-capped on node 0 and when
-    /// the cache is disabled.
+    /// buffers. Capped at the node budget; zero-capped on node 0.
     cache: FreeList,
 }
 
@@ -331,20 +331,6 @@ impl MemoryManager {
             .collect()
     }
 
-    /// The configured out-of-capacity behavior.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
-    /// Free bytes at `node` before any trimming or eviction; `None` is
-    /// unbounded. Cache-retained bytes count as occupied (they hold real
-    /// device memory) even though they are reclaimable on demand.
-    pub fn free_bytes(&self, node: usize) -> Option<u64> {
-        let nm = self.nodes[node].lock();
-        nm.budget
-            .map(|b| b.saturating_sub(nm.used + nm.cache.retained()))
-    }
-
     /// Whether `handle_id` has an allocated (accounted) replica at `node`.
     pub fn is_resident(&self, node: usize, handle_id: u64) -> bool {
         self.nodes[node]
@@ -354,34 +340,17 @@ impl MemoryManager {
             .is_some_and(|r| r.bytes > 0)
     }
 
-    /// Whether `bytes` of *new* allocation would fit at `node` without
-    /// evicting any live replica (trimming the allocation cache is free,
-    /// so retained bytes do not count against the request).
-    pub fn would_fit(&self, node: usize, bytes: u64) -> bool {
-        let nm = self.nodes[node].lock();
-        match nm.budget {
-            Some(b) => nm.used + bytes <= b,
-            None => true,
-        }
-    }
-
     /// Whether a *prefetch* of `bytes` for a task whose operand handle ids
-    /// are `keep` can land at `node`. Unlike [`MemoryManager::would_fit`]
-    /// this is eviction-aware: under [`EvictionPolicy::Lru`] every
-    /// unpinned replica outside the task's own operand set is a victim
-    /// candidate about to free up, so only the unevictable bytes (pins and
-    /// sibling operands) gate the prefetch. Under
-    /// [`EvictionPolicy::FallbackCpu`] nothing can be evicted and only the
-    /// actually free space (after trimming the cache) qualifies.
+    /// are `keep` can land at `node`. Eviction-aware: every unpinned
+    /// replica outside the task's own operand set is a victim candidate
+    /// about to free up, as is the allocation cache, so only the
+    /// unevictable bytes (pins and sibling operands) gate the prefetch.
     pub fn prefetch_fits(&self, node: usize, bytes: u64, keep: &[u64]) -> bool {
         if node == 0 {
             return true;
         }
         let nm = self.nodes[node].lock();
         let Some(budget) = nm.budget else { return true };
-        if self.policy == EvictionPolicy::FallbackCpu {
-            return nm.used + bytes <= budget;
-        }
         let unevictable: u64 = nm
             .residents
             .iter()
@@ -389,31 +358,6 @@ impl MemoryManager {
             .map(|(_, r)| r.bytes)
             .sum();
         unevictable + bytes <= budget
-    }
-
-    /// Whether every operand of `accesses` can be made resident at `node`
-    /// simultaneously — the `dmda` feasibility filter under
-    /// [`EvictionPolicy::FallbackCpu`]. A task allocating *nothing new*
-    /// (all operands already resident) is always feasible: steering it
-    /// away just because the node is transiently over budget would strand
-    /// its already-resident (possibly Modified) device copies on a node
-    /// that never evicts.
-    pub fn fits_operands(
-        &self,
-        node: usize,
-        accesses: &[(DataHandle, crate::handle::AccessMode)],
-    ) -> bool {
-        let nm = self.nodes[node].lock();
-        let Some(budget) = nm.budget else { return true };
-        let needed: u64 = accesses
-            .iter()
-            .filter(|(h, _)| nm.residents.get(&h.id()).is_none_or(|r| r.bytes == 0))
-            .map(|(h, _)| h.bytes() as u64)
-            .sum();
-        if needed == 0 {
-            return true;
-        }
-        nm.used + needed <= budget
     }
 
     /// Bytes of new allocation the operands of `accesses` need at `node`
@@ -642,7 +586,7 @@ impl MemoryManager {
             // — and the node-budget logic below still applies.
             let quota_victim = quota
                 .filter(|&q| nm.job_used.get(&job).copied().unwrap_or(0) + need > q)
-                .and_then(|_| Self::select_victim_of_job(&mut nm, handle.id(), job));
+                .and_then(|_| Self::select_victim(&mut nm, handle.id(), Some(job)));
             // Allocation cache first: a retained buffer of a
             // sufficient size class is reused outright — this is also
             // how an eviction victim's buffer becomes the allocation
@@ -666,7 +610,6 @@ impl MemoryManager {
                 // least half full once this allocation lands — and the
                 // cache can actually retain the donated buffer.
                 let donate = reused.is_none()
-                    && self.policy != EvictionPolicy::FallbackCpu
                     && nm.cache.cap() > 0
                     && nm.budget.is_some_and(|b| (nm.used + need) * 2 >= b);
                 match donate {
@@ -685,20 +628,18 @@ impl MemoryManager {
                         None => break,
                     }
                 }
-                if !nm.over_budget(need) || self.policy == EvictionPolicy::FallbackCpu {
-                    // FallbackCpu never evicts live replicas:
-                    // feasibility is the scheduler's job; forced
-                    // placements overcommit.
+                if !nm.over_budget(need) {
                     Selection::Done
                 } else {
+                    // Family falls back to plain LRU when no group is
+                    // evictable, so pressure still finds a victim.
                     let victims = match self.policy {
                         EvictionPolicy::Family => {
-                            Self::select_victim_family(&mut nm, handle.id(), req_family).or_else(
-                                || Self::select_victim(&mut nm, handle.id()).map(|v| vec![v]),
-                            )
+                            Self::select_victim_family(&mut nm, handle.id(), req_family)
                         }
-                        _ => Self::select_victim(&mut nm, handle.id()).map(|v| vec![v]),
-                    };
+                        EvictionPolicy::Lru => None,
+                    }
+                    .or_else(|| Self::select_victim(&mut nm, handle.id(), None).map(|v| vec![v]));
                     victims.map_or(Selection::Overcommit, Selection::Victim)
                 }
             };
@@ -762,12 +703,20 @@ impl MemoryManager {
     /// Picks and *removes* the best eviction victim under the node lock
     /// (so concurrent allocators cannot double-evict); its bytes are
     /// un-accounted immediately. Dead (`wont_use`-hinted) replicas go
-    /// first, oldest first; live replicas follow in LRU order.
-    fn select_victim(nm: &mut NodeMem, requester: u64) -> Option<(u64, Resident)> {
+    /// first, oldest first; live replicas follow in LRU order. With
+    /// `Some(job)` only that job's replicas qualify — quota overflow and
+    /// job reclaim evict the job's own data.
+    fn select_victim(
+        nm: &mut NodeMem,
+        requester: u64,
+        job: Option<u64>,
+    ) -> Option<(u64, Resident)> {
         let vid = nm
             .residents
             .iter()
-            .filter(|(id, r)| **id != requester && r.pinned == 0 && r.bytes > 0)
+            .filter(|(id, r)| {
+                **id != requester && r.pinned == 0 && r.bytes > 0 && job.is_none_or(|j| r.job == j)
+            })
             .min_by_key(|(_, r)| (!r.dead, r.last_use))
             .map(|(id, _)| *id)?;
         let r = nm.residents.remove(&vid).expect("victim just found");
@@ -857,20 +806,6 @@ impl MemoryManager {
             victims.push((vid, r));
         }
         Some(victims)
-    }
-
-    /// [`MemoryManager::select_victim`] restricted to replicas owned by
-    /// `job` — quota overflow evicts the offending job's own data first.
-    fn select_victim_of_job(nm: &mut NodeMem, requester: u64, job: u64) -> Option<(u64, Resident)> {
-        let vid = nm
-            .residents
-            .iter()
-            .filter(|(id, r)| **id != requester && r.pinned == 0 && r.bytes > 0 && r.job == job)
-            .min_by_key(|(_, r)| (!r.dead, r.last_use))
-            .map(|(id, _)| *id)?;
-        let r = nm.residents.remove(&vid).expect("victim just found");
-        nm.unaccount(r.job, r.bytes);
-        Some((vid, r))
     }
 
     /// Picks and removes a *dead* replica whose buffer can serve an
@@ -1032,7 +967,7 @@ impl MemoryManager {
         // The victim leaves the accounting under the node lock, released
         // before the eviction surgery takes the handle's lock.
         loop {
-            let victim = Self::select_victim(&mut self.nodes[node].lock(), u64::MAX);
+            let victim = Self::select_victim(&mut self.nodes[node].lock(), u64::MAX, None);
             let Some((vid, r)) = victim else { break };
             self.evict(vid, r, node, topo, stats);
             evicted += 1;
@@ -1054,8 +989,7 @@ impl MemoryManager {
         let mut freed = 0;
         for node in 1..self.nodes.len() {
             loop {
-                let victim =
-                    Self::select_victim_of_job(&mut self.nodes[node].lock(), u64::MAX, job);
+                let victim = Self::select_victim(&mut self.nodes[node].lock(), u64::MAX, Some(job));
                 let Some((vid, r)) = victim else { break };
                 freed += r.bytes;
                 self.evict(vid, r, node, topo, stats);
@@ -1187,7 +1121,6 @@ mod tests {
         assert_eq!(mm.used_bytes()[1], 8 * 1024);
         assert_eq!(mm.high_waters()[1], 8 * 1024);
         assert!(mm.is_resident(1, 1) && mm.is_resident(1, 2));
-        assert_eq!(mm.free_bytes(1), Some(2 * 1024));
         mm.validate().unwrap();
     }
 
@@ -1427,35 +1360,16 @@ mod tests {
     }
 
     #[test]
-    fn fallback_policy_overcommits_without_evicting() {
-        let m = tiny_machine(6 * 1024);
-        let topo = Topology::new(&m);
-        let stats = StatsCollector::new(m.total_workers(), false);
-        let mm = MemoryManager::new(&m, EvictionPolicy::FallbackCpu);
-        let a = handle(1, 4, m.memory_nodes());
-        let b = handle(2, 4, m.memory_nodes());
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        coherence::make_valid(&b, 1, AccessMode::Read, &topo, &stats, &mm);
-        assert_eq!(stats.snapshot().evictions, 0);
-        assert!(a.valid_on(1) && b.valid_on(1));
-    }
-
-    #[test]
-    fn fits_and_overflow_queries() {
+    fn overflow_counts_only_missing_operands() {
         let (m, topo, stats, mm) = fixture(10 * 1024);
         let a = handle(1, 4, m.memory_nodes());
         let b = handle(2, 8, m.memory_nodes());
         coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
         let ops = vec![(b.clone(), AccessMode::Read)];
-        assert!(!mm.fits_operands(1, &ops));
         assert_eq!(mm.pressure_overflow(1, &ops), 2 * 1024);
         let resident = vec![(a.clone(), AccessMode::Read)];
-        assert!(mm.fits_operands(1, &resident));
         assert_eq!(mm.pressure_overflow(1, &resident), 0);
-        assert!(mm.would_fit(1, 6 * 1024));
-        assert!(!mm.would_fit(1, 7 * 1024));
-        // Unbounded node 0 always fits.
-        assert!(mm.fits_operands(0, &ops));
+        // Unbounded node 0 never overflows.
         assert_eq!(mm.pressure_overflow(0, &ops), 0);
     }
 
@@ -1479,8 +1393,9 @@ mod tests {
         let a = handle(1, 6, m.memory_nodes());
         let b = handle(2, 8, m.memory_nodes());
         coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        // A plain fit check refuses b (6 + 8 > 10 KiB)...
-        assert!(!mm.would_fit(1, b.bytes() as u64));
+        // b does not fit beside a (6 + 8 > 10 KiB)...
+        let ops = vec![(b.clone(), AccessMode::Read)];
+        assert_eq!(mm.pressure_overflow(1, &ops), 4 * 1024);
         // ...but eviction-aware prefetch sees a as a victim about to free
         // up and lets the prefetch proceed.
         assert!(mm.prefetch_fits(1, b.bytes() as u64, &[b.id()]));

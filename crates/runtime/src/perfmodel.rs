@@ -218,10 +218,6 @@ pub struct Estimate {
     /// Whether the key is cold or its confidence has decayed below
     /// [`EXPLORE_CONFIDENCE`] — an exploration candidate.
     pub explore: bool,
-    /// UCB-style optimistic time: the mean shrunk toward zero as
-    /// confidence drops, so low-confidence variants look attractive to an
-    /// optimistic scorer. `None` when uncalibrated.
-    pub optimistic: Option<VTime>,
 }
 
 /// Drift notification returned by [`PerfRegistry::record`] when the recent
@@ -430,7 +426,6 @@ impl PerfRegistry {
                 expected: None,
                 confidence: 0.0,
                 explore: true,
-                optimistic: None,
             };
         };
         let confidence = self.confidence_of(h);
@@ -439,17 +434,12 @@ impl PerfRegistry {
                 expected: None,
                 confidence,
                 explore: true,
-                optimistic: None,
             };
         }
-        let mean = h.mean_ns.max(0.0);
         Estimate {
-            expected: Some(VTime::from_nanos(mean as u64)),
+            expected: Some(VTime::from_nanos(h.mean_ns.max(0.0) as u64)),
             confidence,
             explore: confidence < EXPLORE_CONFIDENCE,
-            optimistic: Some(VTime::from_nanos(
-                (mean * (confidence + (1.0 - confidence) * 0.5)) as u64,
-            )),
         }
     }
 
@@ -576,15 +566,9 @@ impl PerfRegistry {
     }
 
     /// Restores histories from [`PerfRegistry::serialize`] output, merging
-    /// into the current state (existing keys are replaced). Older formats
-    /// load cleanly:
-    ///
-    /// - **v1** (6 fields, no weight/ewma): the full sample count becomes
-    ///   the effective weight and the mean seeds the EWMA — a calibrated
-    ///   v1 model stays calibrated.
-    /// - **v0** (4 fields, sample counts only): the lifetime count is
-    ///   preserved but the key loads *uncalibrated* (zero weight) since v0
-    ///   files carry no timing data to trust.
+    /// into the current state (existing keys are replaced). Every line
+    /// must carry the eight fields `serialize` writes; any other line is
+    /// rejected with its line number.
     pub fn deserialize(&self, text: &str) -> Result<usize, String> {
         let mut loaded = 0usize;
         let tick = self.tick.load(Ordering::Relaxed);
@@ -594,33 +578,24 @@ impl PerfRegistry {
                 continue;
             }
             let fields: Vec<&str> = line.split('\t').collect();
-            if !matches!(fields.len(), 4 | 6 | 8) {
-                return Err(format!("line {}: expected 4, 6, or 8 fields", lineno + 1));
-            }
+            let [codelet, arch, bucket, n, mean, m2, weight, ewma] = fields[..] else {
+                return Err(format!("line {}: expected 8 fields", lineno + 1));
+            };
             let err = |what: &str| format!("line {}: bad {what}", lineno + 1);
-            let arch: ArchClass = fields[1].parse().map_err(|_| err("arch class"))?;
+            let arch: ArchClass = arch.parse().map_err(|_| err("arch class"))?;
             let key = PerfKey {
-                codelet: Sym::intern(fields[0]),
+                codelet: Sym::intern(codelet),
                 arch: ArchClassId::from_class(&arch),
-                bucket: fields[2].parse().map_err(|_| err("bucket"))?,
+                bucket: bucket.parse().map_err(|_| err("bucket"))?,
             };
-            let n: u64 = fields[3].parse().map_err(|_| err("sample count"))?;
-            let mut history = History {
-                n,
+            let history = History {
+                n: n.parse().map_err(|_| err("sample count"))?,
+                mean_ns: mean.parse().map_err(|_| err("mean"))?,
+                m2: m2.parse().map_err(|_| err("m2"))?,
+                weight: weight.parse().map_err(|_| err("weight"))?,
+                ewma_ns: ewma.parse().map_err(|_| err("ewma"))?,
                 last_tick: tick,
-                ..History::default()
             };
-            if fields.len() >= 6 {
-                history.mean_ns = fields[4].parse().map_err(|_| err("mean"))?;
-                history.m2 = fields[5].parse().map_err(|_| err("m2"))?;
-                if fields.len() == 8 {
-                    history.weight = fields[6].parse().map_err(|_| err("weight"))?;
-                    history.ewma_ns = fields[7].parse().map_err(|_| err("ewma"))?;
-                } else {
-                    history.weight = n as f64;
-                    history.ewma_ns = history.mean_ns;
-                }
-            }
             self.shards[shard_of(&key)].lock().insert(key, history);
             loaded += 1;
         }
@@ -715,13 +690,11 @@ mod tests {
         assert_eq!(warm.expected, Some(VTime::from_micros(10)));
         assert_eq!(warm.confidence, 1.0);
         assert!(!warm.explore);
-        // Full confidence: the optimistic value equals the mean.
-        assert_eq!(warm.optimistic, Some(VTime::from_micros(10)));
     }
 
     /// A key that stops being sampled while the rest of the registry stays
     /// busy loses freshness, eventually dropping below the exploration
-    /// threshold; its optimistic estimate shrinks below the mean.
+    /// threshold while its mean stays put.
     #[test]
     fn stale_keys_become_explorable() {
         let reg = PerfRegistry::new(1).with_freshness_half_life(10);
@@ -739,7 +712,6 @@ mod tests {
         assert!(stale.confidence < EXPLORE_CONFIDENCE);
         assert!(stale.explore, "stale key must be flagged for exploration");
         assert_eq!(stale.expected, Some(VTime::from_micros(10)));
-        assert!(stale.optimistic.unwrap() < stale.expected.unwrap());
         // Re-sampling restores freshness.
         reg.record(key(64), VTime::from_micros(10));
         assert!(!reg.estimate(&key(64)).explore);
@@ -958,42 +930,12 @@ mod tests {
         assert_eq!(h_orig.ewma_ns, h_back.ewma_ns);
     }
 
-    /// v1 files (no weight/ewma columns) load with weight = n and the mean
-    /// seeding the EWMA — calibrated models stay calibrated.
-    #[test]
-    fn deserialize_accepts_v1_format() {
-        let reg = PerfRegistry::new(2);
-        let text = "# peppher perfmodel v1: codelet\tarch\tbucket\tn\tmean_ns\tm2\n\
-                    spmv\tcpu\t13\t4\t110000\t200000000\n";
-        assert_eq!(reg.deserialize(text).unwrap(), 1);
-        let k = PerfKey::new("spmv", ArchClass::Cpu, 4096);
-        assert!(reg.calibrated(&k));
-        assert_eq!(reg.expected(&k), Some(VTime::from_micros(110)));
-        let h = reg.history(&k).unwrap();
-        assert_eq!(h.weight, 4.0);
-        assert_eq!(h.ewma_ns, 110_000.0);
-    }
-
-    /// v0 files carry sample counts only: they parse cleanly, preserve the
-    /// lifetime count, but load uncalibrated (no timing data to trust).
-    #[test]
-    fn deserialize_accepts_v0_sample_counts() {
-        let reg = PerfRegistry::new(2);
-        let text = "# peppher perfmodel v0: codelet\tarch\tbucket\tn\n\
-                    spmv\tgpu:Tesla C2050\t13\t7\n";
-        assert_eq!(reg.deserialize(text).unwrap(), 1);
-        let k = PerfKey::new("spmv", ArchClass::Gpu("Tesla C2050".into()), 4096);
-        assert_eq!(reg.samples(&k), 7);
-        assert!(!reg.calibrated(&k), "v0 keys must re-calibrate");
-        assert_eq!(reg.expected(&k), None);
-    }
-
     #[test]
     fn deserialize_rejects_garbage() {
         let reg = PerfRegistry::new(1);
         assert!(reg.deserialize("a\tb\tc").is_err());
-        assert!(reg.deserialize("c\tnot-an-arch\t1\t1\t1\t1").is_err());
-        assert!(reg.deserialize("c\tcpu\t1\tx\t1\t1").is_err());
+        assert!(reg.deserialize("c\tnot-an-arch\t1\t1\t1\t1\t1\t1").is_err());
+        assert!(reg.deserialize("c\tcpu\t1\tx\t1\t1\t1\t1").is_err());
         assert!(
             reg.deserialize("c\tcpu\t1\t1\t1\t1\t1").is_err(),
             "7 fields"
@@ -1001,6 +943,21 @@ mod tests {
         assert!(reg
             .deserialize("c\tcpu\t1\t1\t1\t1\tbad-weight\t0")
             .is_err());
+        // Lines of the older 6-field (v1: no weight/ewma) and 4-field (v0:
+        // sample counts only) formats are rejected with their line number,
+        // and nothing loads.
+        let v1 = "# peppher perfmodel v1: codelet\tarch\tbucket\tn\tmean_ns\tm2\n\
+                  spmv\tcpu\t13\t4\t110000\t200000000\n";
+        assert_eq!(
+            reg.deserialize(v1).unwrap_err(),
+            "line 2: expected 8 fields"
+        );
+        let v0 = "spmv\tgpu:Tesla C2050\t13\t7\n";
+        assert_eq!(
+            reg.deserialize(v0).unwrap_err(),
+            "line 1: expected 8 fields"
+        );
+        assert_eq!(reg.key_count(), 0);
         // Comments and blank lines are fine.
         assert_eq!(reg.deserialize("# header\n\n").unwrap(), 0);
     }

@@ -46,22 +46,6 @@ pub enum ExplorationMode {
     /// default).
     #[default]
     EpsilonGreedy,
-    /// Score explorable options by their optimistic estimate (mean shrunk
-    /// toward zero as confidence drops) — upper-confidence-bound style
-    /// exploration without the random jump.
-    Ucb,
-}
-
-impl std::str::FromStr for ExplorationMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(ExplorationMode::Off),
-            "epsilon" | "epsilon-greedy" => Ok(ExplorationMode::EpsilonGreedy),
-            "ucb" => Ok(ExplorationMode::Ucb),
-            other => Err(format!("unknown exploration mode `{other}`")),
-        }
-    }
 }
 
 /// How execution times are obtained.
@@ -94,13 +78,12 @@ pub struct RuntimeConfig {
     /// Prefetch read operands to the chosen worker's memory node as soon
     /// as the scheduler places a ready task (StarPU's dmda does the same):
     /// the transfer overlaps whatever the worker is still executing.
-    /// Only effective with placement-at-push policies (dmda, random).
+    /// Only effective with the placing policies (dmda, dmdar).
     pub enable_prefetch: bool,
     /// The overall optimization goal `dmda` scores options by.
     pub objective: Objective,
-    /// What happens when a device memory node runs out of capacity:
-    /// LRU eviction with MSI-aware writeback (default), or no eviction
-    /// with the scheduler falling back to CPU placements.
+    /// Which replicas a full device memory node evicts: LRU with
+    /// MSI-aware writeback (default), or whole partition families.
     pub eviction: EvictionPolicy,
     /// How `dmda`/`dmdar` placement treats cold or low-confidence model
     /// keys (epsilon-greedy by default; see [`ExplorationMode`]).

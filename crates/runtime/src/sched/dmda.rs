@@ -21,9 +21,7 @@
 //! decays as a key goes unsampled (see [`crate::perfmodel`]), and a
 //! calibrated-but-stale option is flagged for *exploration*. Under the
 //! default epsilon-greedy mode every Nth placement that sees a stale
-//! losing option diverts the task there to refresh its model; under UCB
-//! mode stale options are scored by an optimistic (confidence-shrunk)
-//! time instead, so uncertainty itself makes them attractive. Warm
+//! losing option diverts the task there to refresh its model. Warm
 //! steady-state placement pays only a per-option boolean check — the
 //! epsilon counter is touched only when an explorable option actually
 //! lost the score race.
@@ -70,7 +68,7 @@
 
 use super::fair::JobLanes;
 use super::queue::ReadyQueue;
-use super::{enqueue, is_option, options_into, resident_read_bytes, SchedCtx, Scheduler};
+use super::{is_option, options_into, resident_read_bytes, SchedCtx, Scheduler};
 use crate::codelet::Arch;
 use crate::handle::DataHandle;
 use crate::intern::CodeletId;
@@ -114,6 +112,26 @@ fn fetch_cost(node: usize, task: &Task, now: VTime, ctx: &SchedCtx<'_>) -> VTime
         .filter(|(_, mode)| mode.reads())
         .filter_map(|(h, _)| fetch_delay(h, node, now, ctx))
         .sum()
+}
+
+/// Enqueues each task on its target worker's queue, taking every distinct
+/// target queue's lock once.
+fn enqueue(queues: &[Mutex<JobLanes<ReadyQueue>>], tasks: &[Arc<Task>], targets: &[Option<usize>]) {
+    let mut locked = vec![false; queues.len()];
+    for (i, target) in targets.iter().enumerate() {
+        let w = target.expect("dmda targets a worker");
+        if std::mem::replace(&mut locked[w], true) {
+            continue;
+        }
+        let mut q = queues[w].lock();
+        for (task, _) in tasks[i..]
+            .iter()
+            .zip(&targets[i..])
+            .filter(|(_, t)| *t == target)
+        {
+            q.queue_for(&task.job).push(Arc::clone(task));
+        }
+    }
 }
 
 /// Reusable buffers for [`DmdaScheduler::place`]: the prediction memo
@@ -226,7 +244,6 @@ impl DmdaScheduler {
             expected: Some(t),
             confidence: 1.0,
             explore: false,
-            optimistic: Some(t),
         }
     }
 
@@ -303,20 +320,6 @@ impl DmdaScheduler {
             task.codelet.name
         );
 
-        // Under the no-eviction policy a device whose free memory cannot
-        // hold the task's operands is not a viable placement: fall back to
-        // the remaining (CPU) options. Forced/GPU-only tasks keep their
-        // options and overcommit instead.
-        if ctx.memory.policy() == crate::memory::EvictionPolicy::FallbackCpu {
-            let feasible = |o: &(usize, Arch)| {
-                let node = ctx.machine.worker_memory_node(o.0);
-                node == 0 || ctx.memory.fits_operands(node, &task.accesses)
-            };
-            if opts.iter().any(&feasible) {
-                opts.retain(&feasible);
-            }
-        }
-
         // Evaluate every option, looking each distinct history key up
         // once — all same-class workers (e.g. the CPU cores) share a key,
         // so an n-core machine pays one registry lock, not n.
@@ -389,7 +392,6 @@ impl DmdaScheduler {
                 ctx.timelines.get(w) + self.queued(w)
             }
         };
-        let explore_mode = ctx.config.exploration;
         let mut best: Option<(usize, Arch, f64, VTime)> = None;
         let mut best_is_explore = false;
         // Best-scored among the explore-flagged options (stale histories),
@@ -400,17 +402,9 @@ impl DmdaScheduler {
         let mut best_explore_score = f64::INFINITY;
         for (w, a, est) in evaluated.drain(..) {
             let exec = est.expected.expect("calibrated option must predict");
-            // UCB mode prices a stale option by its optimistic
-            // (confidence-shrunk) time, so uncertainty itself competes;
-            // the queued-work charge below still uses the honest mean.
-            let exec_scored = if explore_mode == ExplorationMode::Ucb && est.explore {
-                est.optimistic.unwrap_or(exec)
-            } else {
-                exec
-            };
             let avail = avail_of(w, a).max(vdeps);
             let transfer = self.transfer_estimate(task, w, avail, ctx);
-            let finish = avail + transfer + exec_scored;
+            let finish = avail + transfer + exec;
             let score = match ctx.config.objective {
                 crate::runtime::Objective::ExecTime => finish.as_secs_f64(),
                 crate::runtime::Objective::Energy => {
@@ -421,9 +415,7 @@ impl DmdaScheduler {
                     } else {
                         1
                     };
-                    ctx.machine
-                        .worker_profile(w)
-                        .energy_joules(exec_scored, team)
+                    ctx.machine.worker_profile(w).energy_joules(exec, team)
                         + transfer.as_secs_f64() * 10.0
                 }
             };
@@ -445,7 +437,7 @@ impl DmdaScheduler {
         // every `1/epsilon`-th such opportunity anyway, refreshing its
         // model before confidence rots completely. The counter moves only
         // when an opportunity exists, so the warm path never touches it.
-        if explore_mode == ExplorationMode::EpsilonGreedy && !best_is_explore {
+        if ctx.config.exploration == ExplorationMode::EpsilonGreedy && !best_is_explore {
             if let Some((ew, ea, edelta)) = best_explore {
                 let eps = ctx.config.explore_epsilon;
                 if eps > 0.0 {
@@ -928,81 +920,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fallback_policy_steers_oversized_tasks_to_cpu() {
-        use crate::memory::EvictionPolicy;
-
-        let config = RuntimeConfig {
-            use_history: false,
-            eviction: EvictionPolicy::FallbackCpu,
-            ..RuntimeConfig::default()
-        };
-        // 2 KiB device budget cannot hold the 4 KiB operand.
-        let machine = MachineConfig::c2050_platform(1).with_device_mem(2 * 1024);
-        let f = Fixture::new(machine, config);
-        let c = dual_codelet();
-        let operand = DataHandle::new(1, vec![0u8; 4 * 1024], 4 * 1024, 2);
-        // Large parallel work the static model would otherwise place on the
-        // GPU (see static_model_used_when_history_disabled).
-        let t = Arc::new(
-            TaskBuilder::new(&c)
-                .cost(KernelCost::new(5e9, 1e6, 1e6))
-                .access(&operand, AccessMode::Read)
-                .into_task(0),
-        );
-        let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push(&[t], &f.ctx());
-        assert_eq!(s.queue_len(0), 1, "infeasible GPU filtered out");
-        assert_eq!(s.queue_len(1), 0);
-    }
-
-    #[test]
-    fn fallback_keeps_gpu_when_operands_resident() {
-        // Regression: under FallbackCpu a device can end up overcommitted
-        // (forced tasks, shrunk budgets). A follow-up task whose operands
-        // are ALREADY resident on the device needs zero new bytes — it must
-        // not be steered to the CPU, which would read a stale host copy of
-        // the device-modified data (FallbackCpu never writes back).
-        use crate::memory::EvictionPolicy;
-
-        let config = RuntimeConfig {
-            use_history: false,
-            eviction: EvictionPolicy::FallbackCpu,
-            ..RuntimeConfig::default()
-        };
-        // 2 KiB budget; a forced 4 KiB operand overcommits the node.
-        let machine = MachineConfig::c2050_platform(1).with_device_mem(2 * 1024);
-        let f = Fixture::new(machine, config);
-        let operand = DataHandle::new(1, vec![0u8; 4 * 1024], 4 * 1024, 2);
-        crate::coherence::make_valid(
-            &operand,
-            1,
-            AccessMode::ReadWrite,
-            &f.topo,
-            &f.stats,
-            &f.memory,
-        );
-        assert!(f.memory.used_bytes()[1] > 0, "operand resident on device");
-
-        // Big parallel work on the now-resident operand: the GPU option is
-        // feasible (needed == 0) and the static model prefers it.
-        let c = dual_codelet();
-        let t = Arc::new(
-            TaskBuilder::new(&c)
-                .cost(KernelCost::new(5e9, 1e6, 1e6))
-                .access(&operand, AccessMode::Read)
-                .into_task(0),
-        );
-        let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push(&[t], &f.ctx());
-        assert_eq!(
-            s.queue_len(1),
-            1,
-            "resident operands keep the GPU placement"
-        );
-        assert_eq!(s.queue_len(0), 0);
-    }
-
-    #[test]
     fn queued_prediction_released_when_timed() {
         let f = Fixture::new(MachineConfig::cpu_only(1), RuntimeConfig::default());
         let c = calibrated_cpu_codelet(&f);
@@ -1161,35 +1078,6 @@ pub(crate) mod tests {
         s.push(&[task_of(&dual_codelet(), 0)], &f.ctx());
         assert_eq!(s.queue_len(1), 1, "no exploration: best score wins");
         assert_eq!(s.queue_len(0), 0);
-    }
-
-    #[test]
-    fn ucb_mode_prices_stale_options_optimistically() {
-        // CPU mean 12µs, aged to confidence ~0.25: optimistic time is
-        // 12 · (0.25 + 0.75·0.5) = 7.5µs, undercutting the GPU's 10µs —
-        // UCB places on the CPU where greedy scoring would not.
-        let config = RuntimeConfig {
-            exploration: crate::runtime::ExplorationMode::Ucb,
-            ..RuntimeConfig::default()
-        };
-        let f = stale_cpu_fixture(config, 12, 10, 16 * 1024);
-        let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push(&[task_of(&dual_codelet(), 0)], &f.ctx());
-        assert_eq!(s.queue_len(0), 1, "optimistic stale option wins");
-
-        // Same histories, exploration off: the honest means favor the GPU.
-        let f2 = stale_cpu_fixture(
-            RuntimeConfig {
-                exploration: crate::runtime::ExplorationMode::Off,
-                ..RuntimeConfig::default()
-            },
-            12,
-            10,
-            16 * 1024,
-        );
-        let s2 = DmdaScheduler::new(f2.machine.total_workers(), false);
-        s2.push(&[task_of(&dual_codelet(), 0)], &f2.ctx());
-        assert_eq!(s2.queue_len(1), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! between jobs without giving up each policy's own ordering *within* a
 //! job. The compromise is a lane per job in front of whatever queue the
 //! policy already uses — a [`ReadyQueue`](super::queue::ReadyQueue) for
-//! eager, random and dmda, a deque for ws — but each job's tasks live in
+//! eager and the dmda family, a deque for ws — but each job's tasks live in
 //! that job's own instance, and the pop path walks lanes in deficit order
 //! (smallest virtual-time account first, see [`crate::job::JobCore::debit`])
 //! so a heavy submitter cannot starve a light one.

@@ -7,16 +7,16 @@
 //! expected execution time from history models — is smallest. The same
 //! policy with readiness ordering on is `dmdar` ("dmda ready"): each
 //! worker's queue dispatches tasks whose operands are already resident on
-//! the worker's memory node first. Three greedy baselines ([`eager`],
-//! [`random`], [`ws`]) are provided for the scheduler ablation benchmarks.
-//! All but `ws` keep their tasks in one structure, the `queue` module's.
+//! the worker's memory node first. Two greedy baselines ([`eager`],
+//! [`ws`]) are provided for the scheduler ablation benchmark. All but `ws`
+//! keep their tasks in one structure, the `queue` module's.
 //!
 //! # The pull model
 //!
 //! Scheduling is split into two halves. [`Scheduler::push`] takes each
 //! task once, when its dependencies are all satisfied (a
-//! simultaneously-ready batch in one call); policies that *place* (dmda,
-//! dmdar, random) decide the worker there, unless the task already
+//! simultaneously-ready batch in one call); the policies that *place*
+//! (dmda, dmdar) decide the worker there, unless the task already
 //! carries a placement (a frozen replay), and enqueue onto that worker's
 //! ready queue. [`Scheduler::pop_for_worker`] is polled by each idle
 //! worker — the queue-aware half, where a policy may reorder or steal.
@@ -32,8 +32,8 @@
 //! calibrated, freshly drift-decayed, or stale past its freshness
 //! half-life) is flagged for *exploration*, and dmda/dmdar periodically
 //! divert one flagged candidate that lost the score race onto its
-//! would-be worker (ε-greedy, or optimistic-bound scoring under UCB —
-//! see [`crate::runtime::ExplorationMode`]). The diversion counter only
+//! would-be worker (ε-greedy; see [`crate::runtime::ExplorationMode`]).
+//! The diversion counter only
 //! advances when a flagged option actually loses, so fully-calibrated
 //! steady state pays nothing — the §5e hot-path floors still hold with
 //! adaptation enabled.
@@ -42,7 +42,6 @@ pub mod dmda;
 pub mod eager;
 mod fair;
 mod queue;
-pub mod random;
 pub mod ws;
 
 use crate::codelet::{Arch, ArchClass};
@@ -54,10 +53,7 @@ use crate::perfmodel::{ArchClassId, PerfRegistry};
 use crate::runtime::RuntimeConfig;
 use crate::stats::StatsCollector;
 use crate::task::{ExecChoice, Task};
-use fair::JobLanes;
-use parking_lot::Mutex;
 use peppher_sim::{MachineConfig, VTime};
-use queue::ReadyQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -104,8 +100,6 @@ impl Timelines {
 pub enum SchedulerKind {
     /// Central queue; workers grab the first task they can run.
     Eager,
-    /// Uniformly random placement among eligible workers.
-    Random,
     /// Per-worker deques with work stealing.
     Ws,
     /// Performance-model-aware earliest-finish-time placement (the paper's
@@ -122,12 +116,11 @@ impl std::str::FromStr for SchedulerKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "eager" => Ok(SchedulerKind::Eager),
-            "random" => Ok(SchedulerKind::Random),
             "ws" => Ok(SchedulerKind::Ws),
             "dmda" => Ok(SchedulerKind::Dmda),
             "dmdar" => Ok(SchedulerKind::Dmdar),
             other => Err(format!(
-                "unknown scheduler `{other}` (try eager|random|ws|dmda|dmdar)"
+                "unknown scheduler `{other}` (try eager|ws|dmda|dmdar)"
             )),
         }
     }
@@ -143,8 +136,7 @@ pub struct SchedCtx<'a> {
     pub timelines: &'a Timelines,
     /// Transfer fabric (for cost estimates).
     pub topo: &'a Topology,
-    /// Memory-node occupancy (for eviction-pressure estimates and the
-    /// fallback-to-CPU capacity filter).
+    /// Memory-node occupancy (for eviction-pressure estimates).
     pub memory: &'a MemoryManager,
     /// Runtime configuration (history-model toggle etc.).
     pub config: &'a RuntimeConfig,
@@ -201,9 +193,9 @@ pub trait Scheduler: Send + Sync {
     /// here, unless the task already carries a placement in `task.chosen`
     /// (a frozen graph replay), which they keep. Returns one wake target
     /// per task, in order: the worker whose queue received it, or `None`
-    /// when any eligible worker may take it (central queue). Eager, random
-    /// and dmda take each queue lock once for the whole batch; ws picks the
-    /// shortest queue task by task.
+    /// when any eligible worker may take it (central queue). Eager and dmda
+    /// take each queue lock once for the whole batch; ws picks the shortest
+    /// queue task by task.
     fn push(&self, tasks: &[Arc<Task>], ctx: &SchedCtx<'_>) -> Vec<Option<usize>>;
     /// Hands worker `worker` its next task, if any.
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>>;
@@ -216,33 +208,11 @@ pub trait Scheduler: Send + Sync {
     fn task_timed(&self, _worker: usize, _task: &Task, _choice: Option<ExecChoice>) {}
 }
 
-/// Enqueues each task on its target worker's queue, taking every distinct
-/// target queue's lock once (the placing policies' half of
-/// [`Scheduler::push`]).
-fn enqueue(queues: &[Mutex<JobLanes<ReadyQueue>>], tasks: &[Arc<Task>], targets: &[Option<usize>]) {
-    let mut locked = vec![false; queues.len()];
-    for (i, target) in targets.iter().enumerate() {
-        let w = target.expect("placing policies target a worker");
-        if std::mem::replace(&mut locked[w], true) {
-            continue;
-        }
-        let mut q = queues[w].lock();
-        for (task, _) in tasks[i..]
-            .iter()
-            .zip(&targets[i..])
-            .filter(|(_, t)| *t == target)
-        {
-            q.queue_for(&task.job).push(Arc::clone(task));
-        }
-    }
-}
-
 /// Instantiates the policy for a machine.
 pub fn make_scheduler(kind: SchedulerKind, machine: &MachineConfig) -> Box<dyn Scheduler> {
     let workers = machine.total_workers();
     match kind {
         SchedulerKind::Eager => Box::new(eager::EagerScheduler::new()),
-        SchedulerKind::Random => Box::new(random::RandomScheduler::new(workers, 0x5EED)),
         SchedulerKind::Ws => Box::new(ws::WsScheduler::new(workers)),
         SchedulerKind::Dmda => Box::new(dmda::DmdaScheduler::new(workers, false)),
         SchedulerKind::Dmdar => Box::new(dmda::DmdaScheduler::new(workers, true)),

@@ -1,4 +1,4 @@
-//! The ready queue shared by eager, random and the dmda family.
+//! The ready queue shared by eager and the dmda family.
 //!
 //! Entries dispatch in `(priority desc, push seq asc)` order: highest
 //! priority first, FIFO among equals. dmdar pops through

@@ -86,14 +86,6 @@ fn concurrent_submitters_lose_no_tasks_ws() {
 }
 
 #[test]
-fn concurrent_submitters_lose_no_tasks_random() {
-    stress_policy(
-        SchedulerKind::Random,
-        MachineConfig::c2050_platform(2).without_noise(),
-    );
-}
-
-#[test]
 fn concurrent_submitters_lose_no_tasks_dmda() {
     stress_policy(
         SchedulerKind::Dmda,

@@ -7,7 +7,7 @@ use peppher::apps::spmv;
 use peppher::containers::Vector;
 use peppher::core::{Component, VariantBuilder};
 use peppher::descriptor::{AccessType, InterfaceDescriptor, ParamDecl};
-use peppher::runtime::{EvictionPolicy, Runtime, RuntimeConfig, SchedulerKind, TraceEvent};
+use peppher::runtime::{Runtime, RuntimeConfig, SchedulerKind, TraceEvent};
 use peppher::sim::MachineConfig;
 use std::sync::Arc;
 
@@ -228,36 +228,4 @@ fn prefetch_into_space_about_to_free_up() {
     b.wont_use();
     assert_eq!(rt.memory().pressure_overflow(1, &accesses), 0);
     rt.shutdown();
-}
-
-/// The `FallbackCpu` policy keeps the device under budget by steering
-/// oversized work to the CPUs instead of evicting — same numerics, zero
-/// evictions.
-#[test]
-fn fallback_policy_completes_without_evicting() {
-    let m = spmv::banded_matrix(2_048, 16, 7);
-    let x = vec![1.0f32; m.cols];
-    let working_set = (m.bytes() + (x.len() + m.rows) * 4) as u64;
-    let rt = Runtime::with_config(
-        MachineConfig::c2050_platform(2)
-            .without_noise()
-            .with_device_mem(working_set / 4),
-        RuntimeConfig {
-            scheduler: SchedulerKind::Dmda,
-            eviction: EvictionPolicy::FallbackCpu,
-            ..RuntimeConfig::default()
-        },
-    );
-    let y = spmv::run_hybrid(&rt, &m, &x, 16);
-    let stats = rt.stats();
-    rt.shutdown();
-
-    let reference = spmv::reference(&m, &x);
-    assert!(
-        y.iter()
-            .zip(&reference)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "fallback result diverged from the sequential reference"
-    );
-    assert_eq!(stats.evictions, 0, "FallbackCpu never evicts");
 }

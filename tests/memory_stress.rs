@@ -28,31 +28,24 @@ fn check_dmda_p2p(seed: u64, ntasks: usize, policy: EvictionPolicy) {
     );
 }
 
+/// Every seed runs under both eviction policies: plain LRU, and
+/// partition-aware (family) eviction, where handles are grouped into block
+/// families, victims leave family-at-a-time, and the burst prefetcher pulls
+/// siblings together — bitwise results and the budget high-water must hold
+/// under either.
+fn check_both(seed: u64, ntasks: usize) {
+    check_dmda(seed, ntasks, EvictionPolicy::Lru);
+    check_dmda(seed, ntasks, EvictionPolicy::Family);
+}
+
 #[test]
 fn stress_seed_7_both_policies() {
-    check_dmda(7, 60, EvictionPolicy::Lru);
-    check_dmda(7, 60, EvictionPolicy::FallbackCpu);
+    check_both(7, 60);
 }
 
 #[test]
 fn stress_seed_11_both_policies() {
-    check_dmda(11, 60, EvictionPolicy::Lru);
-    check_dmda(11, 60, EvictionPolicy::FallbackCpu);
-}
-
-/// Partition-aware (family) eviction under the same budget churn: handles
-/// are grouped into block families, victims leave family-at-a-time, and
-/// the burst prefetcher pulls siblings together — bitwise results and the
-/// budget high-water must hold exactly as under plain LRU.
-#[test]
-fn stress_seed_7_and_11_family_policy() {
-    check_dmda(7, 60, EvictionPolicy::Family);
-    check_dmda(11, 60, EvictionPolicy::Family);
-}
-
-#[test]
-fn stress_seed_17_p2p_family_policy() {
-    check_dmda_p2p(17, 60, EvictionPolicy::Family);
+    check_both(11, 60);
 }
 
 /// Determinism of the harness itself: the same seed must build the same
@@ -67,7 +60,11 @@ fn stress_harness_is_deterministic() {
 #[test]
 fn stress_seed_17_p2p_three_devices() {
     check_dmda_p2p(17, 60, EvictionPolicy::Lru);
-    check_dmda_p2p(17, 60, EvictionPolicy::FallbackCpu);
+}
+
+#[test]
+fn stress_seed_17_p2p_family_policy() {
+    check_dmda_p2p(17, 60, EvictionPolicy::Family);
 }
 
 // The release-mode CI seeds: `cargo test --release -- --ignored`.
@@ -75,35 +72,24 @@ fn stress_seed_17_p2p_three_devices() {
 #[test]
 #[ignore]
 fn stress_release_seed_1001() {
-    check_dmda(1001, 300, EvictionPolicy::Lru);
-    check_dmda(1001, 300, EvictionPolicy::FallbackCpu);
+    check_both(1001, 300);
 }
 
 #[test]
 #[ignore]
 fn stress_release_seed_2002() {
-    check_dmda(2002, 300, EvictionPolicy::Lru);
-    check_dmda(2002, 300, EvictionPolicy::FallbackCpu);
+    check_both(2002, 300);
 }
 
 #[test]
 #[ignore]
 fn stress_release_seed_3003() {
     check_dmda(3003, 300, EvictionPolicy::Lru);
-    check_dmda(3003, 300, EvictionPolicy::FallbackCpu);
 }
 
 #[test]
 #[ignore]
 fn stress_release_seed_4004_p2p_three_devices() {
     check_dmda_p2p(4004, 300, EvictionPolicy::Lru);
-    check_dmda_p2p(4004, 300, EvictionPolicy::FallbackCpu);
-}
-
-#[test]
-#[ignore]
-fn stress_release_family_policy_seeds() {
-    check_dmda(1001, 300, EvictionPolicy::Family);
-    check_dmda(2002, 300, EvictionPolicy::Family);
     check_dmda_p2p(4004, 300, EvictionPolicy::Family);
 }

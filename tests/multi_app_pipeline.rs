@@ -25,7 +25,6 @@ fn all_apps_correct_on_one_shared_runtime() {
 fn all_apps_correct_under_every_scheduler() {
     for kind in [
         SchedulerKind::Eager,
-        SchedulerKind::Random,
         SchedulerKind::Ws,
         SchedulerKind::Dmdar,
     ] {

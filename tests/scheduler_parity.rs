@@ -12,12 +12,13 @@ use support::{bitwise_eq, check, ALL_SCHEDULERS};
 
 /// Each run is verified bitwise against the same host shadow (same seed,
 /// same generator), so passing under every scheduler proves the results
-/// are bitwise identical across all five policies.
+/// are bitwise identical across all four policies, under both eviction
+/// policies.
 #[test]
 fn stress_graphs_bitwise_identical_under_every_scheduler() {
     for sched in ALL_SCHEDULERS {
         check(7, 60, EvictionPolicy::Lru, sched);
-        check(11, 40, EvictionPolicy::FallbackCpu, sched);
+        check(11, 40, EvictionPolicy::Family, sched);
     }
 }
 
@@ -27,7 +28,7 @@ fn stress_graphs_bitwise_identical_under_every_scheduler() {
 fn stress_release_parity_sweep() {
     for sched in ALL_SCHEDULERS {
         check(1001, 300, EvictionPolicy::Lru, sched);
-        check(2002, 300, EvictionPolicy::FallbackCpu, sched);
+        check(2002, 300, EvictionPolicy::Family, sched);
     }
 }
 

@@ -7,8 +7,8 @@
 //!
 //! - results are bitwise identical to a host shadow evaluated in
 //!   submission order (sequential data consistency),
-//! - the Lru and Family budgets are never exceeded (high-water includes
-//!   the allocation cache's retained bytes) and FallbackCpu never evicts,
+//! - the device budget is never exceeded (high-water includes the
+//!   allocation cache's retained bytes),
 //! - no pinned replica is ever selected for eviction (a hard assert inside
 //!   the capacity manager — the run aborts if it trips),
 //! - allocation-cache accounting balances to zero at shutdown: after
@@ -33,9 +33,8 @@ pub const BUDGET: u64 = 40 * 1024;
 pub const NHANDLES: usize = 12;
 
 /// All scheduling policies, for parity sweeps.
-pub const ALL_SCHEDULERS: [SchedulerKind; 5] = [
+pub const ALL_SCHEDULERS: [SchedulerKind; 4] = [
     SchedulerKind::Eager,
-    SchedulerKind::Random,
     SchedulerKind::Ws,
     SchedulerKind::Dmda,
     SchedulerKind::Dmdar,
@@ -212,10 +211,7 @@ pub fn run_stress_on(
             let i = rng.gen_range(0..NHANDLES);
             rt.wont_use(&handles[i]);
         }
-        // Explicit reclaim evicts by design, so only exercise it where the
-        // zero-eviction FallbackCpu assertion is not in force. The draw is
-        // unconditional to keep the rng stream identical across policies.
-        if rng.gen_bool(0.05) && policy != EvictionPolicy::FallbackCpu {
+        if rng.gen_bool(0.05) {
             rt.reclaim_node(1);
         }
         if rng.gen_bool(0.10) {
@@ -240,22 +236,13 @@ pub fn run_stress_on(
     }
 
     let stats = rt.stats();
-    match policy {
-        EvictionPolicy::Lru | EvictionPolicy::Family => {
-            // used + retained never exceeded the budget on ANY device
-            // node, at any point.
-            for (n, &hw) in stats.mem_high_water.iter().enumerate().skip(1) {
-                if hw > BUDGET {
-                    failures.push(format!(
-                        "{policy:?} budget exceeded on node {n}: high water {hw} > {BUDGET}"
-                    ));
-                }
-            }
-        }
-        EvictionPolicy::FallbackCpu => {
-            if stats.evictions != 0 {
-                failures.push(format!("FallbackCpu evicted {} times", stats.evictions));
-            }
+    // used + retained never exceeded the budget on ANY device node, at any
+    // point.
+    for (n, &hw) in stats.mem_high_water.iter().enumerate().skip(1) {
+        if hw > BUDGET {
+            failures.push(format!(
+                "{policy:?} budget exceeded on node {n}: high water {hw} > {BUDGET}"
+            ));
         }
     }
     if let Err(e) = rt.memory().validate() {
