@@ -2,26 +2,33 @@
 //!
 //! PEPPHER's demonstrators include streaming image pipelines where frames
 //! flow through a fixed chain of processing kernels. This module builds
-//! that shape on the runtime's [`peppher_runtime::Pipeline`]:
+//! that shape from two scoped threads and two bounded
+//! [`std::sync::mpsc::sync_channel`] links:
 //!
-//! - a seeded **generator** produces synthetic frames;
+//! - a seeded **generator** (the calling thread) produces synthetic frames;
 //! - a **process** stage owns a [`peppher_runtime::GraphInstance`] of the
 //!   per-frame kernel DAG (denoise → edge-detect → tonemap) and replays
-//!   it once per frame, rebinding the frame buffer between replays;
+//!   it once per frame, rebinding the frame buffer between replays; each
+//!   frame is tagged with the [`RunId`] its replay returns, the same tag
+//!   its tasks carry in the trace;
 //! - a **sink** stage (optionally slowed, to demonstrate backpressure)
 //!   reduces each processed frame to a checksum.
 //!
-//! The bounded inter-stage buffers keep memory use constant no matter how
-//! fast frames are generated: when the sink falls behind, `feed` blocks
-//! the producer (`blocked_sends` in the returned
-//! [`peppher_runtime::PipelineStats`] counts those stalls).
+//! The bounded links keep memory use constant no matter how fast frames
+//! are generated: when the sink falls behind, the generator blocks
+//! (`blocked_sends` in the returned [`PipeStats`] counts those stalls). A
+//! panicking stage drops its channel ends, so the other stages stop and
+//! the panic re-raises when the stage is joined.
 
 use peppher_runtime::{
-    AccessMode, Arch, Codelet, GraphInstance, GraphTask, JobHandle, PipelineBuilder, PipelineStats,
-    RunId, Runtime, TaskGraph,
+    AccessMode, Arch, Codelet, GraphInstance, GraphSlot, GraphTask, JobHandle, RunId, Runtime,
+    TaskGraph,
 };
 use peppher_sim::KernelCost;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender, TrySendError};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
 /// One synthetic frame: a `width * height` grayscale intensity buffer.
@@ -100,7 +107,7 @@ pub fn frame_checksum(pixels: &[f32]) -> u64 {
 
 /// Records the per-frame kernel DAG: denoise → edge → tonemap over four
 /// slots (input, denoised, edges, output).
-fn record_frame_graph(width: usize, height: usize) -> (TaskGraph, [peppher_runtime::GraphSlot; 4]) {
+fn record_frame_graph(width: usize, height: usize) -> (TaskGraph, [GraphSlot; 4]) {
     let n = width * height;
     let make = |name: &str, f: fn(&mut peppher_runtime::KernelCtx<'_>)| -> Arc<Codelet> {
         Arc::new(
@@ -164,7 +171,7 @@ pub struct PipeConfig {
     pub height: usize,
     /// Number of frames to stream.
     pub frames: u32,
-    /// Bounded-buffer capacity between stages.
+    /// Capacity of each bounded link between stages (at least 1).
     pub capacity: usize,
     /// Artificial per-frame delay in the sink stage (models a slow
     /// consumer; `None` = full speed).
@@ -183,13 +190,28 @@ impl Default for PipeConfig {
     }
 }
 
+/// Channel and backpressure counters of one pipeline run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PipeStats {
+    /// Frames that reached the sink.
+    pub completed: u64,
+    /// Sends that found their link full and blocked — nonzero means
+    /// backpressure actually engaged.
+    pub blocked_sends: u64,
+    /// High-water mark of frames queued on either link, as its receiver
+    /// found it.
+    pub max_queue_depth: u64,
+    /// High-water mark of frames fed but not yet through the sink.
+    pub max_in_flight: u64,
+}
+
 /// The result of streaming one pipeline run.
 #[derive(Debug)]
 pub struct PipeReport {
     /// `(frame RunId, frame seq, checksum)` per frame, in completion order.
     pub checksums: Vec<(RunId, u32, u64)>,
     /// Channel/backpressure counters.
-    pub stats: PipelineStats,
+    pub stats: PipeStats,
 }
 
 /// Streams `cfg.frames` generated frames through generate → process →
@@ -213,36 +235,110 @@ pub fn run_pipeline_for(job: &JobHandle, cfg: PipeConfig) -> PipeReport {
     stream_frames(inst, slots, cfg)
 }
 
+/// Counters shared by the three pipeline threads. They are statistics
+/// that publish no other data, so `Relaxed` suffices: the depth bound in
+/// [`Counters::recv`] rests on each thread's program order and the
+/// channel's own synchronization.
+#[derive(Default)]
+struct Counters {
+    completed: AtomicU64,
+    blocked_sends: AtomicU64,
+    max_queue_depth: AtomicU64,
+}
+
+impl Counters {
+    /// Sends `item` down a link whose sends are counted in `sent`,
+    /// blocking while the link is full (a blocked send counts toward
+    /// `blocked_sends`). `Err` once the receiving stage is gone.
+    fn send<T>(&self, tx: &SyncSender<T>, sent: &AtomicU64, item: T) -> Result<(), SendError<T>> {
+        match tx.try_send(item) {
+            Ok(()) => {}
+            Err(TrySendError::Full(item)) => {
+                self.blocked_sends.fetch_add(1, Ordering::Relaxed);
+                tx.send(item)?;
+            }
+            Err(TrySendError::Disconnected(item)) => return Err(SendError(item)),
+        }
+        sent.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Receives the next item of a link whose sends are counted in `sent`
+    /// and of which this receiver has taken `received`, noting the link's
+    /// depth, `sent − received`. `sent` is loaded before `recv`: loaded
+    /// after, a send refilling the slot this `recv` frees would read as
+    /// capacity + 1. A send is counted once it returns, so `sent` may lag
+    /// a frame already received; the depth then saturates at 0.
+    fn recv<T>(&self, rx: &Receiver<T>, sent: &AtomicU64, received: &mut u64) -> Option<T> {
+        let depth = sent.load(Ordering::Relaxed).saturating_sub(*received);
+        let item = rx.recv().ok()?;
+        *received += 1;
+        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+        Some(item)
+    }
+}
+
+/// Joins a stage thread, re-raising its panic.
+fn join<T>(stage: ScopedJoinHandle<'_, T>) -> T {
+    stage
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
 fn stream_frames(
     inst: GraphInstance,
-    [input, _, _, output]: [peppher_runtime::GraphSlot; 4],
+    [input, _, _, output]: [GraphSlot; 4],
     cfg: PipeConfig,
 ) -> PipeReport {
-    let sink_delay = cfg.sink_delay;
-    let mut pipe = PipelineBuilder::<Frame>::new()
-        .capacity(cfg.capacity)
-        .stage("process", move |mut frame, _ctx| {
-            inst.bind(input, std::mem::take(&mut frame.pixels));
-            inst.execute();
-            frame.pixels = inst.read(output);
-            Some(frame)
-        })
-        .stage("sink", move |frame, _ctx| {
-            if let Some(d) = sink_delay {
-                std::thread::sleep(d);
+    assert!(cfg.capacity > 0, "pipeline links need capacity >= 1");
+    let (to_process, from_feed) = sync_channel::<Frame>(cfg.capacity);
+    let (to_sink, from_process) = sync_channel::<(RunId, Frame)>(cfg.capacity);
+    let counters = &Counters::default();
+    let (fed, processed) = (&AtomicU64::new(0), &AtomicU64::new(0));
+    let mut max_in_flight = 0;
+    let checksums = std::thread::scope(|s| {
+        let process = s.spawn(move || {
+            let mut received = 0;
+            while let Some(mut frame) = counters.recv(&from_feed, fed, &mut received) {
+                inst.bind(input, std::mem::take(&mut frame.pixels));
+                let run = inst.execute();
+                frame.pixels = inst.read(output);
+                if counters.send(&to_sink, processed, (run, frame)).is_err() {
+                    break;
+                }
             }
-            Some(frame)
-        })
-        .start();
-
-    for seq in 0..cfg.frames {
-        pipe.feed(generate_frame(seq, cfg.width, cfg.height));
-    }
-    let (frames, stats) = pipe.close();
-    let checksums = frames
-        .iter()
-        .map(|(run, f)| (*run, f.seq, frame_checksum(&f.pixels)))
-        .collect();
+        });
+        let sink = s.spawn(move || {
+            let mut received = 0;
+            let mut checksums = Vec::new();
+            while let Some((run, frame)) = counters.recv(&from_process, processed, &mut received) {
+                if let Some(d) = cfg.sink_delay {
+                    std::thread::sleep(d);
+                }
+                checksums.push((run, frame.seq, frame_checksum(&frame.pixels)));
+                counters.completed.fetch_add(1, Ordering::Relaxed);
+            }
+            checksums
+        });
+        for seq in 0..cfg.frames {
+            let frame = generate_frame(seq, cfg.width, cfg.height);
+            if counters.send(&to_process, fed, frame).is_err() {
+                break; // the process stage is gone; joining it re-raises
+            }
+            let in_flight = u64::from(seq) + 1 - counters.completed.load(Ordering::Relaxed);
+            max_in_flight = max_in_flight.max(in_flight);
+        }
+        drop(to_process);
+        let checksums = join(sink);
+        join(process);
+        checksums
+    });
+    let stats = PipeStats {
+        completed: counters.completed.load(Ordering::Relaxed),
+        blocked_sends: counters.blocked_sends.load(Ordering::Relaxed),
+        max_queue_depth: counters.max_queue_depth.load(Ordering::Relaxed),
+        max_in_flight,
+    };
     PipeReport { checksums, stats }
 }
 

@@ -1,4 +1,4 @@
-//! Ablation: scheduling policy (eager vs ws vs dmda vs dmdar).
+//! Ablation: scheduling policy (eager vs dmda vs dmdar).
 //!
 //! The paper relies on the runtime's performance-aware policy; this bench
 //! quantifies how much `dmda` buys over the greedy baselines on a
@@ -37,7 +37,6 @@ fn bench_schedulers(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(40));
     for kind in [
         SchedulerKind::Eager,
-        SchedulerKind::Ws,
         SchedulerKind::Dmda,
         SchedulerKind::Dmdar,
     ] {

@@ -23,15 +23,13 @@
 //!
 //! Run: `cargo run --release -p peppher-bench --bin adapt_drift`
 //!
-//! Emits the `adapt_drift` section of `target/BENCH_adapt.json`
-//! (override with `BENCH_ADAPT_JSON`): post-throttle per-iteration time
-//! for each variant plus the two gated ratios. The run fails if
-//! `adaptive` exceeds 1.15× oracle (override: `BENCH_ADAPT_MAX_ADAPTIVE`)
-//! or `frozen` drops below 1.5× oracle (override:
-//! `BENCH_ADAPT_MIN_FROZEN`); on failure a traced gantt of the adaptive
+//! Emits the `adapt_drift` section of `target/BENCH_adapt.json`:
+//! post-throttle per-iteration time for each variant plus the two gated
+//! ratios. The run fails if `adaptive` exceeds 1.15× oracle or `frozen`
+//! drops below 1.5× oracle; on failure a traced gantt of the adaptive
 //! transition is dumped to `target/adapt-artifacts/` for CI upload.
 
-use peppher_bench::{adapt_json_path, write_json_section, TextTable};
+use peppher_bench::{bench_json_path, write_json_section, TextTable};
 use peppher_runtime::{
     gantt, AccessMode, Arch, Codelet, ExplorationMode, GraphTask, KernelCtx, Runtime,
     RuntimeConfig, TaskGraph,
@@ -168,15 +166,6 @@ fn main() {
     print!("{}", table.render());
     println!("\nadaptive drift events: {adaptive_drifts}");
 
-    let max_adaptive = std::env::var("BENCH_ADAPT_MAX_ADAPTIVE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(MAX_ADAPTIVE_RATIO);
-    let min_frozen = std::env::var("BENCH_ADAPT_MIN_FROZEN")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(MIN_FROZEN_RATIO);
-
     let fields: Vec<(&str, String)> = vec![
         ("width", WIDTH.to_string()),
         ("settle_iters", SETTLE_ITERS.to_string()),
@@ -188,14 +177,14 @@ fn main() {
         ("adaptive_vs_oracle", format!("{adaptive_ratio:.3}")),
         ("frozen_vs_oracle", format!("{frozen_ratio:.3}")),
         ("adaptive_drift_events", adaptive_drifts.to_string()),
-        ("max_adaptive_ratio", format!("{max_adaptive:.2}")),
-        ("min_frozen_ratio", format!("{min_frozen:.2}")),
+        ("max_adaptive_ratio", format!("{MAX_ADAPTIVE_RATIO:.2}")),
+        ("min_frozen_ratio", format!("{MIN_FROZEN_RATIO:.2}")),
     ];
-    let path = adapt_json_path();
+    let path = bench_json_path("adapt");
     write_json_section(&path, "adapt_drift", &fields).expect("write sidecar");
     println!(
-        "gated: adaptive {adaptive_ratio:.2}x oracle (max {max_adaptive:.2}x), \
-         frozen {frozen_ratio:.2}x oracle (min {min_frozen:.2}x); wrote {}",
+        "gated: adaptive {adaptive_ratio:.2}x oracle (max {MAX_ADAPTIVE_RATIO:.2}x), \
+         frozen {frozen_ratio:.2}x oracle (min {MIN_FROZEN_RATIO:.2}x); wrote {}",
         path.display()
     );
 
@@ -203,16 +192,16 @@ fn main() {
     if adaptive_drifts == 0 {
         failures.push("the throttle raised no drift event in the adaptive run".to_string());
     }
-    if adaptive_ratio > max_adaptive {
+    if adaptive_ratio > MAX_ADAPTIVE_RATIO {
         failures.push(format!(
             "adaptation regression: adaptive steady state is {adaptive_ratio:.2}x oracle \
-             (max {max_adaptive:.2}x)"
+             (max {MAX_ADAPTIVE_RATIO:.2}x)"
         ));
     }
-    if frozen_ratio < min_frozen {
+    if frozen_ratio < MIN_FROZEN_RATIO {
         failures.push(format!(
             "gate not measuring: frozen steady state is only {frozen_ratio:.2}x oracle \
-             (min {min_frozen:.2}x) — the stale placement should stay pinned to the slow GPU"
+             (min {MIN_FROZEN_RATIO:.2}x) — the stale placement should stay pinned to the slow GPU"
         ));
     }
     if !failures.is_empty() {

@@ -11,7 +11,7 @@
 //! Run: `cargo run --release -p peppher-bench --bin dmdar_locality`
 
 use peppher_apps::spmv::{run_locality, LocalityScenario};
-use peppher_bench::{transfer_json_path, write_json_section, TextTable};
+use peppher_bench::{bench_json_path, write_json_section, TextTable};
 use peppher_runtime::{Runtime, RuntimeConfig, RuntimeStats, SchedulerKind};
 use peppher_sim::MachineConfig;
 
@@ -117,7 +117,7 @@ fn main() {
         ("dmdar_d2d_bytes", dmdar.d2d_bytes.to_string()),
         ("dmdar_reorders", dmdar.sched_reorders.to_string()),
     ];
-    let path = transfer_json_path();
+    let path = bench_json_path("transfer");
     write_json_section(&path, "dmdar_locality", &fields).expect("write sidecar");
 
     println!(

@@ -25,14 +25,13 @@
 //!
 //! Run: `cargo run --release -p peppher-bench --bin graph_replay`
 //!
-//! Emits the `graph_replay` section of `target/BENCH_replay.json`
-//! (override with `BENCH_REPLAY_JSON`): iterations/sec for both modes
-//! under eager, dmda and dmdar. The run fails if the gated cell (dmda
-//! speedup) drops below the floor (override: `BENCH_REPLAY_FLOOR`); on
+//! Emits the `graph_replay` section of `target/BENCH_replay.json`:
+//! iterations/sec for both modes under eager, dmda and dmdar. The run
+//! fails if the gated cell (dmda speedup) drops below the 5× floor; on
 //! failure a traced replay gantt is dumped to `target/replay-artifacts/`
 //! for the CI artifact upload.
 
-use peppher_bench::{bar, replay_json_path, write_json_section, TextTable};
+use peppher_bench::{bar, bench_json_path, write_json_section, TextTable};
 use peppher_runtime::{
     gantt, AccessMode, Arch, Codelet, GraphSlot, GraphTask, KernelCtx, Runtime, RuntimeConfig,
     SchedulerKind, TaskBuilder, TaskGraph,
@@ -58,7 +57,7 @@ fn stage_cost() -> KernelCost {
 }
 
 /// Replay must beat naive resubmission by at least this factor on the
-/// gated dmda cell (`BENCH_REPLAY_FLOOR` overrides).
+/// gated dmda cell.
 const FLOOR_SPEEDUP: f64 = 5.0;
 
 fn empty_kernel(_ctx: &mut KernelCtx<'_>) {}
@@ -308,17 +307,13 @@ fn main() {
     }
     print!("{}", table.render());
 
-    let floor = std::env::var("BENCH_REPLAY_FLOOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(FLOOR_SPEEDUP);
     let (_, gated_naive, gated_replay) = *cells.iter().find(|(n, _, _)| *n == "dmda").unwrap();
     let gated = gated_replay / gated_naive;
 
     let mut fields: Vec<(&str, String)> = vec![
         ("iterations", ITERS.to_string()),
         ("tasks_per_iteration", "18".to_string()),
-        ("floor_speedup", format!("{floor:.2}")),
+        ("floor_speedup", format!("{FLOOR_SPEEDUP:.2}")),
         ("dmda_speedup", format!("{gated:.2}")),
     ];
     let rendered: Vec<(String, String)> = cells
@@ -337,18 +332,18 @@ fn main() {
     for (k, v) in &rendered {
         fields.push((k.as_str(), v.clone()));
     }
-    let path = replay_json_path();
+    let path = bench_json_path("replay");
     write_json_section(&path, "graph_replay", &fields).expect("write sidecar");
     println!(
-        "\ngated cell dmda replay speedup: {gated:.2}x (floor {floor:.2}x); wrote {}",
+        "\ngated cell dmda replay speedup: {gated:.2}x (floor {FLOOR_SPEEDUP:.2}x); wrote {}",
         path.display()
     );
 
-    if gated < floor {
+    if gated < FLOOR_SPEEDUP {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/replay-artifacts");
         dump_diagnostics(&dir);
         panic!(
-            "replay regression: dmda speedup {gated:.2}x is below the floor {floor:.2}x \
+            "replay regression: dmda speedup {gated:.2}x is below the floor {FLOOR_SPEEDUP:.2}x \
              (diagnostics in {})",
             dir.display()
         );

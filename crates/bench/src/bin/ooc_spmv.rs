@@ -228,7 +228,7 @@ fn parse_p2p() -> bool {
 }
 
 /// Parses `--sched <policy>` (or `--sched=<policy>`) from argv; accepts
-/// eager|ws|dmda|dmdar.
+/// eager|dmda|dmdar.
 fn parse_sched() -> Option<SchedulerKind> {
     let args: Vec<String> = std::env::args().collect();
     for (i, a) in args.iter().enumerate() {

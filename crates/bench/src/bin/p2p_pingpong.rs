@@ -13,11 +13,10 @@
 //!
 //! Run: `cargo run --release -p peppher-bench --bin p2p_pingpong`
 //!
-//! Emits the `p2p_pingpong` section of `target/BENCH_transfer.json`
-//! (override with `BENCH_TRANSFER_JSON`): bytes per link class and the
-//! virtual makespan for both platforms.
+//! Emits the `p2p_pingpong` section of `target/BENCH_transfer.json`:
+//! bytes per link class and the virtual makespan for both platforms.
 
-use peppher_bench::{json_str, transfer_json_path, write_json_section, TextTable};
+use peppher_bench::{bench_json_path, json_str, write_json_section, TextTable};
 use peppher_runtime::{
     AccessMode, Arch, Codelet, DataHandle, KernelCtx, Runtime, RuntimeConfig, RuntimeStats,
     SchedulerKind, TaskBuilder,
@@ -187,7 +186,7 @@ fn main() {
     fields.push(("host_channel_busy_ns", host_busy));
     fields.push(("p2p_channel_busy_ns", p2p_busy));
 
-    let path = transfer_json_path();
+    let path = bench_json_path("transfer");
     write_json_section(&path, "p2p_pingpong", &fields).expect("write sidecar");
     println!(
         "\np2p moved {:.1}% fewer host-link bytes and was {:.1}% faster; wrote {}",

@@ -34,15 +34,14 @@
 //! Run: `cargo run --release -p peppher-bench --bin partition_scaling --
 //! [--p2p]`
 //!
-//! Emits the `partition_scaling` section of `target/BENCH_partition.json`
-//! (override with `BENCH_PARTITION_JSON`). The run fails if the gated
-//! 1→2-device speedup of either kernel drops below the floor (default
-//! 1.7, override `BENCH_PARTITION_FLOOR`) or if family eviction stops
-//! reducing writeback bytes; on failure traced gantts are dumped to
+//! Emits the `partition_scaling` section of `target/BENCH_partition.json`.
+//! The run fails if the gated 1→2-device speedup of either kernel drops
+//! below the 1.7× floor or if family eviction stops reducing writeback
+//! bytes; on failure traced gantts are dumped to
 //! `target/partition-artifacts/` for the CI artifact upload.
 
 use peppher_apps::{lud, sgemm};
-use peppher_bench::{bar, partition_json_path, write_json_section, TextTable};
+use peppher_bench::{bar, bench_json_path, write_json_section, TextTable};
 use peppher_containers::Matrix;
 use peppher_runtime::{
     gantt, AccessMode, Arch, Codelet, EvictionPolicy, Runtime, RuntimeConfig, SchedulerKind,
@@ -52,7 +51,7 @@ use peppher_sim::{KernelCost, MachineConfig, VTime};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Gated 1→2-device speedup floor (`BENCH_PARTITION_FLOOR` overrides).
+/// Gated 1→2-device speedup floor.
 const FLOOR_SPEEDUP: f64 = 1.7;
 /// Repetitions per (kernel, device-count) cell; the minimum makespan is
 /// scored. Placement reacts to real-thread interleaving, so single runs
@@ -283,29 +282,24 @@ fn main() {
         100.0 * (1.0 - fam_wb as f64 / lru_wb.max(1) as f64)
     );
 
-    let floor = std::env::var("BENCH_PARTITION_FLOOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(FLOOR_SPEEDUP);
-
     fields.push(("reps".into(), REPS.to_string()));
     fields.push(("p2p".into(), p2p.to_string()));
-    fields.push(("floor_speedup".into(), format!("{floor:.2}")));
+    fields.push(("floor_speedup".into(), format!("{FLOOR_SPEEDUP:.2}")));
     fields.push(("ooc_lru_writeback_bytes".into(), lru_wb.to_string()));
     fields.push(("ooc_family_writeback_bytes".into(), fam_wb.to_string()));
     let borrowed: Vec<(&str, String)> = fields
         .iter()
         .map(|(k, v)| (k.as_str(), v.clone()))
         .collect();
-    let path = partition_json_path();
+    let path = bench_json_path("partition");
     write_json_section(&path, "partition_scaling", &borrowed).expect("write sidecar");
     println!("\nwrote {}", path.display());
 
     let mut failures: Vec<String> = Vec::new();
     for (name, s2) in &speedups_2dev {
-        if *s2 < floor {
+        if *s2 < FLOOR_SPEEDUP {
             failures.push(format!(
-                "{name} 1→2-device speedup {s2:.2}x is below the floor {floor:.2}x"
+                "{name} 1→2-device speedup {s2:.2}x is below the floor {FLOOR_SPEEDUP:.2}x"
             ));
         }
     }

@@ -34,14 +34,13 @@
 //!
 //! Run: `cargo run --release -p peppher-bench --bin task_throughput`
 //!
-//! Emits the `task_throughput` section of `target/BENCH_overhead.json`
-//! (override with `BENCH_OVERHEAD_JSON`): tasks/sec and pop-ns per
-//! scenario×policy cell plus the committed pre-overhaul baseline. The run
-//! fails if any `independent` cell (eager, dmda, or dmdar; 2 CPU workers)
-//! drops below the 1M tasks/sec floor (override: `BENCH_OVERHEAD_FLOOR`)
-//! — the smart policies must stay as cheap as eager.
+//! Emits the `task_throughput` section of `target/BENCH_overhead.json`:
+//! tasks/sec and pop-ns per scenario×policy cell plus the committed
+//! pre-overhaul baseline. The run fails if any `independent` cell (eager,
+//! dmda, or dmdar; 2 CPU workers) drops below the 1M tasks/sec floor —
+//! the smart policies must stay as cheap as eager.
 
-use peppher_bench::{bar, overhead_json_path, write_json_section, TextTable};
+use peppher_bench::{bar, bench_json_path, write_json_section, TextTable};
 use peppher_runtime::{
     AccessMode, Arch, Codelet, JobConfig, KernelCtx, Runtime, RuntimeConfig, SchedulerKind,
     TaskBuilder,
@@ -87,7 +86,7 @@ const FAIRSHARE_MAX_OVERHEAD: f64 = 0.05;
 /// Regression floor for the three `independent` cells. Eager, dmda, and
 /// dmdar all measured above ~1.3M tasks/sec on the reference machine; 1M
 /// catches any slide back toward the rescan-per-pop hot path while
-/// leaving margin for slower CI runners. `BENCH_OVERHEAD_FLOOR` overrides.
+/// leaving margin for slower CI runners.
 const FLOOR_TASKS_PER_SEC: f64 = 1_000_000.0;
 
 /// The 64-device pop cost may be at most this multiple of the 8-device
@@ -291,11 +290,6 @@ fn main() {
          \x20 64 devices: {pop64:.0} ns/pop (limit {SCALE_POP_MAX_RATIO}x + {SCALE_POP_SLACK_NS:.0} ns)"
     );
 
-    let floor = std::env::var("BENCH_OVERHEAD_FLOOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(FLOOR_TASKS_PER_SEC);
-
     let mut fields: Vec<(&str, String)> = vec![
         ("tasks_independent", INDEPENDENT_TASKS.to_string()),
         ("tasks_chain", CHAIN_TASKS.to_string()),
@@ -308,7 +302,7 @@ fn main() {
             "baseline_pr7_independent_tasks_per_sec",
             format!("{BASELINE_PR7_INDEPENDENT:.0}"),
         ),
-        ("floor_tasks_per_sec", format!("{floor:.0}")),
+        ("floor_tasks_per_sec", format!("{FLOOR_TASKS_PER_SEC:.0}")),
         ("scale_tasks", SCALE_TASKS.to_string()),
         ("scale_dmdar_pop_ns_8dev", format!("{pop8:.0}")),
         ("scale_dmdar_pop_ns_64dev", format!("{pop64:.0}")),
@@ -325,7 +319,7 @@ fn main() {
     for (k, v) in &rendered {
         fields.push((k.as_str(), v.clone()));
     }
-    let path = overhead_json_path();
+    let path = bench_json_path("overhead");
     write_json_section(&path, "task_throughput", &fields).expect("write sidecar");
 
     let gated = cells
@@ -335,7 +329,7 @@ fn main() {
         .unwrap();
     println!(
         "\ngated cell independent/eager: {gated:.0} tasks/sec \
-         (baseline {BASELINE_INDEPENDENT_EAGER:.0}, floor {floor:.0}); wrote {}",
+         (baseline {BASELINE_INDEPENDENT_EAGER:.0}, floor {FLOOR_TASKS_PER_SEC:.0}); wrote {}",
         path.display()
     );
 
@@ -348,8 +342,9 @@ fn main() {
             .map(|(_, r, _)| *r)
             .unwrap();
         assert!(
-            rate >= floor,
-            "throughput regression: {cell} {rate:.0} tasks/sec is below the floor {floor:.0}"
+            rate >= FLOOR_TASKS_PER_SEC,
+            "throughput regression: {cell} {rate:.0} tasks/sec is below the floor \
+             {FLOOR_TASKS_PER_SEC:.0}"
         );
     }
     if std::env::var_os("BENCH_OVERHEAD_SKIP_2X").is_none() {

@@ -97,59 +97,10 @@ impl TextTable {
     }
 }
 
-/// Path of the machine-readable transfer-bench sidecar: the
-/// `BENCH_TRANSFER_JSON` env var when set, `target/BENCH_transfer.json`
-/// at the workspace root otherwise.
-pub fn transfer_json_path() -> PathBuf {
-    std::env::var_os("BENCH_TRANSFER_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_transfer.json")
-        })
-}
-
-/// Path of the machine-readable overhead-bench sidecar: the
-/// `BENCH_OVERHEAD_JSON` env var when set, `target/BENCH_overhead.json`
-/// at the workspace root otherwise.
-pub fn overhead_json_path() -> PathBuf {
-    std::env::var_os("BENCH_OVERHEAD_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_overhead.json")
-        })
-}
-
-/// Path of the machine-readable replay-bench sidecar: the
-/// `BENCH_REPLAY_JSON` env var when set, `target/BENCH_replay.json`
-/// at the workspace root otherwise.
-pub fn replay_json_path() -> PathBuf {
-    std::env::var_os("BENCH_REPLAY_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_replay.json")
-        })
-}
-
-/// Path of the machine-readable adaptation-bench sidecar: the
-/// `BENCH_ADAPT_JSON` env var when set, `target/BENCH_adapt.json`
-/// at the workspace root otherwise.
-pub fn adapt_json_path() -> PathBuf {
-    std::env::var_os("BENCH_ADAPT_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_adapt.json")
-        })
-}
-
-/// Path of the machine-readable partition-bench sidecar: the
-/// `BENCH_PARTITION_JSON` env var when set, `target/BENCH_partition.json`
-/// at the workspace root otherwise.
-pub fn partition_json_path() -> PathBuf {
-    std::env::var_os("BENCH_PARTITION_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_partition.json")
-        })
+/// Path of a bench binary's machine-readable sidecar,
+/// `target/BENCH_<name>.json` at the workspace root.
+pub fn bench_json_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../target/BENCH_{name}.json"))
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —

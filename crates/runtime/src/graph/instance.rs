@@ -13,14 +13,9 @@ use peppher_sim::VTime;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Process-wide instance id source, shared with the streaming pipeline so
-/// every [`RunId::instance`] in a trace is unique regardless of which
-/// mechanism produced it.
+/// Process-wide instance id source, so every [`RunId::instance`] in a
+/// trace is unique.
 static NEXT_INSTANCE: AtomicU32 = AtomicU32::new(1);
-
-pub(crate) fn next_instance_id() -> u32 {
-    NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One completed replay iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,7 +174,7 @@ pub(crate) fn instantiate(
     job: &Arc<JobCore>,
 ) -> GraphInstance {
     let (succs, preds, roots) = wire(&graph.nodes, handles.len());
-    let id = next_instance_id();
+    let id = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
     let inner = &rt.inner;
     let core = Arc::new_cyclic(|weak| {
         let tasks: Vec<Arc<Task>> = graph

@@ -33,18 +33,10 @@
 //! calibration threshold), the instance stops re-running placement: each
 //! task keeps the placement the previous iteration chose, and a scheduler
 //! re-enqueues a task that carries one on that worker.
-//!
-//! The [`stream`] half of this module is a frame-pipeline runner: stage
-//! threads connected by bounded channels, with a per-frame [`RunId`]
-//! threaded through trace events, so overlapping in-flight frames stay
-//! distinguishable in the gantt output. It shares only the instance-id
-//! counter with replay.
 
 pub mod instance;
-pub mod stream;
 
 pub use instance::{GraphInstance, RunRecord};
-pub use stream::{Pipeline, PipelineBuilder, PipelineStats, StageCtx};
 
 use crate::codelet::Codelet;
 use crate::handle::{AccessMode, Data, DataHandle};

@@ -29,13 +29,13 @@
 //!   correct; their *timing* is virtual, from `peppher-sim` cost models.
 //! - **Schedulers** ([`SchedulerKind`]): a pull-based API — ready tasks are
 //!   pushed once into per-worker queues and idle workers pop from them.
-//!   Policies: `eager` (central queue, late binding), `ws`
-//!   (work-stealing), `dmda` — the performance-model-aware
-//!   policy (HEFT-style earliest-finish-time with transfer costs) that
-//!   gives the paper's "performance-aware dynamic scheduling" — and
-//!   `dmdar`, the same policy with memory-aware dispatch order (StarPU's
-//!   "dmda ready") that runs tasks whose read operands are already
-//!   resident on the worker's node first.
+//!   Policies: `eager` (central queue, late binding), `dmda` — the
+//!   performance-model-aware policy (HEFT-style earliest-finish-time with
+//!   transfer costs) that gives the paper's "performance-aware dynamic
+//!   scheduling" and steals from the richest victim when a worker runs
+//!   dry — and `dmdar`, the same policy with memory-aware dispatch order
+//!   (StarPU's "dmda ready") that runs tasks whose read operands are
+//!   already resident on the worker's node first.
 //! - **Performance models** ([`perfmodel`]): per (codelet, architecture,
 //!   size-bucket) execution-history models with explicit calibration,
 //!   StarPU-style, toggled by `useHistoryModels`.
@@ -93,10 +93,7 @@ pub mod worker;
 
 pub use codelet::{Arch, ArchClass, Codelet, KernelCtx};
 pub use coherence::{Channel, Topology};
-pub use graph::{
-    GraphInstance, GraphNodeId, GraphSlot, GraphTask, Pipeline, PipelineBuilder, PipelineStats,
-    RunRecord, StageCtx, TaskGraph,
-};
+pub use graph::{GraphInstance, GraphNodeId, GraphSlot, GraphTask, RunRecord, TaskGraph};
 pub use handle::{AccessMode, Data, DataHandle, ReplicaStatus};
 pub use intern::{CodeletId, Sym};
 pub use job::{Batch, JobConfig, JobHandle, JobStats};

@@ -117,7 +117,7 @@ impl PerfKey {
 }
 
 /// Buckets a byte footprint by log₂ so histories generalize across nearby
-/// sizes (StarPU's history models hash on data size similarly).
+/// sizes (StarPU's history models hash each buffer's size instead).
 pub fn footprint_bucket(footprint: u64) -> u32 {
     64 - footprint.max(1).leading_zeros()
 }

@@ -14,6 +14,7 @@ use crate::task::{Task, TaskBuilder, TaskHandle};
 use crate::worker;
 use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Condvar, Mutex, RawRwLock, RwLock};
 use peppher_sim::{MachineConfig, NoiseModel, VTime};
+use std::borrow::Borrow;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -251,87 +252,71 @@ impl RuntimeInner {
     /// unpinned replica outside this task's own operand set is a victim
     /// about to free up, so the prefetch proceeds and `prepare` performs
     /// the evictions (victim writebacks naturally precede the prefetch
-    /// transfer in the trace). All read operands are pinned first so one
-    /// prefetch cannot evict a sibling operand fetched a moment earlier.
+    /// transfer in the trace).
     fn prefetch_for(&self, task: &Task) {
         if !self.config.enable_prefetch {
             return;
         }
-        let choice = *task.chosen.lock();
-        if let Some(choice) = choice {
-            let node = self.machine.worker_memory_node(choice.worker);
-            if node != 0 {
-                let keep: Vec<u64> = task.accesses.iter().map(|(h, _)| h.id()).collect();
-                let wanted: Vec<&DataHandle> = task
-                    .accesses
-                    .iter()
-                    .filter(|(_, m)| m.reads())
-                    .map(|(h, _)| h)
-                    .collect();
-                for h in &wanted {
-                    self.memory.pin(node, h);
+        let Some(choice) = *task.chosen.lock() else {
+            return;
+        };
+        let node = self.machine.worker_memory_node(choice.worker);
+        if node == 0 {
+            return;
+        }
+        let keep: Vec<u64> = task.accesses.iter().map(|(h, _)| h.id()).collect();
+        let wanted: Vec<&DataHandle> = task
+            .accesses
+            .iter()
+            .filter(|(_, m)| m.reads())
+            .map(|(h, _)| h)
+            .collect();
+        self.fetch_pinned(node, &wanted, &keep);
+        // Family burst: when a read operand is one block of a partition
+        // family, its sibling blocks are pulled to the same node in one
+        // planned burst — siblings are used together (tiles of the same
+        // band, blocks of the same gather), so fetching them now overlaps
+        // compute instead of faulting them in one task at a time later.
+        if self.memory.any_families() {
+            let mut burst: Vec<DataHandle> = Vec::new();
+            for h in &wanted {
+                let fam = self.memory.family_of(h.id());
+                if fam == 0 {
+                    continue;
                 }
-                for h in &wanted {
-                    if !h.valid_on(node) && self.memory.prefetch_fits(node, h.bytes() as u64, &keep)
-                    {
-                        coherence::make_valid(
-                            h,
-                            node,
-                            AccessMode::Read,
-                            &self.topo,
-                            &self.stats,
-                            &self.memory,
-                        );
+                for sib in self.memory.family_handles(fam) {
+                    if keep.contains(&sib.id()) || burst.iter().any(|b| b.id() == sib.id()) {
+                        continue;
                     }
-                }
-                for h in &wanted {
-                    self.memory.unpin(node, h.id());
-                }
-                // Family burst: when a read operand is one block of a
-                // partition family, its sibling blocks are pulled to the
-                // same node in one planned burst — siblings are used
-                // together (tiles of the same band, blocks of the same
-                // gather), so fetching them now overlaps compute instead
-                // of faulting them in one task at a time later. Capacity
-                // honest: each sibling is pinned, checked against the free
-                // space, and skipped when it does not fit.
-                if self.memory.any_families() {
-                    let mut burst: Vec<DataHandle> = Vec::new();
-                    for h in &wanted {
-                        let fam = self.memory.family_of(h.id());
-                        if fam == 0 {
-                            continue;
-                        }
-                        for sib in self.memory.family_handles(fam) {
-                            if keep.contains(&sib.id()) || burst.iter().any(|b| b.id() == sib.id())
-                            {
-                                continue;
-                            }
-                            burst.push(sib);
-                        }
-                    }
-                    for sib in &burst {
-                        self.memory.pin(node, sib);
-                    }
-                    for sib in &burst {
-                        if !sib.valid_on(node)
-                            && self.memory.prefetch_fits(node, sib.bytes() as u64, &keep)
-                        {
-                            coherence::make_valid(
-                                sib,
-                                node,
-                                AccessMode::Read,
-                                &self.topo,
-                                &self.stats,
-                                &self.memory,
-                            );
-                        }
-                    }
-                    for sib in &burst {
-                        self.memory.unpin(node, sib.id());
-                    }
+                    burst.push(sib);
                 }
             }
+            self.fetch_pinned(node, &burst, &keep);
+        }
+    }
+
+    /// Makes `handles` valid on `node`, capacity honest: all of them are
+    /// pinned first, so fetching one cannot evict another fetched a moment
+    /// earlier, and each is fetched only if it is not valid there yet and
+    /// [`MemoryManager::prefetch_fits`] next to the `keep` operand set.
+    fn fetch_pinned<H: Borrow<DataHandle>>(&self, node: usize, handles: &[H], keep: &[u64]) {
+        for h in handles {
+            self.memory.pin(node, h.borrow());
+        }
+        for h in handles.iter().map(Borrow::borrow) {
+            if !h.valid_on(node) && self.memory.prefetch_fits(node, h.bytes() as u64, keep) {
+                coherence::make_valid(
+                    h,
+                    node,
+                    AccessMode::Read,
+                    &self.topo,
+                    &self.stats,
+                    &self.memory,
+                );
+            }
+        }
+        for h in handles {
+            self.memory.unpin(node, h.borrow().id());
         }
     }
 

@@ -56,8 +56,8 @@
 //! Placement predictions are estimates, so queues drain unevenly: a worker
 //! whose queue runs dry while a same-class sibling still holds a backlog
 //! would otherwise idle until new submissions rebalance. The dmda pop path
-//! therefore falls back to *steal-from-richest* (the [`super::ws`] victim
-//! order): an empty-handed worker takes the highest-priority stealable task
+//! therefore falls back to *steal-from-richest*, the runtime's one steal
+//! path: an empty-handed worker takes the highest-priority stealable task
 //! from the victim whose stealable work has the most bytes already valid
 //! on the thief's memory node, transferring the victim's queued-work charge
 //! to itself. A task is stealable only onto an option placement could
@@ -116,7 +116,7 @@ fn fetch_cost(node: usize, task: &Task, now: VTime, ctx: &SchedCtx<'_>) -> VTime
 
 /// Enqueues each task on its target worker's queue, taking every distinct
 /// target queue's lock once.
-fn enqueue(queues: &[Mutex<JobLanes<ReadyQueue>>], tasks: &[Arc<Task>], targets: &[Option<usize>]) {
+fn enqueue(queues: &[Mutex<JobLanes>], tasks: &[Arc<Task>], targets: &[Option<usize>]) {
     let mut locked = vec![false; queues.len()];
     for (i, target) in targets.iter().enumerate() {
         let w = target.expect("dmda targets a worker");
@@ -164,7 +164,7 @@ pub struct DmdaScheduler {
     explore_seq: AtomicU64,
     /// Per-worker ready queues, laned per job for fair-share dispatch
     /// (see [`super::fair`]).
-    queues: Vec<Mutex<JobLanes<ReadyQueue>>>,
+    queues: Vec<Mutex<JobLanes>>,
 }
 
 impl DmdaScheduler {
@@ -511,11 +511,12 @@ impl DmdaScheduler {
         // task before the simulated thief could start it.
         let thief_ready = ctx.timelines.get(worker) + self.queued(worker);
         let victim_behind = |v: usize| ctx.timelines.get(v) + self.queued(v) > thief_ready;
-        // Same two-pass richest-first order as [`super::ws`]: score every
-        // victim's stealable work by thief-side resident read bytes (depth
-        // breaks ties), then attempt the steals best-first. A scored task
-        // can be taken by its owner between the passes; the steal pass
-        // re-resolves, so a stale score costs at most a suboptimal order.
+        // Two passes, richest first: score every victim's stealable work by
+        // thief-side resident read bytes (depth breaks ties, so a mesh with
+        // no resident data anywhere steals from the deepest queue), then
+        // attempt the steals best-first. A scored task can be taken by its
+        // owner between the passes; the steal pass re-resolves, so a stale
+        // score costs at most a suboptimal order.
         // The scan is capped: scoring holds the victim's queue lock and
         // touches each task's `chosen` mutex, so walking a deep queue
         // (tens of thousands of independent tasks) would stall the victim's
@@ -1110,6 +1111,55 @@ pub(crate) mod tests {
             "replay placement must stay pinned to its recorded worker"
         );
         assert_eq!(s.queue_len(0), 1);
+    }
+
+    #[test]
+    fn steal_prefers_victim_with_resident_operands() {
+        // 1 CPU + 3 GPUs: the thief is GPU worker 1 (memory node 1), the
+        // victims GPU workers 2 and 3.
+        let mut f = Fixture::new(MachineConfig::multi_gpu(1, 3), RuntimeConfig::default());
+        f.stats = StatsCollector::new(f.machine.total_workers(), true);
+        let s = DmdaScheduler::new(f.machine.total_workers(), false);
+        let cold = DataHandle::new(1, vec![0f32; 256], 1024, f.machine.memory_nodes());
+        let hot = DataHandle::new(2, vec![0f32; 256], 1024, f.machine.memory_nodes());
+        // `hot` is resident on the thief's node before the steal.
+        crate::coherence::make_valid(&hot, 1, AccessMode::Read, &f.topo, &f.stats, &f.memory);
+        // Each task carries its placement, as a frozen replay's would, so
+        // the push keeps it: the victims are chosen, not predicted.
+        let placed_on = |id, h: &DataHandle, worker| {
+            let t = task_on(&dual_codelet(), id, h);
+            *t.chosen.lock() = Some(ExecChoice {
+                worker,
+                arch: Arch::Gpu,
+                pred_delta: VTime::from_micros(10),
+            });
+            push_on(&s, &f, t, worker);
+        };
+        // Fixed-order stealing would hit worker 2 (the cold task) first.
+        placed_on(10, &cold, 2);
+        placed_on(11, &hot, 3);
+        let stolen = s.pop_for_worker(1, &f.ctx()).expect("steal succeeds");
+        assert_eq!(stolen.id, 11, "steals the task whose operand is resident");
+        let snap = f.stats.snapshot();
+        assert_eq!(snap.steals, 1);
+        assert_eq!(snap.steal_resident_bytes, 1024);
+        assert!(f.stats.trace.lock().iter().any(|e| matches!(
+            e,
+            TraceEvent::Steal {
+                task: 11,
+                thief: 1,
+                victim: 3,
+                resident_bytes: 1024,
+            }
+        )));
+        // Once the stolen task is timed the thief is idle again, and the
+        // only victim left is the cold one.
+        s.task_timed(1, &stolen, *stolen.chosen.lock());
+        let stolen = s
+            .pop_for_worker(1, &f.ctx())
+            .expect("cold steal still succeeds");
+        assert_eq!(stolen.id, 10);
+        assert_eq!(f.stats.snapshot().steals, 2);
     }
 
     // Readiness ordering (dmdar) below. c2050_platform(1): worker 0 = CPU,

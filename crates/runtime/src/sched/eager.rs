@@ -1,7 +1,6 @@
 //! Central-queue greedy scheduler.
 
 use super::fair::JobLanes;
-use super::queue::ReadyQueue;
 use super::{resident_read_bytes, SchedCtx, Scheduler};
 use crate::task::Task;
 use parking_lot::Mutex;
@@ -12,13 +11,13 @@ use std::sync::Arc;
 /// but eager deliberately keeps a single shared queue — late binding *is*
 /// the policy: no task commits to a worker before one asks for it.
 ///
-/// Each job's tasks live in a [`ReadyQueue`] ordered `(priority desc,
-/// push seq asc)`; entries the popping worker cannot run are skipped (and
-/// kept) by [`ReadyQueue::pop_where`]. With multiple tenants the lanes are
+/// Each job's tasks live in a [`ReadyQueue`](super::queue::ReadyQueue)
+/// ordered `(priority desc, push seq asc)`; entries the popping worker
+/// cannot run are skipped (and kept) by its `pop_where`. With multiple tenants the lanes are
 /// walked in fair-share order (see [`super::fair`]); with one job the
 /// lane layer is a single bounds check.
 pub struct EagerScheduler {
-    queue: Mutex<JobLanes<ReadyQueue>>,
+    queue: Mutex<JobLanes>,
 }
 
 impl EagerScheduler {

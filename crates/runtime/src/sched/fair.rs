@@ -2,10 +2,9 @@
 //!
 //! Multi-tenant runtimes (see [`crate::job`]) need dispatch-time isolation
 //! between jobs without giving up each policy's own ordering *within* a
-//! job. The compromise is a lane per job in front of whatever queue the
-//! policy already uses — a [`ReadyQueue`](super::queue::ReadyQueue) for
-//! eager and the dmda family, a deque for ws — but each job's tasks live in
-//! that job's own instance, and the pop path walks lanes in deficit order
+//! job. The compromise is a lane per job in front of the one queue every
+//! policy uses — each job's tasks live in that job's own
+//! [`ReadyQueue`], and the pop path walks lanes in deficit order
 //! (smallest virtual-time account first, see [`crate::job::JobCore::debit`])
 //! so a heavy submitter cannot starve a light one.
 //!
@@ -20,39 +19,25 @@
 //! time a new job's first task arrives, bounding lane count by the number
 //! of *live* jobs, not the number ever created.
 
+use super::queue::ReadyQueue;
 use crate::job::JobCore;
-use crate::task::Task;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// A policy's per-job queue type. `Default` builds an empty lane when a
-/// job's first task arrives; `lane_len` drives the nonempty filter and
-/// total-length accounting.
-pub(super) trait LaneQueue: Default {
-    fn lane_len(&self) -> usize;
-}
-
-impl LaneQueue for VecDeque<Arc<Task>> {
-    fn lane_len(&self) -> usize {
-        self.len()
-    }
-}
-
-struct Lane<Q> {
+struct Lane {
     job: Arc<JobCore>,
-    queue: Q,
+    queue: ReadyQueue,
 }
 
 /// One queue per live job, popped in deficit order (see module docs).
 /// Not internally locked — callers wrap it in the same mutex that guarded
 /// the bare queue before.
-pub(super) struct JobLanes<Q> {
-    lanes: Vec<Lane<Q>>,
+pub(super) struct JobLanes {
+    lanes: Vec<Lane>,
     /// Scratch for the multi-lane pop order, reused across pops.
     order: Vec<usize>,
 }
 
-impl<Q: LaneQueue> JobLanes<Q> {
+impl JobLanes {
     pub fn new() -> Self {
         JobLanes {
             lanes: Vec::new(),
@@ -62,21 +47,21 @@ impl<Q: LaneQueue> JobLanes<Q> {
 
     /// Tasks queued across all lanes.
     pub fn total_len(&self) -> usize {
-        self.lanes.iter().map(|l| l.queue.lane_len()).sum()
+        self.lanes.iter().map(|l| l.queue.len()).sum()
     }
 
     /// The queue for `job`'s lane, creating it on first use. Creation
     /// sweeps lanes whose jobs are closed and drained, so abandoned
     /// tenants do not accumulate.
-    pub fn queue_for(&mut self, job: &Arc<JobCore>) -> &mut Q {
+    pub fn queue_for(&mut self, job: &Arc<JobCore>) -> &mut ReadyQueue {
         if let Some(i) = self.lanes.iter().position(|l| l.job.id == job.id) {
             return &mut self.lanes[i].queue;
         }
         self.lanes
-            .retain(|l| l.queue.lane_len() > 0 || !l.job.reclaimable());
+            .retain(|l| l.queue.len() > 0 || !l.job.reclaimable());
         self.lanes.push(Lane {
             job: Arc::clone(job),
-            queue: Q::default(),
+            queue: ReadyQueue::default(),
         });
         let last = self.lanes.len() - 1;
         &mut self.lanes[last].queue
@@ -87,10 +72,10 @@ impl<Q: LaneQueue> JobLanes<Q> {
     /// order, returning the first hit. `pop` may return `None` (e.g. no
     /// entry runnable on this worker), in which case the next lane is
     /// tried. Single-lane fast path: no ordering, no scratch touch.
-    pub fn pop_with<T>(&mut self, mut pop: impl FnMut(&mut Q) -> Option<T>) -> Option<T> {
+    pub fn pop_with<T>(&mut self, mut pop: impl FnMut(&mut ReadyQueue) -> Option<T>) -> Option<T> {
         if self.lanes.len() <= 1 {
             let lane = self.lanes.first_mut()?;
-            if lane.queue.lane_len() == 0 || !lane.job.admissible() {
+            if lane.queue.len() == 0 || !lane.job.admissible() {
                 return None;
             }
             return pop(&mut lane.queue);
@@ -99,7 +84,7 @@ impl<Q: LaneQueue> JobLanes<Q> {
         order.clear();
         order.extend(
             (0..self.lanes.len())
-                .filter(|&i| self.lanes[i].queue.lane_len() > 0 && self.lanes[i].job.admissible()),
+                .filter(|&i| self.lanes[i].queue.len() > 0 && self.lanes[i].job.admissible()),
         );
         order.sort_by_key(|&i| self.lanes[i].job.account());
         let mut found = None;
@@ -114,7 +99,7 @@ impl<Q: LaneQueue> JobLanes<Q> {
     }
 }
 
-impl<Q: LaneQueue> Default for JobLanes<Q> {
+impl Default for JobLanes {
     fn default() -> Self {
         Self::new()
     }
@@ -123,7 +108,9 @@ impl<Q: LaneQueue> Default for JobLanes<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codelet::{Arch, Codelet};
     use crate::job::JobConfig;
+    use crate::task::{Task, TaskBuilder};
 
     fn job(id: u64, weight: u32) -> Arc<JobCore> {
         JobCore::new(
@@ -135,14 +122,23 @@ mod tests {
         )
     }
 
+    fn task(id: u64) -> Arc<Task> {
+        let c = Arc::new(Codelet::new("t").with_impl(Arch::Cpu, |_| {}));
+        Arc::new(TaskBuilder::new(&c).into_task(id))
+    }
+
+    fn pop_id(lanes: &mut JobLanes) -> Option<u64> {
+        lanes.pop_with(ReadyQueue::pop).map(|t| t.id)
+    }
+
     #[test]
     fn single_lane_pops_without_ordering() {
         let j = job(1, 1);
-        let mut lanes: JobLanes<VecDeque<Arc<Task>>> = JobLanes::new();
-        assert!(lanes.pop_with(|q| q.pop_front()).is_none(), "no lanes yet");
+        let mut lanes = JobLanes::new();
+        assert!(pop_id(&mut lanes).is_none(), "no lanes yet");
         lanes.queue_for(&j);
         assert_eq!(lanes.total_len(), 0);
-        assert!(lanes.pop_with(|q| q.pop_front()).is_none(), "empty lane");
+        assert!(pop_id(&mut lanes).is_none(), "empty lane");
     }
 
     #[test]
@@ -155,13 +151,13 @@ mod tests {
         heavy.debit();
         light.debit();
 
-        let mut lanes: JobLanes<VecDeque<u64>> = JobLanes::new();
-        lanes.queue_for(&heavy).push_back(20);
-        lanes.queue_for(&light).push_back(10);
+        let mut lanes = JobLanes::new();
+        lanes.queue_for(&heavy).push(task(20));
+        lanes.queue_for(&light).push(task(10));
         assert_eq!(lanes.total_len(), 2);
-        assert_eq!(lanes.pop_with(|q| q.pop_front()), Some(10));
-        assert_eq!(lanes.pop_with(|q| q.pop_front()), Some(20));
-        assert_eq!(lanes.pop_with(|q| q.pop_front()), None);
+        assert_eq!(pop_id(&mut lanes), Some(10));
+        assert_eq!(pop_id(&mut lanes), Some(20));
+        assert_eq!(pop_id(&mut lanes), None);
     }
 
     #[test]
@@ -177,12 +173,12 @@ mod tests {
         // Fill the capped job's only slot.
         capped.admit();
 
-        let mut lanes: JobLanes<VecDeque<u64>> = JobLanes::new();
-        lanes.queue_for(&capped).push_back(1);
-        lanes.queue_for(&free).push_back(2);
-        assert_eq!(lanes.pop_with(|q| q.pop_front()), Some(2));
+        let mut lanes = JobLanes::new();
+        lanes.queue_for(&capped).push(task(1));
+        lanes.queue_for(&free).push(task(2));
+        assert_eq!(pop_id(&mut lanes), Some(2));
         // Only the capped lane remains and it is inadmissible.
-        assert_eq!(lanes.pop_with(|q| q.pop_front()), None);
+        assert_eq!(pop_id(&mut lanes), None);
     }
 
     #[test]
@@ -191,17 +187,11 @@ mod tests {
         gone.drop_user_ref(); // releases the ref `new` starts with: closed
         let live = job(2, 1);
 
-        let mut lanes: JobLanes<VecDeque<u64>> = JobLanes::new();
+        let mut lanes = JobLanes::new();
         lanes.queue_for(&gone);
         assert_eq!(lanes.lanes.len(), 1);
-        lanes.queue_for(&live).push_back(7);
+        lanes.queue_for(&live).push(task(7));
         assert_eq!(lanes.lanes.len(), 1, "drained closed lane swept");
         assert_eq!(lanes.lanes[0].job.id, 2);
-    }
-
-    impl LaneQueue for VecDeque<u64> {
-        fn lane_len(&self) -> usize {
-            self.len()
-        }
     }
 }

@@ -7,9 +7,10 @@
 //! expected execution time from history models — is smallest. The same
 //! policy with readiness ordering on is `dmdar` ("dmda ready"): each
 //! worker's queue dispatches tasks whose operands are already resident on
-//! the worker's memory node first. Two greedy baselines ([`eager`],
-//! [`ws`]) are provided for the scheduler ablation benchmark. All but `ws`
-//! keep their tasks in one structure, the `queue` module's.
+//! the worker's memory node first. A greedy baseline ([`eager`]) is
+//! provided for the scheduler ablation benchmark. Every policy keeps its
+//! tasks in one structure, the `queue` module's, and the one steal path
+//! is dmda's steal-from-richest.
 //!
 //! # The pull model
 //!
@@ -42,7 +43,6 @@ pub mod dmda;
 pub mod eager;
 mod fair;
 mod queue;
-pub mod ws;
 
 use crate::codelet::{Arch, ArchClass};
 use crate::coherence::Topology;
@@ -100,8 +100,6 @@ impl Timelines {
 pub enum SchedulerKind {
     /// Central queue; workers grab the first task they can run.
     Eager,
-    /// Per-worker deques with work stealing.
-    Ws,
     /// Performance-model-aware earliest-finish-time placement (the paper's
     /// default dynamic-composition mechanism).
     Dmda,
@@ -116,11 +114,10 @@ impl std::str::FromStr for SchedulerKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "eager" => Ok(SchedulerKind::Eager),
-            "ws" => Ok(SchedulerKind::Ws),
             "dmda" => Ok(SchedulerKind::Dmda),
             "dmdar" => Ok(SchedulerKind::Dmdar),
             other => Err(format!(
-                "unknown scheduler `{other}` (try eager|ws|dmda|dmdar)"
+                "unknown scheduler `{other}` (try eager|dmda|dmdar)"
             )),
         }
     }
@@ -193,9 +190,8 @@ pub trait Scheduler: Send + Sync {
     /// here, unless the task already carries a placement in `task.chosen`
     /// (a frozen graph replay), which they keep. Returns one wake target
     /// per task, in order: the worker whose queue received it, or `None`
-    /// when any eligible worker may take it (central queue). Eager and dmda
-    /// take each queue lock once for the whole batch; ws picks the shortest
-    /// queue task by task.
+    /// when any eligible worker may take it (central queue). Every policy
+    /// takes each queue lock once for the whole batch.
     fn push(&self, tasks: &[Arc<Task>], ctx: &SchedCtx<'_>) -> Vec<Option<usize>>;
     /// Hands worker `worker` its next task, if any.
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>>;
@@ -213,7 +209,6 @@ pub fn make_scheduler(kind: SchedulerKind, machine: &MachineConfig) -> Box<dyn S
     let workers = machine.total_workers();
     match kind {
         SchedulerKind::Eager => Box::new(eager::EagerScheduler::new()),
-        SchedulerKind::Ws => Box::new(ws::WsScheduler::new(workers)),
         SchedulerKind::Dmda => Box::new(dmda::DmdaScheduler::new(workers, false)),
         SchedulerKind::Dmdar => Box::new(dmda::DmdaScheduler::new(workers, true)),
     }

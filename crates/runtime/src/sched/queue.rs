@@ -29,7 +29,6 @@
 //! dispatches next without being priced.
 
 use super::dmda::AGE_LIMIT;
-use super::fair::LaneQueue;
 use crate::task::Task;
 use peppher_sim::VTime;
 use std::cmp::Reverse;
@@ -62,15 +61,14 @@ pub(super) struct ReadyQueue {
     heap: BinaryHeap<Key>,
 }
 
-impl LaneQueue for ReadyQueue {
-    fn lane_len(&self) -> usize {
-        self.live
-    }
-}
-
 impl ReadyQueue {
     fn key(task: &Task, seq: u64) -> Key {
         (task.priority, Reverse(seq))
+    }
+
+    /// Queued tasks.
+    pub fn len(&self) -> usize {
+        self.live
     }
 
     fn get(&self, seq: u64) -> Option<&Entry> {
@@ -253,7 +251,7 @@ mod tests {
             q.push(task(id, 0));
         }
         assert_eq!(drain(&mut q), vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.lane_len(), 0);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -274,7 +272,7 @@ mod tests {
         }
         // Skip the front entry; it must stay queued in its original slot.
         assert_eq!(q.pop_where(|t| t.id != 0).unwrap().id, 1);
-        assert_eq!(q.lane_len(), 2);
+        assert_eq!(q.len(), 2);
         assert_eq!(drain(&mut q), vec![0, 2]);
     }
 
@@ -345,7 +343,7 @@ mod tests {
             q.push(task(id, 0));
             assert!(q.pop_ready(ready_ids(&[id])).is_some());
         }
-        (q.heap.len(), q.lane_len())
+        (q.heap.len(), q.len())
     }
 
     #[test]

@@ -5,17 +5,17 @@ use peppher_sim::VTime;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Identifies one execution of a recorded graph (or one in-flight pipeline
-/// frame): which [`crate::graph::GraphInstance`] / pipeline it belongs to
-/// and which replay iteration / frame number it is. Threaded through
+/// Identifies one execution of a recorded graph: which
+/// [`crate::graph::GraphInstance`] it belongs to and which replay
+/// iteration it is. Threaded through
 /// [`TraceEvent::TaskStart`]/[`TraceEvent::TaskEnd`] so overlapping
 /// iterations stay distinguishable in the trace and render as separate
 /// [`gantt`] lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RunId {
-    /// The graph instance / pipeline the run belongs to.
+    /// The graph instance the run belongs to.
     pub instance: u32,
-    /// Replay iteration (or frame sequence number) within the instance.
+    /// Replay iteration within the instance.
     pub iteration: u32,
 }
 
@@ -53,7 +53,7 @@ pub enum TraceEvent {
         codelet: String,
         /// Executing worker.
         worker: usize,
-        /// Replay iteration / pipeline frame, if the task belongs to one.
+        /// Graph replay iteration, if the task belongs to one.
         run: Option<RunId>,
         /// Owning job id (0 = the implicit default job).
         job: u64,
@@ -70,7 +70,7 @@ pub enum TraceEvent {
         vstart: VTime,
         /// Virtual completion time.
         vfinish: VTime,
-        /// Replay iteration / pipeline frame, if the task belongs to one.
+        /// Graph replay iteration, if the task belongs to one.
         run: Option<RunId>,
         /// Owning job id (0 = the implicit default job).
         job: u64,
@@ -130,7 +130,7 @@ pub enum TraceEvent {
         /// Requested (accounted) size of the allocation.
         bytes: usize,
     },
-    /// A work-stealing worker took a task from another worker's queue.
+    /// An idle `dmda` worker stole a task from another worker's queue.
     /// Records how many of the stolen task's read-operand bytes were
     /// already resident on the *thief's* memory node, so steal quality
     /// (affinity-aware vs. blind) is observable in traces.
@@ -496,7 +496,8 @@ pub struct RuntimeStats {
     /// Sibling replicas evicted as members of those family groups
     /// (each also counts toward [`RuntimeStats::evictions`]).
     pub family_eviction_members: u64,
-    /// Tasks taken from another worker's ready queue (`ws` scheduler).
+    /// Tasks taken from another worker's ready queue (`dmda`'s steal
+    /// fallback).
     pub steals: u64,
     /// Sum over all steals of the stolen task's read-operand bytes already
     /// resident on the thief's memory node — high values mean the
@@ -608,11 +609,11 @@ pub(crate) fn trace_for_job(trace: &[TraceEvent], job: u64) -> Vec<TraceEvent> {
 /// (requires [`crate::RuntimeConfig::enable_trace`]): one row per worker,
 /// time flowing left to right across `width` columns, each task drawn with
 /// the first letter of its codelet name. Tasks carrying a [`RunId`] (graph
-/// replays, pipeline frames) get one lane per `(worker, run)` pair so
-/// overlapping iterations render separately instead of as one smeared row;
-/// traces without run tags keep the classic one-row-per-worker layout.
-/// Useful for eyeballing placement decisions and pipeline shapes in
-/// examples and debugging sessions.
+/// replays) get one lane per `(worker, run)` pair so overlapping
+/// iterations render separately instead of as one smeared row; traces
+/// without run tags keep the classic one-row-per-worker layout. Useful
+/// for eyeballing placement decisions and replay shapes in examples and
+/// debugging sessions.
 pub fn gantt(trace: &[TraceEvent], workers: usize, width: usize) -> String {
     let width = width.max(10);
     let spans: Vec<(usize, Option<RunId>, VTime, VTime, char)> = trace

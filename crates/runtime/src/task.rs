@@ -103,8 +103,8 @@ pub struct Task {
     /// Weak so an abandoned instance (and its handles) can be dropped even
     /// though the scheduler might still hold task Arcs.
     pub(crate) graph: Option<Weak<InstanceCore>>,
-    /// Packed [`RunId`] of the replay iteration / pipeline frame currently
-    /// executing this task (`u64::MAX` = none); threaded into trace events.
+    /// Packed [`RunId`] of the replay iteration currently executing this
+    /// recorded task (`u64::MAX` = none); threaded into trace events.
     pub(crate) run_tag: AtomicU64,
     /// Owning job context — per-job completion counting, fair-share
     /// debiting, cancellation draining. Tasks built outside a runtime get
@@ -124,13 +124,17 @@ pub struct Task {
 }
 
 impl Task {
-    /// Sum of operand sizes — the performance-model footprint (StarPU
-    /// buckets histories by data size the same way).
+    /// Sum of operand sizes — the performance-model footprint, keyed by
+    /// its log₂ bucket ([`crate::perfmodel::footprint_bucket`]). StarPU
+    /// instead hashes each buffer's size (`starpu_task_footprint`), so
+    /// tasks whose operand sizes differ but whose sums share a bucket
+    /// share a history here and not there.
     pub fn footprint(&self) -> u64 {
         self.footprint
     }
 
-    /// The replay iteration / pipeline frame currently executing this task.
+    /// The graph replay iteration currently executing this task; `None`
+    /// for a submitted task.
     pub fn run(&self) -> Option<RunId> {
         RunId::unpack(self.run_tag.load(Ordering::Relaxed))
     }
@@ -327,7 +331,6 @@ pub struct TaskBuilder {
     force_worker: Option<usize>,
     use_history: Option<bool>,
     wont_use: Vec<u64>,
-    run_tag: u64,
     job: Option<Arc<JobCore>>,
 }
 
@@ -343,7 +346,6 @@ impl TaskBuilder {
             force_worker: None,
             use_history: None,
             wont_use: Vec::new(),
-            run_tag: u64::MAX,
             job: None,
         }
     }
@@ -372,13 +374,6 @@ impl TaskBuilder {
     /// graph layer, which reuses one pack across replay iterations).
     pub(crate) fn arg_shared(mut self, arg: Option<Arc<dyn Any + Send + Sync>>) -> Self {
         self.arg = arg;
-        self
-    }
-
-    /// Tags the task with the pipeline frame / replay iteration it belongs
-    /// to, threaded through [`crate::TraceEvent`] for per-frame lanes.
-    pub fn run_id(mut self, run: RunId) -> Self {
-        self.run_tag = run.pack();
         self
     }
 
@@ -430,7 +425,7 @@ impl TaskBuilder {
             chosen: Mutex::new(None),
             placement: None,
             graph: None,
-            run_tag: AtomicU64::new(self.run_tag),
+            run_tag: AtomicU64::new(u64::MAX),
             job,
             footprint,
             ndeps: AtomicUsize::new(1), // submission guard

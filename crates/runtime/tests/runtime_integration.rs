@@ -484,7 +484,7 @@ fn all_schedulers_produce_identical_results() {
         );
         run_mixed_workload(&rt)
     };
-    for kind in [SchedulerKind::Ws, SchedulerKind::Dmda, SchedulerKind::Dmdar] {
+    for kind in [SchedulerKind::Dmda, SchedulerKind::Dmdar] {
         let rt = Runtime::new(MachineConfig::c2050_platform(2).without_noise(), kind);
         let got = run_mixed_workload(&rt);
         assert_eq!(got, gold, "scheduler {kind:?} changed results");

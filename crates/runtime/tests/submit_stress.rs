@@ -71,18 +71,12 @@ fn stress_policy(kind: SchedulerKind, machine: MachineConfig) {
 
 #[test]
 fn concurrent_submitters_lose_no_tasks_eager() {
-    stress_policy(
-        SchedulerKind::Eager,
-        MachineConfig::cpu_only(2).without_noise(),
-    );
-}
-
-#[test]
-fn concurrent_submitters_lose_no_tasks_ws() {
-    stress_policy(
-        SchedulerKind::Ws,
-        MachineConfig::cpu_only(3).without_noise(),
-    );
+    for workers in [2, 3] {
+        stress_policy(
+            SchedulerKind::Eager,
+            MachineConfig::cpu_only(workers).without_noise(),
+        );
+    }
 }
 
 #[test]

@@ -25,7 +25,7 @@ fn runtime(kind: SchedulerKind) -> Runtime {
 }
 
 /// The replayed double-step loop equals naive resubmission bitwise, for
-/// all four policies (kernels are deterministic; only the driving
+/// all three policies (kernels are deterministic; only the driving
 /// mechanism differs).
 #[test]
 fn replay_matches_naive_resubmission_for_every_policy() {

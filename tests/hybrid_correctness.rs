@@ -17,7 +17,11 @@ fn hybrid_matches_reference_across_schedulers() {
     let m = spmv::scattered_matrix(3_000, 7, 13);
     let x: Vec<f32> = (0..m.cols).map(|i| ((i % 13) as f32) * 0.25).collect();
     let want = spmv::reference(&m, &x);
-    for kind in [SchedulerKind::Eager, SchedulerKind::Ws, SchedulerKind::Dmda] {
+    for kind in [
+        SchedulerKind::Eager,
+        SchedulerKind::Dmda,
+        SchedulerKind::Dmdar,
+    ] {
         let rt = Runtime::new(MachineConfig::c2050_platform(4).without_noise(), kind);
         let got = spmv::run_hybrid(&rt, &m, &x, 8);
         assert_close(&got, &want);

@@ -23,11 +23,7 @@ fn all_apps_correct_on_one_shared_runtime() {
 /// under every scheduling policy, including the queue-reordering `dmdar`.
 #[test]
 fn all_apps_correct_under_every_scheduler() {
-    for kind in [
-        SchedulerKind::Eager,
-        SchedulerKind::Ws,
-        SchedulerKind::Dmdar,
-    ] {
+    for kind in [SchedulerKind::Eager, SchedulerKind::Dmdar] {
         all_apps_correct(kind);
     }
 }

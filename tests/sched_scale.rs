@@ -167,7 +167,7 @@ fn sweep(machine: &MachineConfig, shape: Shape, ntasks: usize, lanes: usize) {
     }
 }
 
-/// Tier-1 smoke cell: 8 devices, 2k tasks, both shapes, all four
+/// Tier-1 smoke cell: 8 devices, 2k tasks, both shapes, all three
 /// policies.
 #[test]
 fn scale_cell_smoke_all_schedulers() {

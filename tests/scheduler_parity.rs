@@ -12,7 +12,7 @@ use support::{bitwise_eq, check, ALL_SCHEDULERS};
 
 /// Each run is verified bitwise against the same host shadow (same seed,
 /// same generator), so passing under every scheduler proves the results
-/// are bitwise identical across all four policies, under both eviction
+/// are bitwise identical across all three policies, under both eviction
 /// policies.
 #[test]
 fn stress_graphs_bitwise_identical_under_every_scheduler() {

@@ -6,8 +6,9 @@
 use peppher::apps::framepipe::{
     frame_checksum, generate_frame, reference_process, run_pipeline, run_pipeline_for, PipeConfig,
 };
-use peppher::runtime::{JobConfig, Runtime, SchedulerKind};
+use peppher::runtime::{JobConfig, RunId, Runtime, RuntimeConfig, SchedulerKind, TraceEvent};
 use peppher::sim::MachineConfig;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 #[test]
@@ -83,5 +84,40 @@ fn fast_consumer_needs_no_blocking_at_large_capacity() {
     assert_eq!(
         report.stats.blocked_sends, 0,
         "nothing should block when buffers exceed the frame count"
+    );
+}
+
+#[test]
+fn frame_run_ids_match_the_trace_lanes_of_their_tasks() {
+    let rt = Runtime::with_config(
+        MachineConfig::c2050_platform(2).without_noise(),
+        RuntimeConfig {
+            scheduler: SchedulerKind::Dmda,
+            enable_trace: true,
+            ..RuntimeConfig::default()
+        },
+    );
+    let cfg = PipeConfig {
+        frames: 6,
+        ..PipeConfig::default()
+    };
+    let report = run_pipeline(&rt, cfg);
+    let trace = rt.trace();
+    rt.shutdown();
+
+    // Each frame reports the RunId its tasks carry, so a frame's gantt
+    // lane is found by the id the pipeline hands back.
+    let frames: BTreeSet<RunId> = report.checksums.iter().map(|&(run, _, _)| run).collect();
+    let lanes: BTreeSet<RunId> = trace
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::TaskEnd { run, .. } => *run,
+            _ => None,
+        })
+        .collect();
+    assert_eq!(frames.len(), cfg.frames as usize, "one RunId per frame");
+    assert_eq!(
+        frames, lanes,
+        "frame RunIds differ from the trace's run tags"
     );
 }

@@ -33,9 +33,8 @@ pub const BUDGET: u64 = 40 * 1024;
 pub const NHANDLES: usize = 12;
 
 /// All scheduling policies, for parity sweeps.
-pub const ALL_SCHEDULERS: [SchedulerKind; 4] = [
+pub const ALL_SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::Eager,
-    SchedulerKind::Ws,
     SchedulerKind::Dmda,
     SchedulerKind::Dmdar,
 ];
