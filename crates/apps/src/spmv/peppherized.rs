@@ -105,8 +105,8 @@ pub fn run_hybrid_ex(
             .operand(yb.handle())
             // Each CSR block is consumed exactly once: as soon as its task
             // finishes, demote the block's device replicas to eager-eviction
-            // candidates so their buffers recycle into later blocks'
-            // allocations instead of squatting on the capacity budget.
+            // candidates so they make room for later blocks ahead of live
+            // data instead of squatting on the capacity budget.
             .wont_use(row_ptr.handle())
             .wont_use(col_idx.handle())
             .wont_use(values.handle())
@@ -126,8 +126,8 @@ pub fn run_hybrid_ex(
     // intermediate output results produced by each sub-task."
     yv.gather(&block_outputs);
     // Unregister the per-block operands (previously they stayed registered
-    // for the lifetime of the runtime): frees the host copies and hands any
-    // remaining device buffers to the allocation cache.
+    // for the lifetime of the runtime): frees the host copies and any
+    // remaining device buffers.
     for (rp, ci, va) in block_inputs {
         rp.into_vec();
         ci.into_vec();

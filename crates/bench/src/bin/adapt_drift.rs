@@ -31,8 +31,7 @@
 
 use peppher_bench::{bench_json_path, write_json_section, TextTable};
 use peppher_runtime::{
-    gantt, AccessMode, Arch, Codelet, ExplorationMode, GraphTask, KernelCtx, Runtime,
-    RuntimeConfig, TaskGraph,
+    gantt, AccessMode, Arch, Codelet, GraphTask, KernelCtx, Runtime, RuntimeConfig, TaskGraph,
 };
 use peppher_sim::{KernelCost, MachineConfig, VTime};
 use std::path::Path;
@@ -102,7 +101,7 @@ fn run(machine: MachineConfig, config: RuntimeConfig) -> (f64, u64) {
 
 fn frozen_config() -> RuntimeConfig {
     RuntimeConfig {
-        exploration: ExplorationMode::Off,
+        explore_epsilon: 0.0,
         drift_detection: false,
         ..RuntimeConfig::default()
     }

@@ -14,7 +14,7 @@
 //! cheapest route per transfer, and deduplicates concurrent transfers of
 //! the same `(handle, node)` pair through an in-flight registry.
 
-use crate::handle::{AccessMode, DataHandle, HandleState, PayloadBox, PayloadCell, ReplicaStatus};
+use crate::handle::{AccessMode, DataHandle, HandleState, PayloadCell, ReplicaStatus};
 use crate::memory::MemoryManager;
 use crate::stats::{StatsCollector, TraceEvent};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -371,16 +371,7 @@ pub(crate) fn make_valid(
     stats: &StatsCollector,
     memory: &MemoryManager,
 ) -> VTime {
-    // A buffer recycled from the node's allocation cache holds stale
-    // garbage, possibly of another type: it joins the replica only together
-    // with the payload that overwrites it, and goes back to the cache when
-    // the replica turns out not to need it.
-    let mut spare = memory.prepare(handle, node, topo, stats);
-    let give_back = |spare: Option<PayloadCell>| {
-        if let Some(cell) = spare {
-            memory.give_back(node, cell, handle.bytes() as u64);
-        }
-    };
+    memory.prepare(handle, node, topo, stats);
     let inner = &handle.inner;
     let mut st = inner.state.lock();
     debug_assert!(node < st.replicas.len(), "node {node} out of range");
@@ -396,13 +387,12 @@ pub(crate) fn make_valid(
                 .and_then(|r| r.cell.clone())
                 .expect("handle has no valid replica anywhere");
             let payload = (inner.clone_fn)(&src_cell.read());
-            st.replicas[node].cell = Some(buffer_with(spare.take(), payload));
+            st.replicas[node].cell = Some(Arc::new(RwLock::new(payload)));
             stats.record_event(TraceEvent::Allocate {
                 handle: handle.id(),
                 node,
             });
         }
-        give_back(spare);
         // The old contents are dead from here on: their readers have
         // completed and later ones wait for this writer. Claiming now, not
         // at `mark_written`, matters when `node` is 0: a sole valid device
@@ -414,7 +404,6 @@ pub(crate) fn make_valid(
 
     loop {
         if st.replicas[node].is_valid() {
-            give_back(spare);
             return st.replicas[node].vready;
         }
 
@@ -446,7 +435,7 @@ pub(crate) fn make_valid(
             // that outlived its task (a task's own operands always have
             // one). Give the reservation back and give up.
             drop(st);
-            memory.recycle(node, handle.id(), spare, stats);
+            memory.recycle(node, handle.id());
             topo.inflight_finish(key, &pending, VTime::ZERO);
             return VTime::ZERO;
         };
@@ -492,7 +481,7 @@ pub(crate) fn make_valid(
         }
         match st.replicas[node].cell.clone() {
             Some(cell) => *cell.write() = payload,
-            None => st.replicas[node].cell = Some(buffer_with(spare.take(), payload)),
+            None => st.replicas[node].cell = Some(Arc::new(RwLock::new(payload))),
         }
         // Every valid copy now shares the same contents. Demoting *any*
         // Modified replica (the source, or node 0 if an eviction wrote the
@@ -507,7 +496,6 @@ pub(crate) fn make_valid(
         st.replicas[node].vready = arrive;
         drop(st);
 
-        give_back(spare);
         topo.inflight_finish(key, &pending, arrive);
         return arrive;
     }
@@ -516,9 +504,8 @@ pub(crate) fn make_valid(
 /// Applies the coherence effect of a completed write at `node`: that
 /// replica becomes the unique Modified copy available at `vfinish`; every
 /// other valid replica is invalidated (the paper's "marked outdated").
-/// Invalidated *device* replicas also give up their buffers, returning the
-/// bytes to their node's capacity budget (the buffer itself is retained in
-/// the node's allocation cache for reuse) — main memory (node 0) keeps its
+/// Invalidated *device* replicas also free their buffers, returning the
+/// bytes to their node's capacity budget — main memory (node 0) keeps its
 /// buffer as the protocol's backing store.
 pub(crate) fn mark_written(
     handle: &DataHandle,
@@ -527,14 +514,14 @@ pub(crate) fn mark_written(
     stats: &StatsCollector,
     memory: &MemoryManager,
 ) {
-    let mut released: Vec<(usize, Option<crate::handle::PayloadCell>)> = Vec::new();
+    let mut released: Vec<(usize, PayloadCell)> = Vec::new();
     {
         let mut st = handle.inner.state.lock();
         claim(&mut st, handle, node, stats);
         st.replicas[node].vready = vfinish;
-        for i in 1..st.replicas.len() {
-            if i != node && st.replicas[i].cell.is_some() {
-                released.push((i, st.replicas[i].cell.take()));
+        for i in (1..st.replicas.len()).filter(|&i| i != node) {
+            if let Some(cell) = st.replicas[i].cell.take() {
+                released.push((i, cell));
             }
         }
     }
@@ -543,20 +530,9 @@ pub(crate) fn mark_written(
     // clean sibling sets. Heuristic only: eviction correctness still
     // re-derives writeback necessity from the replica states.
     memory.mark_dirty(node, handle.id());
-    for (i, cell) in released {
-        memory.recycle(i, handle.id(), cell, stats);
-    }
-}
-
-/// `payload` in a buffer: the recycled `spare` when there is one, else a
-/// fresh allocation.
-fn buffer_with(spare: Option<PayloadCell>, payload: PayloadBox) -> PayloadCell {
-    match spare {
-        Some(cell) => {
-            *cell.write() = payload;
-            cell
-        }
-        None => Arc::new(RwLock::new(payload)),
+    // The freed buffers drop with `released`, outside every lock.
+    for &(i, _) in &released {
+        memory.recycle(i, handle.id());
     }
 }
 
@@ -578,7 +554,7 @@ fn claim(st: &mut HandleState, handle: &DataHandle, node: usize, stats: &StatsCo
 
 /// The buffer cell for `node`, which must have been prepared by a prior
 /// [`make_valid`] call.
-pub(crate) fn cell_for(handle: &DataHandle, node: usize) -> crate::handle::PayloadCell {
+pub(crate) fn cell_for(handle: &DataHandle, node: usize) -> PayloadCell {
     handle.inner.state.lock().replicas[node]
         .cell
         .clone()
@@ -1099,13 +1075,10 @@ mod tests {
     }
 
     #[test]
-    fn racing_readers_reuse_cache_buffer_without_leaking() {
-        // The reuse-install race (give_back path): several threads prepare
-        // the same cold replica with a warm allocation cache. One grabs the
-        // cached buffer and wins the install; the losers must return their
-        // buffers to the cache — not leak them — and join the winner's
-        // transfer. Repeated rounds keep the cache warm so the race always
-        // crosses the recycled-buffer path at least once.
+    fn racing_readers_install_one_buffer_without_leaking() {
+        // Several threads prepare the same cold replica at once. One wins
+        // the install and the transfer; the others join it, and the node's
+        // books account the replica exactly once.
         let machine = MachineConfig::c2050_platform(2);
         let topo = Arc::new(Topology::new(&machine));
         let stats = Arc::new(StatsCollector::new(machine.total_workers(), false));
@@ -1113,14 +1086,7 @@ mod tests {
         let nodes = machine.memory_nodes();
 
         for round in 0..8u64 {
-            // Warm the cache: a host write frees the device replica and
-            // parks its buffer in node 1's allocation cache.
-            let warm = DataHandle::new(round * 2 + 1, vec![0u8; 4096], 4096, nodes);
-            make_valid(&warm, 1, AccessMode::Read, &topo, &stats, &mm);
-            mark_written(&warm, 0, VTime::ZERO, &stats, &mm);
-            assert!(mm.alloc_cache_retained()[1] >= 4096, "cache is warm");
-
-            let cold = Arc::new(DataHandle::new(round * 2 + 2, vec![7u8; 4096], 4096, nodes));
+            let cold = Arc::new(DataHandle::new(round + 1, vec![7u8; 4096], 4096, nodes));
             let before = stats.snapshot().h2d_transfers;
             let barrier = Arc::new(std::sync::Barrier::new(4));
             let times: Vec<VTime> = std::thread::scope(|s| {
@@ -1150,19 +1116,13 @@ mod tests {
             assert!(times.windows(2).all(|w| w[0] == w[1]));
             mm.validate()
                 .unwrap_or_else(|e| panic!("round {round}: accounting invalid: {e}"));
-            // Free the cold replica too, keeping the next round's books flat.
+            // Free the cold replica, keeping the next round's books flat.
             mark_written(&cold, 0, VTime::ZERO, &stats, &mm);
         }
 
-        // Nothing leaked: after draining the cache every device node's
-        // books balance to zero (losers' buffers all found their way back).
-        mm.drain_alloc_cache();
-        mm.validate().expect("accounting balances after drain");
+        mm.validate().expect("accounting balances");
         for (n, &used) in mm.used_bytes().iter().enumerate().skip(1) {
             assert_eq!(used, 0, "node {n} leaked {used} used bytes");
-        }
-        for (n, &kept) in mm.alloc_cache_retained().iter().enumerate() {
-            assert_eq!(kept, 0, "node {n} cache still retains {kept} bytes");
         }
     }
 }

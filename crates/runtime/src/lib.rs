@@ -15,10 +15,9 @@
 //! - **Memory-node capacity** ([`memory`]): device memory nodes carry byte
 //!   budgets; under pressure the LRU unpinned replica is evicted, with
 //!   Modified data written back to main memory first, enabling out-of-core
-//!   working sets. Freed device buffers are retained in a per-node
-//!   allocation cache and recycled for later allocations of the same size
-//!   class; [`Runtime::wont_use`](runtime::Runtime::wont_use) hints demote
-//!   dead replicas to eager-eviction candidates, and prefetch consults the
+//!   working sets. A freed device buffer dies with its replica;
+//!   [`Runtime::wont_use`](runtime::Runtime::wont_use) hints demote dead
+//!   replicas to eager-eviction candidates, and prefetch consults the
 //!   eviction clock instead of skipping when a node is momentarily full.
 //! - **Implicit dependencies** (*sequential data consistency*): tasks
 //!   submitted in program order are ordered by their data accesses
@@ -99,9 +98,7 @@ pub use intern::{CodeletId, Sym};
 pub use job::{Batch, JobConfig, JobHandle, JobStats};
 pub use memory::{EvictionPolicy, MemoryManager};
 pub use perfmodel::{ArchClassId, DriftEvent, Estimate, ModelStats, PerfKey, PerfRegistry};
-pub use runtime::{
-    ExplorationMode, HostReadGuard, HostWriteGuard, Objective, Runtime, RuntimeConfig, TimingMode,
-};
+pub use runtime::{HostReadGuard, HostWriteGuard, Objective, Runtime, RuntimeConfig, TimingMode};
 pub use sched::{Scheduler, SchedulerKind};
 pub use stats::{gantt, RunId, RuntimeStats, TraceEvent};
 pub use task::{Task, TaskBuilder, TaskHandle, TaskHint, TaskHints};

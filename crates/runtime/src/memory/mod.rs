@@ -1,5 +1,4 @@
-//! Memory-node capacity management: budgets, LRU eviction, writeback, and
-//! the allocation-reuse cache.
+//! Memory-node capacity management: budgets, LRU eviction and writeback.
 //!
 //! The paper's data-management story (§IV-E, Fig. 3) assumes a replica can
 //! always be allocated on any memory node. Real accelerators cannot — the
@@ -17,15 +16,8 @@
 //! (a task whose operands alone exceed the budget overcommits rather than
 //! deadlocks).
 //!
-//! Three refinements mirror StarPU's memory layer:
+//! Two refinements mirror StarPU's memory layer:
 //!
-//! * **Allocation cache** ([`freelist::FreeList`]): evicted and
-//!   invalidated device buffers are retained in a per-node, size-class-
-//!   keyed free-list instead of being freed, and later allocations of a
-//!   compatible size reuse them (`cudaMalloc` synchronizes the device, so
-//!   avoiding it is a real win). Retained bytes count against the node's
-//!   budget and the cache is trimmed (oldest first) *before* any live
-//!   replica is evicted.
 //! * **`wont_use` hints** ([`MemoryManager::wont_use`], StarPU's
 //!   `starpu_data_wont_use`): a replica flagged dead is demoted to an
 //!   eager-eviction candidate chosen ahead of LRU order; any later touch
@@ -33,16 +25,17 @@
 //! * **Eviction-aware prefetch** ([`MemoryManager::prefetch_fits`]):
 //!   instead of skipping any prefetch that does not fit the free space,
 //!   the prefetcher counts every unpinned replica outside the prefetching
-//!   task's own operand set — plus the allocation cache — as space about
-//!   to free up.
+//!   task's own operand set as space about to free up.
 //!
 //! Accounting invariant: a device replica holds a buffer cell **iff** its
 //! bytes are accounted here. Every cell creation goes through
 //! [`MemoryManager::prepare`] and every cell drop through
-//! [`MemoryManager::recycle`] (invalidation), eviction, or
-//! [`MemoryManager::forget`] (unregistration) — and the dropped buffer is
-//! offered to the node's allocation cache on the way out.
-//! [`MemoryManager::validate`] checks the whole invariant on demand.
+//! [`MemoryManager::recycle`] (invalidation, rebinding, unregistration),
+//! eviction, or [`MemoryManager::forget`] (unregistration).
+//! [`MemoryManager::validate`] checks the whole invariant on demand. A
+//! freed buffer dies with its replica: StarPU caches device buffers because
+//! `cudaMalloc` synchronizes the device, but a simulated device charges
+//! nothing for an allocation.
 //!
 //! Accounting is not residency. A replica is accounted before its copy
 //! lands, and main memory keeps its buffer and accounting when a device
@@ -51,12 +44,9 @@
 //! module answers only capacity questions (what fits, what must be
 //! evicted, what that costs).
 
-mod freelist;
-
 use crate::coherence::Topology;
-use crate::handle::{DataHandle, HandleInner, PayloadBox, PayloadCell, ReplicaStatus};
+use crate::handle::{DataHandle, HandleInner, PayloadBox, ReplicaStatus};
 use crate::stats::{StatsCollector, TraceEvent};
-use freelist::FreeList;
 use parking_lot::{Mutex, RwLock};
 use peppher_sim::{MachineConfig, VTime};
 use std::collections::HashMap;
@@ -120,10 +110,9 @@ struct Resident {
 struct NodeMem {
     /// Capacity in bytes; `None` is unbounded (main memory).
     budget: Option<u64>,
-    /// Currently accounted bytes of *live* replicas (the allocation
-    /// cache's retained bytes are tracked separately in `cache`).
+    /// Currently accounted bytes of live replicas.
     used: u64,
-    /// Largest `used + cache.retained()` ever observed.
+    /// Largest `used` ever observed.
     high_water: u64,
     /// Monotonic LRU clock.
     clock: u64,
@@ -132,9 +121,6 @@ struct NodeMem {
     /// Accounted bytes per owning job (entries removed at zero, so the map
     /// is bounded by the number of jobs with live replicas here).
     job_used: HashMap<u64, u64>,
-    /// The allocation-reuse cache of retained (evicted/invalidated)
-    /// buffers. Capped at the node budget; zero-capped on node 0.
-    cache: FreeList,
 }
 
 impl NodeMem {
@@ -146,7 +132,7 @@ impl NodeMem {
     fn account(&mut self, job: u64, bytes: u64) {
         self.used += bytes;
         *self.job_used.entry(job).or_insert(0) += bytes;
-        self.high_water = self.high_water.max(self.used + self.cache.retained());
+        self.high_water = self.high_water.max(self.used);
     }
 
     fn unaccount(&mut self, job: u64, bytes: u64) {
@@ -159,10 +145,9 @@ impl NodeMem {
         }
     }
 
-    /// Whether allocating `need` more bytes would exceed the budget,
-    /// counting both live and cache-retained bytes.
+    /// Whether allocating `need` more bytes would exceed the budget.
     fn over_budget(&self, need: u64) -> bool {
-        matches!(self.budget, Some(b) if self.used + self.cache.retained() + need > b)
+        matches!(self.budget, Some(b) if self.used + need > b)
     }
 }
 
@@ -203,22 +188,16 @@ enum Selection {
 
 impl MemoryManager {
     /// Builds the per-node allocators with budgets from the machine config.
-    /// Budgeted device nodes retain freed buffers in an allocation cache
-    /// (node 0's host allocations are cheap and an unbounded cache would
-    /// never trim, so those nodes never cache).
     pub(crate) fn new(machine: &MachineConfig, policy: EvictionPolicy) -> Self {
         let nodes = (0..machine.memory_nodes())
             .map(|n| {
-                let budget = machine.node_budget(n);
-                let cap = if n == 0 { 0 } else { budget.unwrap_or(0) };
                 Mutex::new(NodeMem {
-                    budget,
+                    budget: machine.node_budget(n),
                     used: 0,
                     high_water: 0,
                     clock: 0,
                     residents: HashMap::new(),
                     job_used: HashMap::new(),
-                    cache: FreeList::new(cap),
                 })
             })
             .collect();
@@ -343,8 +322,8 @@ impl MemoryManager {
     /// Whether a *prefetch* of `bytes` for a task whose operand handle ids
     /// are `keep` can land at `node`. Eviction-aware: every unpinned
     /// replica outside the task's own operand set is a victim candidate
-    /// about to free up, as is the allocation cache, so only the
-    /// unevictable bytes (pins and sibling operands) gate the prefetch.
+    /// about to free up, so only the unevictable bytes (pins and sibling
+    /// operands) gate the prefetch.
     pub fn prefetch_fits(&self, node: usize, bytes: u64, keep: &[u64]) -> bool {
         if node == 0 {
             return true;
@@ -365,9 +344,8 @@ impl MemoryManager {
     /// 0 when everything fits or the node is unbounded). Dead
     /// (`wont_use`-hinted) unpinned replicas outside the operand set are
     /// subtracted from the occupancy: they vanish before any live replica
-    /// is evicted, as does the allocation cache (whose retained bytes are
-    /// excluded from `used` already) — this is the post-prefetch occupancy
-    /// the scheduler should price, not the instantaneous one.
+    /// is evicted — this is the post-prefetch occupancy the scheduler
+    /// should price, not the instantaneous one.
     pub fn pressure_overflow(
         &self,
         node: usize,
@@ -391,8 +369,7 @@ impl MemoryManager {
         (nm.used.saturating_sub(reclaimable) + needed).saturating_sub(budget)
     }
 
-    /// Per-node allocation high-water marks (live + cache-retained), in
-    /// bytes.
+    /// Per-node allocation high-water marks of live replicas, in bytes.
     pub fn high_waters(&self) -> Vec<u64> {
         self.nodes.iter().map(|n| n.lock().high_water).collect()
     }
@@ -402,24 +379,9 @@ impl MemoryManager {
         self.nodes.iter().map(|n| n.lock().used).collect()
     }
 
-    /// Per-node bytes retained by the allocation cache.
-    pub fn alloc_cache_retained(&self) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .map(|n| n.lock().cache.retained())
-            .collect()
-    }
-
-    /// Frees every buffer retained by every node's allocation cache.
-    /// Returns the total bytes released. After this, retained bytes are
-    /// zero everywhere — the shutdown-balance check of the stress harness.
-    pub fn drain_alloc_cache(&self) -> u64 {
-        self.nodes.iter().map(|n| n.lock().cache.drain()).sum()
-    }
-
-    /// Checks the accounting invariants on every node: `used` equals the
-    /// sum of resident bytes, the allocation cache's retained counter
-    /// matches its entries, and the cache respects its cap.
+    /// Checks the accounting invariants on every node: `used` equals both
+    /// the sum of resident bytes and the sum of per-job bytes, and each
+    /// job's bytes equal those of the residents it owns.
     pub fn validate(&self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
             let nm = node.lock();
@@ -450,9 +412,6 @@ impl MemoryManager {
                     ));
                 }
             }
-            nm.cache
-                .validate()
-                .map_err(|e| format!("node {i} allocation cache: {e}"))?;
         }
         Ok(())
     }
@@ -539,20 +498,15 @@ impl MemoryManager {
     /// handle's state lock is taken (lock order is handle → node, and
     /// eviction surgery needs victim handle locks). Touches the LRU stamp
     /// when the replica is already resident.
-    ///
-    /// Returns a buffer from the node's allocation cache when one of a
-    /// sufficient size class is retained (an allocation-cache *hit*); the
-    /// caller installs it as the replica's cell and overwrites its (stale)
-    /// contents. `None` means the caller allocates fresh.
     pub(crate) fn prepare(
         &self,
         handle: &DataHandle,
         node: usize,
         topo: &Topology,
         stats: &StatsCollector,
-    ) -> Option<PayloadCell> {
+    ) {
         if node == 0 {
-            return None;
+            return;
         }
         let need = handle.bytes() as u64;
         let job = handle.job();
@@ -560,8 +514,6 @@ impl MemoryManager {
         // Resolved once, outside the node lock, so the selection pass under
         // the lock never touches the family registry.
         let req_family = self.family_of(handle.id());
-        let mut reused: Option<PayloadCell> = None;
-        let mut reused_bytes = 0u64;
         let mut nm = loop {
             let mut nm = self.nodes[node].lock();
             let stamp = nm.stamp();
@@ -569,13 +521,7 @@ impl MemoryManager {
                 r.last_use = stamp;
                 r.dead = false; // a new use resurrects the replica
                 if r.bytes > 0 {
-                    // Already allocated and accounted. A cache buffer
-                    // grabbed on an earlier pass goes back (another
-                    // thread won the allocation race).
-                    if let Some(cell) = reused.take() {
-                        nm.cache.insert(cell, reused_bytes);
-                    }
-                    return None;
+                    return; // already allocated and accounted
                 }
             }
             // Per-job quota pre-pass: an allocation pushing the job
@@ -587,61 +533,21 @@ impl MemoryManager {
             let quota_victim = quota
                 .filter(|&q| nm.job_used.get(&job).copied().unwrap_or(0) + need > q)
                 .and_then(|_| Self::select_victim(&mut nm, handle.id(), Some(job)));
-            // Allocation cache first: a retained buffer of a
-            // sufficient size class is reused outright — this is also
-            // how an eviction victim's buffer becomes the allocation
-            // that displaced it.
-            if reused.is_none() {
-                if let Some(buf) = nm.cache.take(need) {
-                    reused_bytes = buf.bytes;
-                    reused = Some(buf.cell);
-                }
-            }
             let selection = if let Some(victim) = quota_victim {
                 Selection::Victim(vec![victim])
             } else if !nm.over_budget(need) {
-                // Under budget with no retained buffer to reuse: honor
-                // `wont_use` hints eagerly. A dead replica whose buffer
-                // can serve this allocation is evicted now (its
-                // writeback was due at eviction anyway) so the new
-                // replica recycles the buffer instead of widening the
-                // footprint alongside semantically-garbage data. Only
-                // worthwhile when pressure is plausible — the node at
-                // least half full once this allocation lands — and the
-                // cache can actually retain the donated buffer.
-                let donate = reused.is_none()
-                    && nm.cache.cap() > 0
-                    && nm.budget.is_some_and(|b| (nm.used + need) * 2 >= b);
-                match donate {
-                    true => match Self::select_dead_donor(&mut nm, handle.id(), need) {
-                        Some(victim) => Selection::Victim(vec![victim]),
-                        None => Selection::Done,
-                    },
-                    false => Selection::Done,
-                }
+                Selection::Done
             } else {
-                // Over budget: dead cache memory goes first — trim
-                // retained buffers before touching any live replica.
-                while nm.over_budget(need) {
-                    match nm.cache.trim_oldest() {
-                        Some(freed) => stats.record_cache_trim(freed),
-                        None => break,
+                // Family falls back to plain LRU when no group is
+                // evictable, so pressure still finds a victim.
+                let victims = match self.policy {
+                    EvictionPolicy::Family => {
+                        Self::select_victim_family(&mut nm, handle.id(), req_family)
                     }
+                    EvictionPolicy::Lru => None,
                 }
-                if !nm.over_budget(need) {
-                    Selection::Done
-                } else {
-                    // Family falls back to plain LRU when no group is
-                    // evictable, so pressure still finds a victim.
-                    let victims = match self.policy {
-                        EvictionPolicy::Family => {
-                            Self::select_victim_family(&mut nm, handle.id(), req_family)
-                        }
-                        EvictionPolicy::Lru => None,
-                    }
-                    .or_else(|| Self::select_victim(&mut nm, handle.id(), None).map(|v| vec![v]));
-                    victims.map_or(Selection::Overcommit, Selection::Victim)
-                }
+                .or_else(|| Self::select_victim(&mut nm, handle.id(), None).map(|v| vec![v]));
+                victims.map_or(Selection::Overcommit, Selection::Victim)
             };
             match selection {
                 Selection::Victim(victims) => {
@@ -683,21 +589,7 @@ impl MemoryManager {
         // write that dirties it again goes through `mark_dirty`.
         entry.dirty = false;
         drop(nm);
-        match reused {
-            Some(cell) => {
-                stats.record_cache_hit();
-                stats.record_event(TraceEvent::Reuse {
-                    handle: handle.id(),
-                    node,
-                    bytes: need as usize,
-                });
-                Some(cell)
-            }
-            None => {
-                stats.record_cache_miss();
-                None
-            }
-        }
+        stats.record_device_alloc();
     }
 
     /// Picks and *removes* the best eviction victim under the node lock
@@ -808,30 +700,9 @@ impl MemoryManager {
         Some(victims)
     }
 
-    /// Picks and removes a *dead* replica whose buffer can serve an
-    /// allocation of `need` bytes — the eager half of `wont_use`: instead
-    /// of letting hinted-dead data squat until capacity pressure, its
-    /// buffer is donated to the next compatible allocation. Prefers the
-    /// tightest size class, then the oldest stamp (a 32 KiB donor is not
-    /// burned on a 1 KiB request while a 1 KiB donor exists).
-    fn select_dead_donor(nm: &mut NodeMem, requester: u64, need: u64) -> Option<(u64, Resident)> {
-        let vid = nm
-            .residents
-            .iter()
-            .filter(|(id, r)| {
-                **id != requester && r.pinned == 0 && r.dead && r.bytes >= need.max(1)
-            })
-            .min_by_key(|(_, r)| (FreeList::size_class(r.bytes), r.last_use))
-            .map(|(id, _)| *id)?;
-        let r = nm.residents.remove(&vid).expect("donor just found");
-        nm.unaccount(r.job, r.bytes);
-        Some((vid, r))
-    }
-
     /// Eviction surgery on a victim already removed from the accounting:
     /// writes a sole-valid (Modified) copy back to main memory over the
-    /// device link, invalidates the replica, and retains the freed buffer
-    /// in the node's allocation cache for reuse.
+    /// device link, invalidates the replica and frees its buffer.
     fn evict(
         &self,
         victim_id: u64,
@@ -879,15 +750,7 @@ impl MemoryManager {
         st.replicas[node].status = ReplicaStatus::Invalid;
         st.replicas[node].vready = VTime::ZERO;
         drop(st);
-        // Retain the freed buffer for reuse — unless a straggling guard
-        // still references the cell, in which case it just drops.
-        if Arc::strong_count(&cell) == 1 {
-            let mut nm = self.nodes[node].lock();
-            let trimmed = nm.cache.insert(cell, resident.bytes);
-            if trimmed > 0 {
-                stats.record_cache_trim(trimmed);
-            }
-        }
+        drop(cell);
         stats.record_eviction(resident.bytes, writeback);
         stats.record_event(TraceEvent::Evict {
             handle: victim_id,
@@ -899,15 +762,9 @@ impl MemoryManager {
 
     /// Releases the accounting for `handle_id`'s replica at `node` after
     /// its buffer left the replica array (invalidation in `mark_written`,
-    /// unregistration), retaining the buffer in the allocation cache when
-    /// the caller could take sole ownership of it.
-    pub(crate) fn recycle(
-        &self,
-        node: usize,
-        handle_id: u64,
-        cell: Option<PayloadCell>,
-        stats: &StatsCollector,
-    ) {
+    /// rebinding, unregistration), returning its bytes to the node's
+    /// budget. The caller drops the buffer once it holds no lock.
+    pub(crate) fn recycle(&self, node: usize, handle_id: u64) {
         let mut nm = self.nodes[node].lock();
         if let Some(r) = nm.residents.get_mut(&handle_id) {
             let freed = std::mem::take(&mut r.bytes);
@@ -917,28 +774,7 @@ impl MemoryManager {
             if unpinned {
                 nm.residents.remove(&handle_id);
             }
-            if freed > 0 {
-                if let Some(cell) = cell {
-                    if Arc::strong_count(&cell) == 1 {
-                        let trimmed = nm.cache.insert(cell, freed);
-                        if trimmed > 0 {
-                            stats.record_cache_trim(trimmed);
-                        }
-                    }
-                }
-            }
         }
-    }
-
-    /// Returns a cache buffer that lost an allocation race back to the
-    /// node's free-list (coherence grabbed it via [`MemoryManager::
-    /// prepare`] but another thread installed a cell first).
-    pub(crate) fn give_back(&self, node: usize, cell: PayloadCell, bytes: u64) {
-        if node == 0 {
-            return;
-        }
-        let mut nm = self.nodes[node].lock();
-        nm.cache.insert(cell, bytes);
     }
 
     /// Drops every node's accounting for a handle being unregistered.
@@ -953,12 +789,6 @@ impl MemoryManager {
 
     /// Evicts every unpinned resident replica at `node` (diagnostics and
     /// the eviction-injection property tests). Returns the number evicted.
-    ///
-    /// Eviction retains victim buffers in the allocation cache, and the
-    /// cache may also hold bytes from nodes that never allocated again
-    /// after their last trim — a *reclaim* means "give the memory back",
-    /// so the cache is drained after the eviction loop (the drained bytes
-    /// count as trims in the stats).
     pub(crate) fn reclaim_node(&self, node: usize, topo: &Topology, stats: &StatsCollector) -> u64 {
         if node == 0 {
             return 0;
@@ -971,10 +801,6 @@ impl MemoryManager {
             let Some((vid, r)) = victim else { break };
             self.evict(vid, r, node, topo, stats);
             evicted += 1;
-        }
-        let drained = self.nodes[node].lock().cache.drain();
-        if drained > 0 {
-            stats.record_cache_trim(drained);
         }
         evicted
     }
@@ -1121,6 +947,7 @@ mod tests {
         assert_eq!(mm.used_bytes()[1], 8 * 1024);
         assert_eq!(mm.high_waters()[1], 8 * 1024);
         assert!(mm.is_resident(1, 1) && mm.is_resident(1, 2));
+        assert_eq!(stats.snapshot().alloc_cache_misses, 2, "two allocations");
         mm.validate().unwrap();
     }
 
@@ -1144,36 +971,6 @@ mod tests {
         assert!(b.valid_on(0), "host master copy untouched");
         assert!(a.valid_on(1) && c.valid_on(1));
         assert_eq!(mm.used_bytes()[1], 8 * 1024);
-        mm.validate().unwrap();
-    }
-
-    #[test]
-    fn eviction_victim_buffer_is_reused_by_displacing_allocation() {
-        let (m, topo, stats, mm) = fixture(10 * 1024);
-        let a = handle(1, 4, m.memory_nodes());
-        let b = handle(2, 4, m.memory_nodes());
-        let c = handle(3, 4, m.memory_nodes());
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        coherence::make_valid(&b, 1, AccessMode::Read, &topo, &stats, &mm);
-        // c's allocation evicts a (LRU); a's freed 4 KiB buffer lands in
-        // the cache and is immediately reused for c itself.
-        coherence::make_valid(&c, 1, AccessMode::Read, &topo, &stats, &mm);
-        let snap = stats.snapshot();
-        assert_eq!(snap.evictions, 1);
-        assert_eq!(snap.alloc_cache_hits, 1, "victim buffer reused");
-        assert!(c.valid_on(1));
-        // The trace orders the eviction before the reuse of its space.
-        let trace = stats.trace.lock();
-        let evict = trace
-            .iter()
-            .position(|e| matches!(e, TraceEvent::Evict { handle: 1, .. }))
-            .expect("evict recorded");
-        let reuse = trace
-            .iter()
-            .position(|e| matches!(e, TraceEvent::Reuse { handle: 3, .. }))
-            .expect("reuse recorded");
-        assert!(evict < reuse, "eviction frees the space reuse consumes");
-        drop(trace);
         mm.validate().unwrap();
     }
 
@@ -1227,45 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_replica_donates_buffer_without_pressure() {
-        // Eager wont_use: even with free space left, a hinted-dead replica
-        // is evicted so the next compatible allocation recycles its buffer
-        // instead of allocating fresh beside garbage. (Donation arms once
-        // the node would be at least half full.)
-        let (m, topo, stats, mm) = fixture(8 * 1024);
-        let a = handle(1, 4, m.memory_nodes());
-        let b = handle(2, 4, m.memory_nodes());
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        mm.wont_use(a.id());
-        coherence::make_valid(&b, 1, AccessMode::Read, &topo, &stats, &mm);
-        let snap = stats.snapshot();
-        assert_eq!(snap.evictions, 1, "dead donor evicted despite free space");
-        assert_eq!(snap.alloc_cache_hits, 1, "donor buffer recycled");
-        assert!(!a.valid_on(1) && b.valid_on(1));
-        assert_eq!(mm.used_bytes()[1], 4 * 1024, "footprint did not widen");
-        mm.validate().unwrap();
-    }
-
-    #[test]
-    fn dead_donor_prefers_tightest_size_class() {
-        // A 1 KiB request must take the 1 KiB dead donor, not burn the
-        // 8 KiB one.
-        let (m, topo, stats, mm) = fixture(16 * 1024);
-        let big = handle(1, 8, m.memory_nodes());
-        let small = handle(2, 1, m.memory_nodes());
-        let incoming = handle(3, 1, m.memory_nodes());
-        coherence::make_valid(&big, 1, AccessMode::Read, &topo, &stats, &mm);
-        coherence::make_valid(&small, 1, AccessMode::Read, &topo, &stats, &mm);
-        mm.wont_use(big.id());
-        mm.wont_use(small.id());
-        coherence::make_valid(&incoming, 1, AccessMode::Read, &topo, &stats, &mm);
-        assert!(big.valid_on(1), "big donor untouched");
-        assert!(!small.valid_on(1), "small donor consumed");
-        assert_eq!(stats.snapshot().alloc_cache_hits, 1);
-        mm.validate().unwrap();
-    }
-
-    #[test]
     fn wont_use_demotes_replica_ahead_of_lru_order() {
         let (m, topo, stats, mm) = fixture(9 * 1024);
         let a = handle(1, 4, m.memory_nodes());
@@ -1283,7 +1041,7 @@ mod tests {
         assert!(a.valid_on(1), "live LRU replica survives");
         assert!(!b.valid_on(1), "dead replica evicted first");
         // b was Modified: the writeback happened exactly once, and the
-        // trace orders it before the reuse of the freed space by c.
+        // trace orders it before c's copy into the freed space.
         assert_eq!(snap.writeback_bytes, 4 * 1024);
         assert!(b.valid_on(0), "written-back copy valid at node 0");
         let trace = stats.trace.lock();
@@ -1316,11 +1074,23 @@ mod tests {
                 )
             })
             .unwrap();
-        let reuse = trace
+        let fill = trace
             .iter()
-            .position(|e| matches!(e, TraceEvent::Reuse { handle: 3, .. }))
-            .expect("c reuses b's freed buffer");
-        assert!(wb < reuse, "writeback precedes reuse of the freed space");
+            .position(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Transfer {
+                        handle: 3,
+                        to: 1,
+                        ..
+                    }
+                )
+            })
+            .expect("c copied in");
+        assert!(
+            wb < fill,
+            "writeback precedes c's copy into the freed space"
+        );
     }
 
     #[test]
@@ -1408,22 +1178,6 @@ mod tests {
     }
 
     #[test]
-    fn alloc_cache_balances_to_zero_on_drain() {
-        let (m, topo, stats, mm) = fixture(10 * 1024);
-        let a = handle(1, 4, m.memory_nodes());
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        // Host write invalidates the device replica; its buffer is
-        // recycled into the cache rather than freed.
-        coherence::mark_written(&a, 0, VTime::from_micros(1), &stats, &mm);
-        assert_eq!(mm.used_bytes()[1], 0);
-        assert_eq!(mm.alloc_cache_retained()[1], 4 * 1024);
-        mm.validate().unwrap();
-        assert_eq!(mm.drain_alloc_cache(), 4 * 1024);
-        assert_eq!(mm.alloc_cache_retained()[1], 0);
-        mm.validate().unwrap();
-    }
-
-    #[test]
     fn reclaim_empties_unpinned_node() {
         let (m, topo, stats, mm) = fixture(64 * 1024);
         let a = handle(1, 4, m.memory_nodes());
@@ -1437,31 +1191,6 @@ mod tests {
         assert!(b.valid_on(0), "Modified b written back to host");
         let snap = stats.snapshot();
         assert_eq!(snap.writeback_bytes, 4 * 1024);
-        // Reclaim means "give the memory back": the victims' buffers pass
-        // through the allocation cache but the cache is drained before
-        // reclaim returns, and the drained bytes show up as trims.
-        assert_eq!(mm.alloc_cache_retained()[1], 0);
-        assert_eq!(snap.alloc_cache_trim_bytes, 8 * 1024);
-        mm.validate().unwrap();
-    }
-
-    #[test]
-    fn reclaim_drains_cache_bytes_left_by_earlier_invalidations() {
-        // The satellite-fix scenario: a node whose cache retains bytes
-        // from an invalidation but which never allocates again afterward.
-        // Reclaim must drain those retained bytes even with no live
-        // replica left to evict.
-        let (m, topo, stats, mm) = fixture(64 * 1024);
-        let a = handle(1, 4, m.memory_nodes());
-        coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        // Host write invalidates the device replica; its buffer is
-        // recycled into the cache.
-        coherence::mark_written(&a, 0, VTime::from_micros(1), &stats, &mm);
-        assert_eq!(mm.used_bytes()[1], 0);
-        assert_eq!(mm.alloc_cache_retained()[1], 4 * 1024);
-        assert_eq!(mm.reclaim_node(1, &topo, &stats), 0, "nothing to evict");
-        assert_eq!(mm.alloc_cache_retained()[1], 0, "retained bytes drained");
-        assert_eq!(stats.snapshot().alloc_cache_trim_bytes, 4 * 1024);
         mm.validate().unwrap();
     }
 
@@ -1470,7 +1199,7 @@ mod tests {
         let (m, topo, stats, mm) = fixture(64 * 1024);
         let a = handle(1, 4, m.memory_nodes());
         coherence::make_valid(&a, 1, AccessMode::Read, &topo, &stats, &mm);
-        mm.recycle(1, a.id(), None, &stats);
+        mm.recycle(1, a.id());
         assert_eq!(mm.used_bytes()[1], 0);
         assert!(!mm.is_resident(1, a.id()));
 

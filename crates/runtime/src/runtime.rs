@@ -35,20 +35,6 @@ pub enum Objective {
     Energy,
 }
 
-/// How placement handles cold or low-confidence performance models (see
-/// `perfmodel`): the bandit side of online adaptation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExplorationMode {
-    /// Never explore: always exploit the current model mean (plus the
-    /// calibration round-robin for keys with no model at all).
-    Off,
-    /// With probability `explore_epsilon`, place on an explorable
-    /// (cold/stale) option instead of the predicted-best one (the
-    /// default).
-    #[default]
-    EpsilonGreedy,
-}
-
 /// How execution times are obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingMode {
@@ -86,11 +72,11 @@ pub struct RuntimeConfig {
     /// Which replicas a full device memory node evicts: LRU with
     /// MSI-aware writeback (default), or whole partition families.
     pub eviction: EvictionPolicy,
-    /// How `dmda`/`dmdar` placement treats cold or low-confidence model
-    /// keys (epsilon-greedy by default; see [`ExplorationMode`]).
-    pub exploration: ExplorationMode,
-    /// Exploration rate for [`ExplorationMode::EpsilonGreedy`]: the
-    /// fraction of eligible placements diverted to an explorable option.
+    /// Exploration rate of `dmda`/`dmdar` placement, the bandit side of
+    /// online adaptation: the fraction of eligible placements diverted
+    /// from the predicted-best option to an explorable (cold or stale, see
+    /// `perfmodel`) one. 0 turns exploration off, leaving only the
+    /// calibration round-robin for keys with no model at all.
     pub explore_epsilon: f64,
     /// Detect model drift (recent samples diverging from the model mean)
     /// and recover by decaying the affected (codelet, arch) family and
@@ -110,7 +96,6 @@ impl Default for RuntimeConfig {
             enable_prefetch: true,
             objective: Objective::ExecTime,
             eviction: EvictionPolicy::Lru,
-            exploration: ExplorationMode::EpsilonGreedy,
             explore_epsilon: 0.05,
             drift_detection: true,
         }
@@ -702,8 +687,7 @@ impl Runtime {
         );
         let (cell, freed) = {
             let mut st = h.inner.state.lock();
-            // Free device replicas: their bytes return to the budgets and
-            // their buffers to the nodes' allocation caches.
+            // Free device replicas: their bytes return to the budgets.
             let mut freed = Vec::new();
             for i in 1..st.replicas.len() {
                 if let Some(cell) = st.replicas[i].cell.take() {
@@ -728,10 +712,9 @@ impl Runtime {
                 freed,
             )
         };
-        for (i, cell) in freed {
-            self.inner
-                .memory
-                .recycle(i, h.id(), Some(cell), &self.inner.stats);
+        // The freed buffers drop with `freed`, outside every lock.
+        for &(i, _) in &freed {
+            self.inner.memory.recycle(i, h.id());
         }
         self.inner.memory.forget(h.id());
         match Arc::try_unwrap(cell) {
@@ -806,10 +789,9 @@ impl Runtime {
     /// Unlike [`Runtime::acquire_write`], which first makes main memory
     /// coherent (paying a device→host transfer when the latest copy lives
     /// on a device), this declares the old contents dead: every device
-    /// replica is dropped straight into its node's allocation cache with
-    /// no writeback, the main-memory payload is overwritten in place, and
-    /// recorded access history is cleared. `T` must be the type the handle
-    /// was registered with.
+    /// replica is freed with no writeback, the main-memory payload is
+    /// overwritten in place, and recorded access history is cleared. `T`
+    /// must be the type the handle was registered with.
     ///
     /// Waits for all tasks using the handle first, so it must not be
     /// called while a graph execution using the handle is in flight
@@ -849,10 +831,9 @@ impl Runtime {
             st.readers.clear();
             freed
         };
-        for (i, cell) in freed {
-            self.inner
-                .memory
-                .recycle(i, h.id(), Some(cell), &self.inner.stats);
+        // The freed buffers drop with `freed`, outside every lock.
+        for &(i, _) in &freed {
+            self.inner.memory.recycle(i, h.id());
         }
     }
 
@@ -860,7 +841,6 @@ impl Runtime {
     pub fn stats(&self) -> RuntimeStats {
         let mut snap = self.inner.stats.snapshot();
         snap.mem_high_water = self.inner.memory.high_waters();
-        snap.alloc_cache_retained = self.inner.memory.alloc_cache_retained();
         snap.channel_busy = self.inner.topo.channel_busy();
         let models = self.inner.perf.model_stats();
         snap.perf_keys = models.keys;
@@ -965,10 +945,6 @@ impl Runtime {
         for t in threads.drain(..) {
             let _ = t.join();
         }
-        // No worker will allocate again: free-list bytes retained by the
-        // allocation caches go back to the devices so shutdown accounting
-        // balances even for nodes that never allocated after a trim.
-        self.inner.memory.drain_alloc_cache();
     }
 }
 

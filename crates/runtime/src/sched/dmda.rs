@@ -19,9 +19,9 @@
 //!
 //! Calibration never really ends: histories carry a confidence score that
 //! decays as a key goes unsampled (see [`crate::perfmodel`]), and a
-//! calibrated-but-stale option is flagged for *exploration*. Under the
-//! default epsilon-greedy mode every Nth placement that sees a stale
-//! losing option diverts the task there to refresh its model. Warm
+//! calibrated-but-stale option is flagged for *exploration*. With a
+//! nonzero `explore_epsilon` (the default) every Nth placement that sees
+//! a stale losing option diverts the task there to refresh its model. Warm
 //! steady-state placement pays only a per-option boolean check — the
 //! epsilon counter is touched only when an explorable option actually
 //! lost the score race.
@@ -73,7 +73,6 @@ use crate::codelet::Arch;
 use crate::handle::DataHandle;
 use crate::intern::CodeletId;
 use crate::perfmodel::{Estimate, PerfKey};
-use crate::runtime::ExplorationMode;
 use crate::stats::TraceEvent;
 use crate::task::{ExecChoice, Task};
 use parking_lot::Mutex;
@@ -437,18 +436,16 @@ impl DmdaScheduler {
         // every `1/epsilon`-th such opportunity anyway, refreshing its
         // model before confidence rots completely. The counter moves only
         // when an opportunity exists, so the warm path never touches it.
-        if ctx.config.exploration == ExplorationMode::EpsilonGreedy && !best_is_explore {
+        let eps = ctx.config.explore_epsilon;
+        if eps > 0.0 && !best_is_explore {
             if let Some((ew, ea, edelta)) = best_explore {
-                let eps = ctx.config.explore_epsilon;
-                if eps > 0.0 {
-                    let period = (1.0 / eps.min(1.0)).round() as u64;
-                    if self
-                        .explore_seq
-                        .fetch_add(1, Ordering::Relaxed)
-                        .is_multiple_of(period)
-                    {
-                        (w, a, delta) = (ew, ea, edelta);
-                    }
+                let period = (1.0 / eps.min(1.0)).round() as u64;
+                if self
+                    .explore_seq
+                    .fetch_add(1, Ordering::Relaxed)
+                    .is_multiple_of(period)
+                {
+                    (w, a, delta) = (ew, ea, edelta);
                 }
             }
         }
@@ -1071,7 +1068,7 @@ pub(crate) mod tests {
     #[test]
     fn exploration_off_keeps_stale_placement() {
         let config = RuntimeConfig {
-            exploration: crate::runtime::ExplorationMode::Off,
+            explore_epsilon: 0.0,
             ..RuntimeConfig::default()
         };
         let f = stale_cpu_fixture(config, 100, 10, 16 * 1024);

@@ -33,11 +33,11 @@
 //! calibrated, freshly drift-decayed, or stale past its freshness
 //! half-life) is flagged for *exploration*, and dmda/dmdar periodically
 //! divert one flagged candidate that lost the score race onto its
-//! would-be worker (ε-greedy; see [`crate::runtime::ExplorationMode`]).
-//! The diversion counter only
-//! advances when a flagged option actually loses, so fully-calibrated
-//! steady state pays nothing — the §5e hot-path floors still hold with
-//! adaptation enabled.
+//! would-be worker (ε-greedy at
+//! [`crate::runtime::RuntimeConfig::explore_epsilon`]). The diversion
+//! counter only advances when a flagged option actually loses, so a
+//! fully-calibrated steady state pays nothing — the §5e hot-path floors
+//! still hold with adaptation enabled.
 
 pub mod dmda;
 pub mod eager;

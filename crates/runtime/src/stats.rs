@@ -117,19 +117,6 @@ pub enum TraceEvent {
         /// Whether the contents were written back to main memory first.
         writeback: bool,
     },
-    /// A device allocation was served from the node's allocation cache —
-    /// a retained buffer of a sufficient size class was reused instead of
-    /// allocating fresh. When the buffer came from an eviction, the
-    /// victim's [`TraceEvent::Evict`] (and its writeback
-    /// [`TraceEvent::Transfer`], if any) precede this event.
-    Reuse {
-        /// Data handle id of the allocation that reused the buffer.
-        handle: u64,
-        /// Memory node.
-        node: usize,
-        /// Requested (accounted) size of the allocation.
-        bytes: usize,
-    },
     /// An idle `dmda` worker stole a task from another worker's queue.
     /// Records how many of the stolen task's read-operand bytes were
     /// already resident on the *thief's* memory node, so steal quality
@@ -262,12 +249,8 @@ pub struct StatsCollector {
     /// Sum over all steals of the stolen task's read-operand bytes already
     /// resident on the thief's memory node.
     pub steal_resident_bytes: AtomicU64,
-    /// Device allocations served from the allocation cache.
-    pub alloc_cache_hits: AtomicU64,
-    /// Device allocations that had to create a fresh buffer.
-    pub alloc_cache_misses: AtomicU64,
-    /// Bytes of retained buffers dropped to make room (cap or budget).
-    pub alloc_cache_trim_bytes: AtomicU64,
+    /// Device replica allocations (each creates a fresh buffer).
+    pub device_allocs: AtomicU64,
     /// Dispatches where the scheduler popped a task ahead of FIFO order
     /// (dmdar's readiness reordering).
     pub sched_reorders: AtomicU64,
@@ -346,17 +329,8 @@ impl StatsCollector {
             .fetch_add(resident_bytes, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_cache_hit(&self) {
-        self.alloc_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_cache_miss(&self) {
-        self.alloc_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_cache_trim(&self, bytes: u64) {
-        self.alloc_cache_trim_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
+    pub(crate) fn record_device_alloc(&self) {
+        self.device_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one queue-aware dispatch: the ready-queue depth it popped
@@ -425,9 +399,8 @@ impl StatsCollector {
             family_eviction_members: self.family_eviction_members.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
             steal_resident_bytes: self.steal_resident_bytes.load(Ordering::Relaxed),
-            alloc_cache_hits: self.alloc_cache_hits.load(Ordering::Relaxed),
-            alloc_cache_misses: self.alloc_cache_misses.load(Ordering::Relaxed),
-            alloc_cache_trim_bytes: self.alloc_cache_trim_bytes.load(Ordering::Relaxed),
+            alloc_cache_hits: 0,
+            alloc_cache_misses: self.device_allocs.load(Ordering::Relaxed),
             sched_reorders: self.sched_reorders.load(Ordering::Relaxed),
             dispatch_resident_bytes: self.dispatch_resident_bytes.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
@@ -444,7 +417,6 @@ impl StatsCollector {
             // Filled in by `Runtime::stats`, which owns the MemoryManager,
             // the Topology, and the PerfRegistry.
             mem_high_water: Vec::new(),
-            alloc_cache_retained: Vec::new(),
             channel_busy: Vec::new(),
             perf_keys: 0,
             perf_keys_calibrated: 0,
@@ -503,13 +475,15 @@ pub struct RuntimeStats {
     /// resident on the thief's memory node — high values mean the
     /// steal-from-richest heuristic found affine victims.
     pub steal_resident_bytes: u64,
-    /// Device allocations served from a node's allocation cache (a
-    /// retained buffer was reused instead of allocating fresh).
+    /// Always 0: the runtime keeps no allocation cache, because a
+    /// simulated device charges nothing for an allocation, so a freed
+    /// buffer dies with its replica. The field stays because the benchmark
+    /// harness (`perfbench`) reads it.
     pub alloc_cache_hits: u64,
-    /// Device allocations that created a fresh buffer.
+    /// Device replica allocations, each of which creates a fresh buffer.
+    /// With no allocation cache every allocation is a miss, hence the
+    /// name, which the benchmark harness (`perfbench`) reads.
     pub alloc_cache_misses: u64,
-    /// Bytes of retained buffers the caches dropped to stay within budget.
-    pub alloc_cache_trim_bytes: u64,
     /// Dispatches where the scheduler popped a task ahead of FIFO order
     /// because its operands were already resident (dmdar).
     pub sched_reorders: u64,
@@ -527,8 +501,6 @@ pub struct RuntimeStats {
     /// Per-memory-node allocation high-water marks, in bytes
     /// (index 0 = main memory).
     pub mem_high_water: Vec<u64>,
-    /// Per-memory-node bytes currently retained by the allocation caches.
-    pub alloc_cache_retained: Vec<u64>,
     /// Accumulated busy virtual time per fabric channel (label, busy span):
     /// `h2d:n` / `d2h:n` for each device's host link directions, `p2p:a->b`
     /// for peer channels that carried traffic.
@@ -560,17 +532,6 @@ impl RuntimeStats {
     /// peer-to-peer traffic bypasses these links and is excluded.
     pub fn host_link_bytes(&self) -> u64 {
         self.h2d_bytes + self.d2h_bytes
-    }
-
-    /// Fraction of device allocations served by the allocation cache;
-    /// 0.0 when no device allocation happened.
-    pub fn alloc_cache_hit_rate(&self) -> f64 {
-        let total = self.alloc_cache_hits + self.alloc_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.alloc_cache_hits as f64 / total as f64
-        }
     }
 
     /// Total modelled energy across all workers, in joules.
@@ -697,7 +658,6 @@ pub fn gantt(trace: &[TraceEvent], workers: usize, width: usize) -> String {
     // Memory-pressure summary: eviction stalls lengthen transfer queues, so
     // surface them next to the schedule they distorted.
     let (mut evictions, mut writebacks, mut evicted_bytes) = (0u64, 0u64, 0u64);
-    let mut reuses = 0u64;
     let (mut reorders, mut reorder_resident) = (0u64, 0u64);
     let (mut steals, mut steal_resident) = (0u64, 0u64);
     let (mut d2d, mut d2d_bytes) = (0u64, 0u64);
@@ -713,7 +673,6 @@ pub fn gantt(trace: &[TraceEvent], workers: usize, width: usize) -> String {
                     writebacks += 1;
                 }
             }
-            TraceEvent::Reuse { .. } => reuses += 1,
             TraceEvent::Reorder { resident_bytes, .. } => {
                 reorders += 1;
                 reorder_resident += resident_bytes;
@@ -735,11 +694,6 @@ pub fn gantt(trace: &[TraceEvent], workers: usize, width: usize) -> String {
     if evictions > 0 {
         out.push_str(&format!(
             "  evictions: {evictions} ({writebacks} with writeback, {evicted_bytes} bytes freed)\n"
-        ));
-    }
-    if reuses > 0 {
-        out.push_str(&format!(
-            "  alloc-cache reuses: {reuses} (allocations served from retained buffers)\n"
         ));
     }
     if reorders > 0 {
@@ -942,48 +896,6 @@ mod tests {
         assert!(chart.contains("evictions: 2 (1 with writeback, 3072 bytes freed)"));
         // No summary line when nothing was evicted.
         assert!(!gantt(&trace[..1], 1, 20).contains("evictions"));
-    }
-
-    #[test]
-    fn alloc_cache_counters_and_hit_rate() {
-        let s = StatsCollector::new(1, true);
-        s.record_cache_hit();
-        s.record_cache_hit();
-        s.record_cache_hit();
-        s.record_cache_miss();
-        s.record_cache_trim(512);
-        let snap = s.snapshot();
-        assert_eq!(snap.alloc_cache_hits, 3);
-        assert_eq!(snap.alloc_cache_misses, 1);
-        assert_eq!(snap.alloc_cache_trim_bytes, 512);
-        assert!((snap.alloc_cache_hit_rate() - 0.75).abs() < 1e-12);
-        // No allocations at all: rate is defined as zero.
-        assert_eq!(
-            StatsCollector::new(1, false)
-                .snapshot()
-                .alloc_cache_hit_rate(),
-            0.0
-        );
-
-        let trace = vec![
-            TraceEvent::TaskEnd {
-                task: 1,
-                worker: 0,
-                codelet: "spmv".into(),
-                vstart: VTime::ZERO,
-                vfinish: VTime::from_micros(10),
-                run: None,
-                job: 0,
-            },
-            TraceEvent::Reuse {
-                handle: 7,
-                node: 1,
-                bytes: 1024,
-            },
-        ];
-        let chart = gantt(&trace, 1, 20);
-        assert!(chart.contains("alloc-cache reuses: 1"));
-        assert!(!gantt(&trace[..1], 1, 20).contains("alloc-cache"));
     }
 
     #[test]

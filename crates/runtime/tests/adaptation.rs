@@ -17,8 +17,8 @@
 //!   the regression this test pins. Exploration must rediscover it.
 
 use peppher_runtime::{
-    AccessMode, Arch, Codelet, ExplorationMode, Objective, PerfRegistry, Runtime, RuntimeConfig,
-    TaskBuilder, TraceEvent,
+    AccessMode, Arch, Codelet, Objective, PerfRegistry, Runtime, RuntimeConfig, TaskBuilder,
+    TraceEvent,
 };
 use peppher_sim::{KernelCost, MachineConfig, VTime};
 use std::sync::Arc;
@@ -56,7 +56,7 @@ fn throttled_machine() -> MachineConfig {
 fn frozen_config(objective: Objective) -> RuntimeConfig {
     RuntimeConfig {
         objective,
-        exploration: ExplorationMode::Off,
+        explore_epsilon: 0.0,
         drift_detection: false,
         ..RuntimeConfig::default()
     }

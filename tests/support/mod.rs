@@ -7,13 +7,12 @@
 //!
 //! - results are bitwise identical to a host shadow evaluated in
 //!   submission order (sequential data consistency),
-//! - the device budget is never exceeded (high-water includes the
-//!   allocation cache's retained bytes),
+//! - the device budget is never exceeded (the live-replica high-water
+//!   mark stays within it),
 //! - no pinned replica is ever selected for eviction (a hard assert inside
 //!   the capacity manager — the run aborts if it trips),
-//! - allocation-cache accounting balances to zero at shutdown: after
-//!   draining the cache and unregistering every handle, all device nodes
-//!   report zero used and zero retained bytes.
+//! - capacity accounting balances to zero at shutdown: after
+//!   unregistering every handle, all memory nodes report zero used bytes.
 //!
 //! Failures dump the full trace and a gantt rendering to
 //! `target/stress-artifacts/` (CI uploads that directory).
@@ -149,7 +148,8 @@ pub fn run_stress_on(
         match kind {
             0 => {
                 // fill(y): overwrite — exercises the write-only fast path
-                // (a recycled buffer must be reset, not trusted).
+                // (the new buffer's stale contents must be reset, not
+                // trusted).
                 let yi = rng.gen_range(0..NHANDLES);
                 let opseed = rng.gen_range(0..1_000_000u64);
                 let len = shadow[yi].len();
@@ -235,7 +235,7 @@ pub fn run_stress_on(
     }
 
     let stats = rt.stats();
-    // used + retained never exceeded the budget on ANY device node, at any
+    // Live bytes never exceeded the budget on ANY device node, at any
     // point.
     for (n, &hw) in stats.mem_high_water.iter().enumerate().skip(1) {
         if hw > BUDGET {
@@ -248,23 +248,17 @@ pub fn run_stress_on(
         failures.push(format!("capacity accounting invalid after run: {e}"));
     }
 
-    // Shutdown accounting: unregister everything (buffers recycle into the
-    // cache), drain the cache, and require the books to balance to zero.
+    // Shutdown accounting: unregister everything and require the books to
+    // balance to zero.
     for h in handles {
         rt.unregister::<Vec<f32>>(h);
     }
-    rt.memory().drain_alloc_cache();
     if let Err(e) = rt.memory().validate() {
-        failures.push(format!("capacity accounting invalid after drain: {e}"));
+        failures.push(format!("capacity accounting invalid after unregister: {e}"));
     }
     for (n, &used) in rt.memory().used_bytes().iter().enumerate() {
         if used != 0 {
             failures.push(format!("node {n} still accounts {used} used bytes"));
-        }
-    }
-    for (n, &kept) in rt.memory().alloc_cache_retained().iter().enumerate() {
-        if kept != 0 {
-            failures.push(format!("node {n} cache still retains {kept} bytes"));
         }
     }
 
