@@ -20,7 +20,7 @@
 //! Each shape runs under eager, dmda, and dmdar, reporting tasks/sec and
 //! the mean per-pop scheduler decision cost in nanoseconds (time spent in
 //! `pop_for_worker`, measured on the worker threads). Wall-clock time is measured from first submit to
-//! `wait_all` return (best of five runs; pop cost is taken from the
+//! `wait_all` return (best of seven runs; pop cost is taken from the
 //! best-rate run).
 //!
 //! A fourth *scale* cell grows the machine instead of the graph: the same
@@ -70,7 +70,7 @@ const SCALE_HANDLES: usize = 64;
 /// Tasks/sec measured for the gated cell (`independent` × eager, 2 CPU
 /// workers) on the pre-overhaul runtime (commit bb13538), same machine
 /// class as CI. Recorded so the sidecar always carries the before/after
-/// pair the ≥2× acceptance criterion compares.
+/// pair the ≥2× acceptance gate compares.
 const BASELINE_INDEPENDENT_EAGER: f64 = 428_379.0;
 
 /// Tasks/sec for `independent` x eager measured at the PR that introduced

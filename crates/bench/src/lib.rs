@@ -1,7 +1,7 @@
 //! Shared helpers for the figure/table harnesses.
 //!
-//! Every binary in this crate regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index):
+//! Five binaries regenerate one table or figure of the paper each (see
+//! DESIGN.md's per-experiment index):
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -11,8 +11,11 @@
 //! | `fig6_dynamic_scheduling` | Fig. 6a/6b (OpenMP vs CUDA vs TGPA, two platforms) |
 //! | `fig7_ode_overhead` | Fig. 7 (ODE solver runtimes; composition overhead) |
 //!
-//! The criterion benches cover §V-E (task overhead) plus scheduler and
-//! container ablations.
+//! `task_throughput` measures §V-E's per-task overhead (its
+//! `job_independent` and `chain` cells time every task to completion).
+//! The others gate the runtime's extensions beyond the paper:
+//! `ooc_spmv`, `dmdar_locality`, `p2p_pingpong`, `graph_replay`,
+//! `partition_scaling` and `adapt_drift`.
 
 use std::path::{Path, PathBuf};
 

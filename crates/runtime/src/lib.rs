@@ -98,7 +98,7 @@ pub use intern::{CodeletId, Sym};
 pub use job::{Batch, JobConfig, JobHandle, JobStats};
 pub use memory::{EvictionPolicy, MemoryManager};
 pub use perfmodel::{ArchClassId, DriftEvent, Estimate, ModelStats, PerfKey, PerfRegistry};
-pub use runtime::{HostReadGuard, HostWriteGuard, Objective, Runtime, RuntimeConfig, TimingMode};
+pub use runtime::{HostReadGuard, HostWriteGuard, Objective, Runtime, RuntimeConfig};
 pub use sched::{Scheduler, SchedulerKind};
 pub use stats::{gantt, RunId, RuntimeStats, TraceEvent};
 pub use task::{Task, TaskBuilder, TaskHandle, TaskHint, TaskHints};

@@ -35,24 +35,11 @@ pub enum Objective {
     Energy,
 }
 
-/// How execution times are obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingMode {
-    /// From the device cost models (+noise): reproducible heterogeneous
-    /// timing without the hardware. The default.
-    Virtual,
-    /// From the wall clock: used by the §V-E task-overhead benchmark on
-    /// CPU-only machines.
-    Measured,
-}
-
 /// Runtime construction options.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Scheduling policy.
     pub scheduler: SchedulerKind,
-    /// Timing source.
-    pub timing: TimingMode,
     /// The paper's `useHistoryModels` flag: when true (default) the `dmda`
     /// scheduler learns execution-history models online; when false it
     /// falls back to prediction functions / static models.
@@ -89,7 +76,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             scheduler: SchedulerKind::Dmda,
-            timing: TimingMode::Virtual,
             use_history: true,
             enable_trace: false,
             calibration_min: 3,

@@ -3,7 +3,7 @@
 use crate::codelet::{Arch, BufferGuard, KernelCtx};
 use crate::coherence;
 use crate::perfmodel::PerfKey;
-use crate::runtime::{RuntimeInner, TimingMode};
+use crate::runtime::RuntimeInner;
 use crate::stats::TraceEvent;
 use crate::task::{ExecChoice, Task};
 use peppher_sim::VTime;
@@ -233,92 +233,72 @@ fn execute_task(inner: &RuntimeInner, worker: usize, task: &Arc<Task>, direct: b
         })
         .collect();
 
-    let run_kernel = |guards: &mut Vec<BufferGuard>| {
-        let mut ctx = KernelCtx {
-            buffers: guards.as_mut_slice(),
-            arg: task
-                .arg
-                .as_deref()
-                .map(|a| a as &(dyn std::any::Any + Send)),
-            worker,
-            arch,
-            team_size: team,
+    // Timing is decided by the model before the real execution.
+    let profile = inner.machine.worker_profile(worker);
+    // Noiseless machines skip the shared RNG lock entirely;
+    // `next_factor` returns 1.0 before touching the RNG when the
+    // relative stddev is zero, so this changes no timing.
+    let factor = if inner.machine.noise_rel_stddev == 0.0 {
+        1.0
+    } else {
+        inner.noise.lock().next_factor()
+    };
+    let base_exec = profile.exec_time_team(&task.cost, team).scale(factor);
+    let (vexec, vfinish) = {
+        let tl = &inner.timelines;
+        let avail = if team > 1 {
+            (0..inner.machine.cpu_workers)
+                .map(|w| tl.get(w))
+                .fold(VTime::ZERO, VTime::max)
+        } else {
+            tl.get(worker)
         };
-        // Contain kernel panics: a crashing component implementation must
-        // not take the worker thread (and with it the whole runtime) down.
-        // The task still completes (its outputs may be garbage — recorded
-        // in the failure counter), successors run, waiters wake.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (implementation.func)(&mut ctx);
-        }));
-        if let Err(payload) = result {
-            let msg = panic_message(payload.as_ref());
-            eprintln!(
-                "peppher-runtime: kernel `{}` panicked on worker {worker}: {msg}",
-                task.codelet.name
-            );
-            inner.stats.record_kernel_failure();
-        }
-    };
-
-    let (vexec, vfinish) = match inner.config.timing {
-        TimingMode::Virtual => {
-            // Timing is decided by the model before the real execution.
-            let profile = inner.machine.worker_profile(worker);
-            // Noiseless machines skip the shared RNG lock entirely;
-            // `next_factor` returns 1.0 before touching the RNG when the
-            // relative stddev is zero, so this changes no timing.
-            let factor = if inner.machine.noise_rel_stddev == 0.0 {
-                1.0
-            } else {
-                inner.noise.lock().next_factor()
-            };
-            let base_exec = profile.exec_time_team(&task.cost, team).scale(factor);
-            let (vexec, vfinish) = {
-                let tl = &inner.timelines;
-                let avail = if team > 1 {
-                    (0..inner.machine.cpu_workers)
-                        .map(|w| tl.get(w))
-                        .fold(VTime::ZERO, VTime::max)
-                } else {
-                    tl.get(worker)
-                };
-                let vstart = avail.max(vdeps).max(data_ready);
-                // Scheduled device throttle: the factor in effect at the
-                // task's virtual *start* scales the modelled execution
-                // (thermal slowdowns hit whole kernels, not fractions).
-                // Guarded so untouched machines keep bit-identical timing.
-                let throttle = inner.machine.worker_throttle_factor(worker, vstart);
-                let vexec = if throttle != 1.0 {
-                    base_exec.scale(throttle)
-                } else {
-                    base_exec
-                };
-                let vfinish = vstart + vexec;
-                if team > 1 {
-                    for w in 0..inner.machine.cpu_workers {
-                        tl.advance(w, vfinish);
-                    }
-                } else {
-                    tl.advance(worker, vfinish);
-                }
-                (vexec, vfinish)
-            };
-            run_kernel(&mut guards);
-            (vexec, vfinish)
-        }
-        TimingMode::Measured => {
-            let t0 = Instant::now();
-            run_kernel(&mut guards);
-            let wall = t0.elapsed();
-            let vexec = VTime::from_nanos(wall.as_nanos() as u64);
-            let tl = &inner.timelines;
-            let vstart = tl.get(worker).max(vdeps).max(data_ready);
-            let vfinish = vstart + vexec;
+        let vstart = avail.max(vdeps).max(data_ready);
+        // Scheduled device throttle: the factor in effect at the
+        // task's virtual *start* scales the modelled execution
+        // (thermal slowdowns hit whole kernels, not fractions).
+        // Guarded so untouched machines keep bit-identical timing.
+        let throttle = inner.machine.worker_throttle_factor(worker, vstart);
+        let vexec = if throttle != 1.0 {
+            base_exec.scale(throttle)
+        } else {
+            base_exec
+        };
+        let vfinish = vstart + vexec;
+        if team > 1 {
+            for w in 0..inner.machine.cpu_workers {
+                tl.advance(w, vfinish);
+            }
+        } else {
             tl.advance(worker, vfinish);
-            (vexec, vfinish)
         }
+        (vexec, vfinish)
     };
+    let mut ctx = KernelCtx {
+        buffers: guards.as_mut_slice(),
+        arg: task
+            .arg
+            .as_deref()
+            .map(|a| a as &(dyn std::any::Any + Send)),
+        worker,
+        arch,
+        team_size: team,
+    };
+    // Contain kernel panics: a crashing component implementation must
+    // not take the worker thread (and with it the whole runtime) down.
+    // The task still completes (its outputs may be garbage — recorded
+    // in the failure counter), successors run, waiters wake.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        (implementation.func)(&mut ctx);
+    }));
+    if let Err(payload) = result {
+        let msg = panic_message(payload.as_ref());
+        eprintln!(
+            "peppher-runtime: kernel `{}` panicked on worker {worker}: {msg}",
+            task.codelet.name
+        );
+        inner.stats.record_kernel_failure();
+    }
     drop(guards);
 
     // The worker's virtual timeline now includes this task. Direct

@@ -11,8 +11,8 @@ use peppher::runtime::{EvictionPolicy, SchedulerKind};
 use peppher::sim::MachineConfig;
 use support::{check, check_on};
 
-fn check_dmda(seed: u64, ntasks: usize, policy: EvictionPolicy) {
-    check(seed, ntasks, policy, SchedulerKind::Dmda);
+fn check_dmda(seed: u64, ntasks: usize, policy: EvictionPolicy) -> u64 {
+    check(seed, ntasks, policy, SchedulerKind::Dmda)
 }
 
 /// Same graphs on a 3-GPU platform with a peer link: device-to-device
@@ -53,8 +53,9 @@ fn stress_seed_11_both_policies() {
 /// generator, which would make CI failures unreproducible).
 #[test]
 fn stress_harness_is_deterministic() {
-    check_dmda(7, 40, EvictionPolicy::Lru);
-    check_dmda(7, 40, EvictionPolicy::Lru);
+    let first = check_dmda(7, 40, EvictionPolicy::Lru);
+    let second = check_dmda(7, 40, EvictionPolicy::Lru);
+    assert_eq!(first, second, "seed 7 built two different shadows");
 }
 
 #[test]

@@ -10,26 +10,35 @@ use peppher::runtime::{EvictionPolicy, Runtime, RuntimeConfig, SchedulerKind};
 use peppher::sim::MachineConfig;
 use support::{bitwise_eq, check, ALL_SCHEDULERS};
 
-/// Each run is verified bitwise against the same host shadow (same seed,
-/// same generator), so passing under every scheduler proves the results
-/// are bitwise identical across all three policies, under both eviction
-/// policies.
+/// Runs an LRU seed and a family-eviction seed under every policy. Each
+/// run is verified bitwise against its host shadow, and every policy's
+/// shadow digests must equal the first policy's, so the results are
+/// bitwise identical across all three policies.
+fn assert_parity((lru_seed, lru_tasks): (u64, usize), (fam_seed, fam_tasks): (u64, usize)) {
+    let digests: Vec<_> = ALL_SCHEDULERS
+        .iter()
+        .map(|&sched| {
+            (
+                check(lru_seed, lru_tasks, EvictionPolicy::Lru, sched),
+                check(fam_seed, fam_tasks, EvictionPolicy::Family, sched),
+            )
+        })
+        .collect();
+    for (sched, d) in ALL_SCHEDULERS.iter().zip(&digests) {
+        assert_eq!(*d, digests[0], "{sched:?} computed different data");
+    }
+}
+
 #[test]
 fn stress_graphs_bitwise_identical_under_every_scheduler() {
-    for sched in ALL_SCHEDULERS {
-        check(7, 60, EvictionPolicy::Lru, sched);
-        check(11, 40, EvictionPolicy::Family, sched);
-    }
+    assert_parity((7, 60), (11, 40));
 }
 
 /// Release-mode CI sweep with the long seeds.
 #[test]
 #[ignore]
 fn stress_release_parity_sweep() {
-    for sched in ALL_SCHEDULERS {
-        check(1001, 300, EvictionPolicy::Lru, sched);
-        check(2002, 300, EvictionPolicy::Family, sched);
-    }
+    assert_parity((1001, 300), (2002, 300));
 }
 
 fn run_locality_with(sched: SchedulerKind) -> (Vec<Vec<f32>>, u64, peppher::sim::VTime) {

@@ -14,6 +14,10 @@
 //! - capacity accounting balances to zero at shutdown: after
 //!   unregistering every handle, all memory nodes report zero used bytes.
 //!
+//! Each run also returns a digest of the final shadow's bit patterns, so
+//! callers can check that a seed builds the same graph every time and
+//! that every policy computes the same data.
+//!
 //! Failures dump the full trace and a gantt rendering to
 //! `target/stress-artifacts/` (CI uploads that directory).
 #![allow(dead_code)] // each test binary uses a subset of the harness
@@ -24,6 +28,7 @@ use peppher::runtime::{
 };
 use peppher::sim::{KernelCost, MachineConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Device budget: 10x the largest handle, so only the working set — never
@@ -75,35 +80,28 @@ pub fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Runs one seeded graph under `sched` on the default single-GPU
-/// platform; returns human-readable failures (empty = pass).
-pub fn run_stress(
-    seed: u64,
-    ntasks: usize,
-    policy: EvictionPolicy,
-    sched: SchedulerKind,
-) -> Vec<String> {
-    run_stress_on(
-        MachineConfig::c2050_platform(2),
-        seed,
-        ntasks,
-        policy,
-        sched,
-    )
+/// Hashes every value's bit pattern, handle by handle.
+fn digest(values: &[Vec<f32>]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for v in values {
+        v.len().hash(&mut h);
+        v.iter().for_each(|x| x.to_bits().hash(&mut h));
+    }
+    h.finish()
 }
 
 /// Runs one seeded graph under `sched` on `machine` (noise stripped and
 /// every device capped at [`BUDGET`]); returns human-readable failures
-/// (empty = pass). Multi-device machines exercise device-to-device
-/// routing — direct when the machine has a P2P link, staged through the
-/// host otherwise.
+/// (empty = pass) and the digest of the final shadow. Multi-device
+/// machines exercise device-to-device routing — direct when the machine
+/// has a P2P link, staged through the host otherwise.
 pub fn run_stress_on(
     machine: MachineConfig,
     seed: u64,
     ntasks: usize,
     policy: EvictionPolicy,
     sched: SchedulerKind,
-) -> Vec<String> {
+) -> (Vec<String>, u64) {
     let mut failures = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -288,31 +286,35 @@ pub fn run_stress_on(
         eprintln!("stress artifacts written to {}", path.display());
     }
     rt.shutdown();
-    failures
+    (failures, digest(&shadow))
 }
 
-/// Asserts a stress run passes.
-pub fn check(seed: u64, ntasks: usize, policy: EvictionPolicy, sched: SchedulerKind) {
-    let failures = run_stress(seed, ntasks, policy, sched);
-    assert!(
-        failures.is_empty(),
-        "stress seed {seed} ({policy:?}, {sched:?}) failed:\n{}",
-        failures.join("\n")
-    );
+/// Asserts a stress run passes on the default single-GPU platform;
+/// returns the final shadow's digest.
+pub fn check(seed: u64, ntasks: usize, policy: EvictionPolicy, sched: SchedulerKind) -> u64 {
+    check_on(
+        MachineConfig::c2050_platform(2),
+        seed,
+        ntasks,
+        policy,
+        sched,
+    )
 }
 
-/// Asserts a stress run passes on an explicit machine.
+/// Asserts a stress run passes on an explicit machine; returns the final
+/// shadow's digest.
 pub fn check_on(
     machine: MachineConfig,
     seed: u64,
     ntasks: usize,
     policy: EvictionPolicy,
     sched: SchedulerKind,
-) {
-    let failures = run_stress_on(machine, seed, ntasks, policy, sched);
+) -> u64 {
+    let (failures, digest) = run_stress_on(machine, seed, ntasks, policy, sched);
     assert!(
         failures.is_empty(),
         "stress seed {seed} ({policy:?}, {sched:?}) failed:\n{}",
         failures.join("\n")
     );
+    digest
 }
