@@ -225,10 +225,9 @@ pub fn run_pipeline(rt: &Runtime, cfg: PipeConfig) -> PipeReport {
 }
 
 /// [`run_pipeline`] scoped to a job context: the per-frame replays count
-/// toward the job's wait and fair-share account, the instance's frame
-/// buffers are charged to its memory quota, and cancelling the job drains
-/// any in-flight replay. This is how several tenants stream pipelines
-/// through one shared runtime without starving each other.
+/// toward the job's wait, their faults are the job's, the instance's
+/// frame buffers are job-owned, and cancelling the job drains any
+/// in-flight replay and reclaims those buffers' device replicas.
 pub fn run_pipeline_for(job: &JobHandle, cfg: PipeConfig) -> PipeReport {
     let (graph, slots) = record_frame_graph(cfg.width, cfg.height);
     let inst = job.instantiate(&graph);

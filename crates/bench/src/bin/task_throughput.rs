@@ -9,9 +9,9 @@
 //!   pure queue/wakeup/stats throughput, all workers draining in
 //!   parallel.
 //! * `job_independent` — the same frontier through one explicit job
-//!   context whose completion is awaited via `JobHandle::wait`, so the
-//!   per-job lane and fair-share machinery is engaged with a single
-//!   tenant; gated within 5% of the pre-job baseline.
+//!   context whose completion is awaited via `JobHandle::wait`: every
+//!   task is timed until it has run, so this is §V-E's per-task cost for
+//!   batched independent tasks.
 //! * `chain` — 512 tasks serialized through one ReadWrite handle: the
 //!   completion→successor-push→wakeup latency, one task in flight.
 //! * `fanout` — one producer and 512 readers of its output: a ready-queue
@@ -73,16 +73,6 @@ const SCALE_HANDLES: usize = 64;
 /// pair the ≥2× acceptance gate compares.
 const BASELINE_INDEPENDENT_EAGER: f64 = 428_379.0;
 
-/// Tasks/sec for `independent` x eager measured at the PR that introduced
-/// job contexts, *before* the fair-share layer went in (same machine
-/// class as CI). The `job_independent` cell — the identical workload
-/// submitted through a single explicit job, so the per-job lane and
-/// account machinery is engaged — must stay within 5% of it: one tenant
-/// must not pay for multi-tenancy. `BENCH_OVERHEAD_SKIP_FAIRSHARE`
-/// waives the gate on machines unlike the reference box.
-const BASELINE_PR7_INDEPENDENT: f64 = 1_201_651.0;
-const FAIRSHARE_MAX_OVERHEAD: f64 = 0.05;
-
 /// Regression floor for the three `independent` cells. Eager, dmda, and
 /// dmdar all measured above ~1.3M tasks/sec on the reference machine; 1M
 /// catches any slide back toward the rescan-per-pop hot path while
@@ -132,10 +122,9 @@ fn run_independent(rt: &Runtime, cl: &Arc<Codelet>) -> usize {
     INDEPENDENT_TASKS
 }
 
-/// The `independent` frontier submitted through one explicit job context:
-/// the runtime flips multi-tenant, so every pop runs the per-job lane
-/// selection and fair-share debit — with exactly one lane. Gated within
-/// [`FAIRSHARE_MAX_OVERHEAD`] of [`BASELINE_PR7_INDEPENDENT`].
+/// The `independent` frontier submitted through one explicit job context
+/// and awaited with the job-scoped `JobHandle::wait`, which returns only
+/// once every task has run.
 fn run_job_independent(rt: &Runtime, cl: &Arc<Codelet>) -> usize {
     let job = rt.job(JobConfig::default());
     job.submit_batch(
@@ -298,10 +287,6 @@ fn main() {
             "baseline_independent_eager_tasks_per_sec",
             format!("{BASELINE_INDEPENDENT_EAGER:.0}"),
         ),
-        (
-            "baseline_pr7_independent_tasks_per_sec",
-            format!("{BASELINE_PR7_INDEPENDENT:.0}"),
-        ),
         ("floor_tasks_per_sec", format!("{FLOOR_TASKS_PER_SEC:.0}")),
         ("scale_tasks", SCALE_TASKS.to_string()),
         ("scale_dmdar_pop_ns_8dev", format!("{pop8:.0}")),
@@ -352,28 +337,6 @@ fn main() {
             gated >= 2.0 * BASELINE_INDEPENDENT_EAGER,
             "independent/eager {gated:.0} tasks/sec has lost the >= 2x margin over the \
              pre-overhaul baseline {BASELINE_INDEPENDENT_EAGER:.0} (set BENCH_OVERHEAD_SKIP_2X to waive)"
-        );
-    }
-    // One tenant must not pay for multi-tenancy: the job-scoped cell,
-    // which runs the full lane + fair-share machinery with a single job,
-    // stays within 5% of the pre-job-layer throughput.
-    let job_rate = cells
-        .iter()
-        .find(|(n, _, _)| n == "job_independent_eager")
-        .map(|(_, r, _)| *r)
-        .unwrap();
-    println!(
-        "single-job fair-share cell: {job_rate:.0} tasks/sec \
-         (pre-job baseline {BASELINE_PR7_INDEPENDENT:.0}, max overhead {:.0}%)",
-        FAIRSHARE_MAX_OVERHEAD * 100.0
-    );
-    if std::env::var_os("BENCH_OVERHEAD_SKIP_FAIRSHARE").is_none() {
-        assert!(
-            job_rate >= (1.0 - FAIRSHARE_MAX_OVERHEAD) * BASELINE_PR7_INDEPENDENT,
-            "fair-share overhead: job_independent/eager {job_rate:.0} tasks/sec is more than \
-             {:.0}% below the pre-job baseline {BASELINE_PR7_INDEPENDENT:.0} \
-             (set BENCH_OVERHEAD_SKIP_FAIRSHARE to waive)",
-            FAIRSHARE_MAX_OVERHEAD * 100.0
         );
     }
     assert!(

@@ -31,8 +31,8 @@ pub struct RunRecord {
 /// state. Workers reach it through the weak reference on each task.
 pub(crate) struct InstanceCore {
     pub(crate) id: u32,
-    /// Owning job: every iteration's tasks count toward its scoped wait,
-    /// fair-share account, and cancellation drain.
+    /// Owning job: every iteration's tasks count toward its scoped wait
+    /// and cancellation drain.
     job: Arc<JobCore>,
     tasks: Vec<Arc<Task>>,
     /// Predecessor counts, used to rewind each task's dependency counter.
@@ -463,10 +463,7 @@ mod tests {
     #[test]
     fn job_scoped_replay_reports_task_fault_as_error() {
         let rt = Runtime::new(MachineConfig::cpu_only(2), SchedulerKind::Eager);
-        let job = rt.job(JobConfig {
-            weight: 2,
-            ..JobConfig::default()
-        });
+        let job = rt.job(JobConfig::default());
         let inst = mislabelled("job_graph_cpu_cl", |g| job.instantiate(g));
         let err = inst
             .try_execute_many(2)

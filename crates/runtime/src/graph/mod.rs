@@ -60,8 +60,8 @@ pub struct GraphNodeId(pub(crate) u32);
 type SlotMake = Box<dyn Fn(&Runtime, u64) -> DataHandle + Send + Sync>;
 
 /// How a slot's initial payload is registered at instantiation time. The
-/// job id makes the instance's handles job-owned, so replays count
-/// against the instantiating job's memory quota.
+/// job id makes the instance's handles job-owned, so cancelling the
+/// instantiating job reclaims their device replicas.
 struct SlotSpec {
     make: SlotMake,
 }
@@ -201,15 +201,15 @@ impl TaskGraph {
 
     /// Creates a replayable instance: registers one handle per slot and one
     /// long-lived task per node, all placement tables precomputed. The
-    /// instance belongs to the runtime's implicit default job; multi-tenant
-    /// callers use [`crate::JobHandle::instantiate`].
+    /// instance belongs to the runtime's implicit default job; to scope it
+    /// to another job, use [`crate::JobHandle::instantiate`].
     pub fn instantiate(&self, rt: &Runtime) -> GraphInstance {
         self.instantiate_for(rt, &Arc::clone(&rt.inner.jobs.default))
     }
 
-    /// Job-scoped instantiation: slot handles are owned by `job` (quota
-    /// accounting, reclaim on cancel) and every replay iteration counts
-    /// toward the job's `wait` and fair-share account.
+    /// Job-scoped instantiation: slot handles are owned by `job` (reclaim
+    /// on cancel) and every replay iteration counts toward the job's
+    /// `wait`.
     pub(crate) fn instantiate_for(&self, rt: &Runtime, job: &Arc<JobCore>) -> GraphInstance {
         let handles: Vec<DataHandle> = self.slots.iter().map(|s| (s.make)(rt, job.id)).collect();
         instance::instantiate(self, handles, rt, job)

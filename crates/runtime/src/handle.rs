@@ -101,9 +101,8 @@ pub(crate) struct HandleInner {
     /// Payload size in bytes (fixed at registration; used for transfer
     /// modelling and performance-model footprints).
     pub bytes: usize,
-    /// Owning job id (0 = the implicit default job). Device replicas are
-    /// charged to this job's memory quota, and a job cancellation reclaims
-    /// exactly the replicas carrying its id.
+    /// Owning job id (0 = the implicit default job). A job cancellation
+    /// reclaims exactly the device replicas carrying its id.
     pub job: u64,
     /// Deep-copies a payload (drives replica allocation and transfer).
     pub clone_fn: Arc<dyn Fn(&PayloadBox) -> PayloadBox + Send + Sync>,

@@ -90,8 +90,7 @@ struct Resident {
     /// later touch.
     dead: bool,
     /// Owning job id (0 = the implicit default job), from the handle at
-    /// accounting time. Drives per-job quota charging and
-    /// [`MemoryManager::reclaim_job`].
+    /// accounting time. Drives [`MemoryManager::reclaim_job`].
     job: u64,
     /// Block-family id (0 = no family), resolved from the family registry
     /// at accounting time. Under [`EvictionPolicy::Family`], eviction
@@ -118,9 +117,6 @@ struct NodeMem {
     clock: u64,
     /// Accounting entries keyed by handle id.
     residents: HashMap<u64, Resident>,
-    /// Accounted bytes per owning job (entries removed at zero, so the map
-    /// is bounded by the number of jobs with live replicas here).
-    job_used: HashMap<u64, u64>,
 }
 
 impl NodeMem {
@@ -129,20 +125,13 @@ impl NodeMem {
         self.clock
     }
 
-    fn account(&mut self, job: u64, bytes: u64) {
+    fn account(&mut self, bytes: u64) {
         self.used += bytes;
-        *self.job_used.entry(job).or_insert(0) += bytes;
         self.high_water = self.high_water.max(self.used);
     }
 
-    fn unaccount(&mut self, job: u64, bytes: u64) {
+    fn unaccount(&mut self, bytes: u64) {
         self.used = self.used.saturating_sub(bytes);
-        if let Some(ju) = self.job_used.get_mut(&job) {
-            *ju = ju.saturating_sub(bytes);
-            if *ju == 0 {
-                self.job_used.remove(&job);
-            }
-        }
     }
 
     /// Whether allocating `need` more bytes would exceed the budget.
@@ -155,12 +144,6 @@ impl NodeMem {
 pub struct MemoryManager {
     nodes: Vec<Mutex<NodeMem>>,
     policy: EvictionPolicy,
-    /// Per-job device-memory quotas (bytes per device node), set at job
-    /// creation via [`MemoryManager::set_quota`].
-    quotas: RwLock<HashMap<u64, u64>>,
-    /// Fast flag mirroring `!quotas.is_empty()`, so the quota-free hot
-    /// path pays one relaxed load instead of an `RwLock` read per prepare.
-    has_quotas: AtomicBool,
     /// Block-family registry: handle id → family id (0 / absent = no
     /// family). Written by [`MemoryManager::set_family`] when a container
     /// partitions; read at replica-accounting time.
@@ -171,7 +154,7 @@ pub struct MemoryManager {
     /// Monotonic family-id source (ids start at 1; 0 = no family).
     next_family: AtomicU64,
     /// Fast flag mirroring `!families.is_empty()` — the family-free hot
-    /// path pays one relaxed load per prepare, like `has_quotas`.
+    /// path pays one relaxed load per prepare.
     has_families: AtomicBool,
 }
 
@@ -197,15 +180,12 @@ impl MemoryManager {
                     high_water: 0,
                     clock: 0,
                     residents: HashMap::new(),
-                    job_used: HashMap::new(),
                 })
             })
             .collect();
         MemoryManager {
             nodes,
             policy,
-            quotas: RwLock::new(HashMap::new()),
-            has_quotas: AtomicBool::new(false),
             families: RwLock::new(HashMap::new()),
             family_members: RwLock::new(HashMap::new()),
             next_family: AtomicU64::new(1),
@@ -284,29 +264,19 @@ impl MemoryManager {
         }
     }
 
-    /// Caps `job`'s accounted replica bytes at `bytes` per device node.
-    /// An allocation that would push the job past its quota evicts the
-    /// job's *own* replicas first (see [`MemoryManager::prepare`]); only
-    /// when none are evictable does the job overcommit its quota.
-    pub(crate) fn set_quota(&self, job: u64, bytes: u64) {
-        self.quotas.write().insert(job, bytes);
-        self.has_quotas.store(true, Ordering::Release);
-    }
-
-    /// The quota configured for `job`, if any.
-    fn quota_for(&self, job: u64) -> Option<u64> {
-        if !self.has_quotas.load(Ordering::Acquire) {
-            return None;
-        }
-        self.quotas.read().get(&job).copied()
-    }
-
-    /// Per-node accounted bytes owned by `job` (the leak probe for the
-    /// cancellation tests).
+    /// Per-node accounted bytes of the replicas owned by `job` (the leak
+    /// probe for the cancellation tests).
     pub fn job_used_bytes(&self, job: u64) -> Vec<u64> {
         self.nodes
             .iter()
-            .map(|n| n.lock().job_used.get(&job).copied().unwrap_or(0))
+            .map(|n| {
+                let nm = n.lock();
+                nm.residents
+                    .values()
+                    .filter(|r| r.job == job)
+                    .map(|r| r.bytes)
+                    .sum()
+            })
             .collect()
     }
 
@@ -379,9 +349,8 @@ impl MemoryManager {
         self.nodes.iter().map(|n| n.lock().used).collect()
     }
 
-    /// Checks the accounting invariants on every node: `used` equals both
-    /// the sum of resident bytes and the sum of per-job bytes, and each
-    /// job's bytes equal those of the residents it owns.
+    /// Checks the accounting invariant on every node: `used` equals the
+    /// sum of resident bytes.
     pub fn validate(&self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
             let nm = node.lock();
@@ -391,26 +360,6 @@ impl MemoryManager {
                     "node {i}: used counter {} != resident byte sum {sum}",
                     nm.used
                 ));
-            }
-            let job_sum: u64 = nm.job_used.values().sum();
-            if job_sum != nm.used {
-                return Err(format!(
-                    "node {i}: per-job byte sum {job_sum} != used counter {}",
-                    nm.used
-                ));
-            }
-            for (job, ju) in &nm.job_used {
-                let owned: u64 = nm
-                    .residents
-                    .values()
-                    .filter(|r| r.job == *job)
-                    .map(|r| r.bytes)
-                    .sum();
-                if owned != *ju {
-                    return Err(format!(
-                        "node {i}: job {job} accounted {ju} but owns {owned} resident bytes"
-                    ));
-                }
             }
         }
         Ok(())
@@ -437,7 +386,7 @@ impl MemoryManager {
         let family = self.family_of(handle.id());
         let mut nm = self.nodes[0].lock();
         let stamp = nm.stamp();
-        nm.account(handle.job(), handle.bytes() as u64);
+        nm.account(handle.bytes() as u64);
         nm.residents.insert(
             handle.id(),
             Resident {
@@ -509,8 +458,6 @@ impl MemoryManager {
             return;
         }
         let need = handle.bytes() as u64;
-        let job = handle.job();
-        let quota = self.quota_for(job);
         // Resolved once, outside the node lock, so the selection pass under
         // the lock never touches the family registry.
         let req_family = self.family_of(handle.id());
@@ -524,18 +471,7 @@ impl MemoryManager {
                     return; // already allocated and accounted
                 }
             }
-            // Per-job quota pre-pass: an allocation pushing the job
-            // past its per-node quota evicts the job's *own* replicas
-            // (its LRU first) before touching anyone else's. When the
-            // job has nothing evictable left here, it overcommits its
-            // quota softly — pinned working sets keep making progress
-            // — and the node-budget logic below still applies.
-            let quota_victim = quota
-                .filter(|&q| nm.job_used.get(&job).copied().unwrap_or(0) + need > q)
-                .and_then(|_| Self::select_victim(&mut nm, handle.id(), Some(job)));
-            let selection = if let Some(victim) = quota_victim {
-                Selection::Victim(vec![victim])
-            } else if !nm.over_budget(need) {
+            let selection = if !nm.over_budget(need) {
                 Selection::Done
             } else {
                 // Family falls back to plain LRU when no group is
@@ -569,7 +505,7 @@ impl MemoryManager {
             }
         };
         let stamp = nm.stamp();
-        nm.account(job, need);
+        nm.account(need);
         let weak = Arc::downgrade(&handle.inner);
         let entry = nm.residents.entry(handle.id()).or_insert_with(|| Resident {
             weak,
@@ -577,7 +513,7 @@ impl MemoryManager {
             last_use: stamp,
             pinned: 0,
             dead: false,
-            job,
+            job: handle.job(),
             family: req_family,
             dirty: false,
         });
@@ -596,8 +532,8 @@ impl MemoryManager {
     /// (so concurrent allocators cannot double-evict); its bytes are
     /// un-accounted immediately. Dead (`wont_use`-hinted) replicas go
     /// first, oldest first; live replicas follow in LRU order. With
-    /// `Some(job)` only that job's replicas qualify — quota overflow and
-    /// job reclaim evict the job's own data.
+    /// `Some(job)` only that job's replicas qualify — job reclaim evicts
+    /// the job's own data.
     fn select_victim(
         nm: &mut NodeMem,
         requester: u64,
@@ -612,7 +548,7 @@ impl MemoryManager {
             .min_by_key(|(_, r)| (!r.dead, r.last_use))
             .map(|(id, _)| *id)?;
         let r = nm.residents.remove(&vid).expect("victim just found");
-        nm.unaccount(r.job, r.bytes);
+        nm.unaccount(r.bytes);
         Some((vid, r))
     }
 
@@ -694,7 +630,7 @@ impl MemoryManager {
         let mut victims = Vec::with_capacity(ids.len());
         for vid in ids {
             let r = nm.residents.remove(&vid).expect("victim just found");
-            nm.unaccount(r.job, r.bytes);
+            nm.unaccount(r.bytes);
             victims.push((vid, r));
         }
         Some(victims)
@@ -769,8 +705,7 @@ impl MemoryManager {
         if let Some(r) = nm.residents.get_mut(&handle_id) {
             let freed = std::mem::take(&mut r.bytes);
             let unpinned = r.pinned == 0;
-            let job = r.job;
-            nm.unaccount(job, freed);
+            nm.unaccount(freed);
             if unpinned {
                 nm.residents.remove(&handle_id);
             }
@@ -782,7 +717,7 @@ impl MemoryManager {
         for node in &self.nodes {
             let mut nm = node.lock();
             if let Some(r) = nm.residents.remove(&handle_id) {
-                nm.unaccount(r.job, r.bytes);
+                nm.unaccount(r.bytes);
             }
         }
     }
@@ -807,9 +742,9 @@ impl MemoryManager {
 
     /// Evicts every unpinned device replica owned by `job` (job
     /// cancellation / teardown): Modified replicas get their one writeback
-    /// so node 0 keeps a valid master copy, then the job's quota
-    /// accounting on every device node returns to zero. Returns the total
-    /// bytes released. Pinned replicas (a task still executing) are left
+    /// so node 0 keeps a valid master copy, and the job owns no accounted
+    /// bytes on any device node afterwards. Returns the total bytes
+    /// released. Pinned replicas (a task still executing) are left
     /// for their unpin + recycle path.
     pub(crate) fn reclaim_job(&self, job: u64, topo: &Topology, stats: &StatsCollector) -> u64 {
         let mut freed = 0;

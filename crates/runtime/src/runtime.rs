@@ -110,8 +110,7 @@ pub(crate) struct RuntimeInner {
     /// Actual virtual clock per worker (lock-free monotone slots).
     pub timelines: Timelines,
     pub noise: Mutex<NoiseModel>,
-    /// Job registry: the implicit default job, id allocation, the
-    /// multi-tenant fast flag, and the fair-share virtual clock.
+    /// Job registry: the implicit default job and id allocation.
     pub jobs: JobSet,
     /// Submitted-but-unfinished task count across *all* jobs (shutdown
     /// drains on this). The condvar handshake only happens on the
@@ -150,14 +149,11 @@ impl RuntimeInner {
     }
 
     /// Counts `n` new tasks of `job` as pending, runtime-wide and in the
-    /// job, whose fair-share account catches up if the job was idle.
-    /// Submission and replay seeding both count here before they release
-    /// anything.
+    /// job. Submission and replay seeding both count here before they
+    /// release anything.
     pub(crate) fn admit(&self, job: &JobCore, n: usize) {
         self.pending.fetch_add(n as u64, Ordering::SeqCst);
-        if job.add_pending(n as u64) {
-            job.catch_up(self.jobs.vclock());
-        }
+        job.add_pending(n as u64);
     }
 
     /// Publishes tasks whose dependencies are all satisfied — the one path
@@ -208,8 +204,9 @@ impl RuntimeInner {
         next
     }
 
-    /// Wakes every parked worker (cancellation must drain queued tasks of
-    /// lanes that were inadmissible when the workers parked).
+    /// Wakes every parked worker; [`JobHandle::cancel`] calls it before
+    /// waiting for the drain, so no queued task of the cancelled job waits
+    /// on a missed wakeup.
     pub(crate) fn wake_all_workers(&self) {
         for w in 0..self.idle.len() {
             self.wake_worker(w);
@@ -319,15 +316,9 @@ impl RuntimeInner {
     /// Per-task completion accounting: the owning job's counters first
     /// (its scoped `wait` may unblock), then the global counter (shutdown
     /// and `sync_virtual_clocks` drain on it). `executed` is false for
-    /// tasks drained by job cancellation; `popped` is false for
-    /// self-continued graph tasks that never crossed the pop boundary.
-    pub(crate) fn task_finished(&self, task: &Task, executed: bool, popped: bool) {
-        task.job.task_finished(executed, popped);
-        if popped && task.job.capped() {
-            // A freed admission slot must reach workers that parked after
-            // finding only at-cap lanes; a targeted wakeup could miss them.
-            self.wake_all_workers();
-        }
+    /// tasks drained by job cancellation.
+    pub(crate) fn task_finished(&self, task: &Task, executed: bool) {
+        task.job.task_finished(executed);
         if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
             // Take the lock so the notify cannot race a waiter that
             // observed a non-zero count but has not blocked yet.
@@ -498,22 +489,16 @@ impl Runtime {
         &self.inner.perf
     }
 
-    /// Opens a job context: the scoped entry point for multi-tenant
-    /// submission. Tasks submitted through the returned [`JobHandle`] are
-    /// dispatched under weighted fair-share against other jobs, count
-    /// toward the job's own `wait`, honor its memory quota, and can be
-    /// cancelled as a unit. See the `job` module docs.
-    pub fn job(&self, cfg: JobConfig) -> JobHandle {
-        let core = self.inner.jobs.create(&cfg);
-        // A job born mid-run starts at the current virtual clock, not at
-        // zero, so it cannot starve incumbents by "repaying" history.
-        core.catch_up(self.inner.jobs.vclock());
-        if let Some(quota) = core.quota {
-            self.inner.memory.set_quota(core.id, quota);
-        }
+    /// Opens a job context: a scope for submission, waiting, faults and
+    /// cancellation. Tasks submitted through the returned [`JobHandle`]
+    /// count toward the job's own `wait`, report their faults to it, and
+    /// can be cancelled as a unit; they dispatch in the same order as
+    /// every other task. `JobConfig` has no options. See the `job` module
+    /// docs.
+    pub fn job(&self, _cfg: JobConfig) -> JobHandle {
         JobHandle {
             rt: self.clone(),
-            core,
+            core: self.inner.jobs.create(),
         }
     }
 
@@ -579,11 +564,11 @@ impl Runtime {
         Batch::new(tasks.into_iter().map(TaskHandle).collect())
     }
 
-    /// Blocks until every task of the *implicit default job* has executed
-    /// — the single-tenant barrier. Tasks submitted through an explicit
-    /// [`JobHandle`] are that job's business ([`JobHandle::wait`]): one
-    /// tenant's barrier no longer blocks on another tenant's backlog
-    /// (runtime-wide draining still happens in [`Runtime::shutdown`]).
+    /// Blocks until every task of the *implicit default job* has executed.
+    /// Tasks submitted through an explicit [`JobHandle`] are that job's
+    /// business ([`JobHandle::wait`]): one job's barrier does not block on
+    /// another job's backlog (runtime-wide draining still happens in
+    /// [`Runtime::shutdown`]).
     ///
     /// If a default-job task body panicked outside its kernel (a kernel
     /// panic is contained and counted in `kernel_failures` instead), the
@@ -641,8 +626,8 @@ impl Runtime {
     }
 
     /// Registration with an owning job id (0 = untracked/default):
-    /// job-owned handles count against the job's device-memory quota and
-    /// are reclaimed by [`JobHandle::cancel`].
+    /// job-owned handles' device replicas are reclaimed by
+    /// [`JobHandle::cancel`].
     pub(crate) fn register_owned<T: Clone + Send + Sync + 'static>(
         &self,
         v: T,

@@ -66,7 +66,6 @@
 //! each task carries, and moving one instance would invalidate the charge
 //! bookkeeping the next iteration re-applies. `dmdar` never steals.
 
-use super::fair::JobLanes;
 use super::queue::ReadyQueue;
 use super::{is_option, options_into, resident_read_bytes, SchedCtx, Scheduler};
 use crate::codelet::Arch;
@@ -115,7 +114,7 @@ fn fetch_cost(node: usize, task: &Task, now: VTime, ctx: &SchedCtx<'_>) -> VTime
 
 /// Enqueues each task on its target worker's queue, taking every distinct
 /// target queue's lock once.
-fn enqueue(queues: &[Mutex<JobLanes>], tasks: &[Arc<Task>], targets: &[Option<usize>]) {
+fn enqueue(queues: &[Mutex<ReadyQueue>], tasks: &[Arc<Task>], targets: &[Option<usize>]) {
     let mut locked = vec![false; queues.len()];
     for (i, target) in targets.iter().enumerate() {
         let w = target.expect("dmda targets a worker");
@@ -128,7 +127,7 @@ fn enqueue(queues: &[Mutex<JobLanes>], tasks: &[Arc<Task>], targets: &[Option<us
             .zip(&targets[i..])
             .filter(|(_, t)| *t == target)
         {
-            q.queue_for(&task.job).push(Arc::clone(task));
+            q.push(Arc::clone(task));
         }
     }
 }
@@ -161,9 +160,8 @@ pub struct DmdaScheduler {
     /// (nothing stale) never touches it. Every `1/epsilon`-th opportunity
     /// diverts the task to the stale option.
     explore_seq: AtomicU64,
-    /// Per-worker ready queues, laned per job for fair-share dispatch
-    /// (see [`super::fair`]).
-    queues: Vec<Mutex<JobLanes>>,
+    /// Per-worker ready queues.
+    queues: Vec<Mutex<ReadyQueue>>,
 }
 
 impl DmdaScheduler {
@@ -174,7 +172,9 @@ impl DmdaScheduler {
             queued_pred: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             calib_rr: Mutex::new(HashMap::new()),
             explore_seq: AtomicU64::new(0),
-            queues: (0..workers).map(|_| Mutex::new(JobLanes::new())).collect(),
+            queues: (0..workers)
+                .map(|_| Mutex::new(ReadyQueue::default()))
+                .collect(),
         }
     }
 
@@ -481,7 +481,7 @@ impl DmdaScheduler {
 
     #[cfg(test)]
     fn queue_len(&self, worker: usize) -> usize {
-        self.queues[worker].lock().total_len()
+        self.queues[worker].lock().len()
     }
 
     /// Steal fallback for a worker whose own queue is empty (see module
@@ -524,18 +524,17 @@ impl DmdaScheduler {
             if v == worker || !victim_behind(v) {
                 continue;
             }
-            let mut q = self.queues[v].lock();
-            let depth = q.total_len();
+            let q = self.queues[v].lock();
+            let depth = q.len();
             if depth == 0 {
                 continue;
             }
-            let score = q.pop_with(|lane| {
-                lane.iter()
-                    .take(SCAN_CAP)
-                    .filter(|t| stealable(t))
-                    .map(|t| resident_read_bytes(node, &t.accesses))
-                    .max()
-            });
+            let score = q
+                .iter()
+                .take(SCAN_CAP)
+                .filter(|t| stealable(t))
+                .map(|t| resident_read_bytes(node, &t.accesses))
+                .max();
             if let Some(bytes) = score {
                 ranked.push((v, bytes, depth));
             }
@@ -562,11 +561,11 @@ impl DmdaScheduler {
             let mut thief_acc = thief_ready;
             let (taken, depth) = {
                 let mut q = self.queues[v].lock();
-                let depth = q.total_len();
+                let depth = q.len();
                 let cap = depth.div_ceil(2).min(STEAL_CHUNK);
                 let mut taken = Vec::new();
                 while taken.len() < cap && (taken.is_empty() || thief_acc < victim_ready) {
-                    let Some(t) = q.pop_with(|lane| lane.pop_where(stealable)) else {
+                    let Some(t) = q.pop_where(stealable) else {
                         break;
                     };
                     // Move the queued-work charge from the victim to the
@@ -607,8 +606,7 @@ impl DmdaScheduler {
             {
                 let mut q = self.queues[worker].lock();
                 for t in taken {
-                    let job = Arc::clone(&t.job);
-                    q.queue_for(&job).push(t);
+                    q.push(t);
                 }
             }
             let resident = resident_read_bytes(node, &first.accesses);
@@ -635,13 +633,13 @@ impl Scheduler for DmdaScheduler {
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
         let node = ctx.machine.worker_memory_node(worker);
         let mut q = self.queues[worker].lock();
-        let depth = q.total_len();
+        let depth = q.len();
         let popped = if self.readiness {
             // Priced now, against the worker's current clock.
             let now = ctx.timelines.get(worker);
-            q.pop_with(|lane| lane.pop_ready(|t| fetch_cost(node, t, now, ctx)))
+            q.pop_ready(|t| fetch_cost(node, t, now, ctx))
         } else {
-            q.pop_with(ReadyQueue::pop).map(|t| (t, 0))
+            q.pop().map(|t| (t, 0))
         };
         drop(q);
         let Some((task, jumped)) = popped else {

@@ -1,6 +1,6 @@
 //! Central-queue greedy scheduler.
 
-use super::fair::JobLanes;
+use super::queue::ReadyQueue;
 use super::{resident_read_bytes, SchedCtx, Scheduler};
 use crate::task::Task;
 use parking_lot::Mutex;
@@ -11,20 +11,18 @@ use std::sync::Arc;
 /// but eager deliberately keeps a single shared queue — late binding *is*
 /// the policy: no task commits to a worker before one asks for it.
 ///
-/// Each job's tasks live in a [`ReadyQueue`](super::queue::ReadyQueue)
-/// ordered `(priority desc, push seq asc)`; entries the popping worker
-/// cannot run are skipped (and kept) by its `pop_where`. With multiple tenants the lanes are
-/// walked in fair-share order (see [`super::fair`]); with one job the
-/// lane layer is a single bounds check.
+/// The queue is a [`ReadyQueue`] ordered `(priority desc, push seq asc)`,
+/// shared by the tasks of every job; entries the popping worker cannot
+/// run are skipped (and kept) by its `pop_where`.
 pub struct EagerScheduler {
-    queue: Mutex<JobLanes>,
+    queue: Mutex<ReadyQueue>,
 }
 
 impl EagerScheduler {
     /// Creates an empty scheduler.
     pub fn new() -> Self {
         EagerScheduler {
-            queue: Mutex::new(JobLanes::new()),
+            queue: Mutex::new(ReadyQueue::default()),
         }
     }
 }
@@ -40,7 +38,7 @@ impl Scheduler for EagerScheduler {
         // One queue-lock acquisition covers the whole batch.
         let mut q = self.queue.lock();
         for task in tasks {
-            q.queue_for(&task.job).push(Arc::clone(task));
+            q.push(Arc::clone(task));
         }
         vec![None; tasks.len()]
     }
@@ -49,8 +47,8 @@ impl Scheduler for EagerScheduler {
         let is_gpu = ctx.machine.worker_is_gpu(worker);
         let (task, depth) = {
             let mut q = self.queue.lock();
-            let depth = q.total_len();
-            let task = q.pop_with(|lane| lane.pop_where(|t| t.runnable_on(worker, is_gpu)))?;
+            let depth = q.len();
+            let task = q.pop_where(|t| t.runnable_on(worker, is_gpu))?;
             (task, depth)
         };
         let node = ctx.machine.worker_memory_node(worker);

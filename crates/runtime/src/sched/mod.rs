@@ -7,10 +7,10 @@
 //! expected execution time from history models — is smallest. The same
 //! policy with readiness ordering on is `dmdar` ("dmda ready"): each
 //! worker's queue dispatches tasks whose operands are already resident on
-//! the worker's memory node first. A greedy baseline ([`eager`]) is
-//! provided for the scheduler ablation benchmark. Every policy keeps its
-//! tasks in one structure, the `queue` module's, and the one steal path
-//! is dmda's steal-from-richest.
+//! the worker's memory node first. [`eager`] is the greedy baseline: one
+//! central queue, no performance model. Every policy keeps its tasks in
+//! one structure, the `queue` module's, shared by the tasks of every job,
+//! and the one steal path is dmda's steal-from-richest.
 //!
 //! # The pull model
 //!
@@ -41,7 +41,6 @@
 
 pub mod dmda;
 pub mod eager;
-mod fair;
 mod queue;
 
 use crate::codelet::{Arch, ArchClass};

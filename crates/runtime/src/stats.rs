@@ -550,7 +550,7 @@ impl RuntimeStats {
     }
 }
 
-/// The task events of one job, extracted from a full trace: the per-tenant
+/// The task events of one job, extracted from a full trace: the per-job
 /// view behind [`crate::JobHandle::trace`]. Non-task events (transfers,
 /// evictions) are runtime-global and not attributable to one job, so they
 /// are omitted.

@@ -106,8 +106,8 @@ pub struct Task {
     /// Packed [`RunId`] of the replay iteration currently executing this
     /// recorded task (`u64::MAX` = none); threaded into trace events.
     pub(crate) run_tag: AtomicU64,
-    /// Owning job context — per-job completion counting, fair-share
-    /// debiting, cancellation draining. Tasks built outside a runtime get
+    /// Owning job context — per-job completion counting, fault reporting,
+    /// cancellation draining. Tasks built outside a runtime get
     /// the process-wide detached core (all accounting skipped).
     pub(crate) job: Arc<JobCore>,
     /// Cached operand footprint (sum of operand bytes); operands are fixed
@@ -411,14 +411,13 @@ impl TaskBuilder {
     pub(crate) fn into_task(self, id: u64) -> Task {
         let footprint = self.accesses.iter().map(|(h, _)| h.bytes() as u64).sum();
         let job = self.job.unwrap_or_else(JobCore::detached);
-        let priority = self.priority + job.priority;
         Task {
             id,
             codelet: self.codelet,
             accesses: self.accesses,
             cost: self.cost,
             arg: self.arg,
-            priority,
+            priority: self.priority,
             force_worker: self.force_worker,
             use_history: self.use_history,
             wont_use: self.wont_use,
@@ -440,8 +439,8 @@ impl TaskBuilder {
     }
 
     /// Submits asynchronously to the runtime's implicit default job;
-    /// returns a waitable handle. Multi-tenant callers submit through
-    /// [`crate::JobHandle::submit`] instead.
+    /// returns a waitable handle. To scope a task to another job, submit
+    /// it through [`crate::JobHandle::submit`] instead.
     pub fn submit(self, rt: &Runtime) -> TaskHandle {
         let job = Arc::clone(&rt.inner.jobs.default);
         rt.submit_for(&job, self)

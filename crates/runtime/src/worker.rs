@@ -17,15 +17,6 @@ use std::time::Instant;
 fn try_pop(inner: &RuntimeInner, worker: usize) -> Option<Arc<Task>> {
     let t0 = Instant::now();
     let task = inner.sched.pop_for_worker(worker, &inner.sched_ctx())?;
-    // Fair-share accounting at the pop boundary: debit the owning job one
-    // weight-scaled quantum and count the dispatch against its admission
-    // cap. Single-tenant runtimes (no `Runtime::job` call ever) skip this
-    // entirely — one relaxed flag load on the hot path.
-    if inner.jobs.multi() {
-        let account = task.job.debit();
-        inner.jobs.advance_vclock(account);
-        task.job.admit();
-    }
     inner
         .stats
         .record_pop(worker, t0.elapsed().as_nanos() as u64);
@@ -164,7 +155,7 @@ fn run_one(
         let seeded = core.task_done(vfinish, inner, worker);
         next = next.or(seeded);
     }
-    inner.task_finished(&task, !cancelled, !direct);
+    inner.task_finished(&task, !cancelled);
     next
 }
 

@@ -79,8 +79,8 @@ fn run_replayed() {
             ..RuntimeConfig::default()
         },
     );
-    // Instantiate through a job context: the replays are charged to this
-    // tenant's account and its scoped wait/cancel apply to every iteration.
+    // Instantiate through a job context: its scoped wait/cancel apply to
+    // every iteration.
     let job = rt.job(JobConfig::default());
     let g = odesolver::record_double_step(10, false);
     let inst = job.instantiate(&g.graph);

@@ -67,7 +67,7 @@ fn fast_consumer_needs_no_blocking_at_large_capacity() {
         MachineConfig::cpu_only(2).without_noise(),
         SchedulerKind::Eager,
     );
-    // The job-scoped entry point: the streamed frames run under a tenant
+    // The job-scoped entry point: the streamed frames run under a job
     // context, so the report must come out identical to the default-job path.
     let job = rt.job(JobConfig::default());
     let report = run_pipeline_for(
