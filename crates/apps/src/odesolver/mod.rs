@@ -731,6 +731,19 @@ mod tests {
     use peppher_sim::MachineConfig;
 
     #[test]
+    fn dropped_graph_instance_returns_its_bytes() {
+        // `run_replay` executes the instance 6 times, reads it and drops it
+        // without unregistering its slots: the handles give their bytes
+        // back as they drop.
+        let rt = Runtime::new(MachineConfig::c2050_platform(1), SchedulerKind::Dmda);
+        run_replay(&rt, 6, 12, false);
+        // Joining the workers drops their last references to the tasks.
+        rt.shutdown();
+        assert_eq!(rt.memory().used_bytes(), vec![0, 0]);
+        rt.memory().validate().unwrap();
+    }
+
+    #[test]
     fn paper_invocation_count_is_exact() {
         assert_eq!(9 * PAPER_STEPS + 2, PAPER_INVOCATIONS);
     }

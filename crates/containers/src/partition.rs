@@ -9,12 +9,12 @@
 //! Two things distinguish the tree from the flat host-side
 //! [`Matrix::partition_rows`]:
 //!
-//! - **Families.** Every partitioning level allocates one block *family*
-//!   ([`Runtime::new_family`]) and tags its sibling blocks with it, so the
+//! - **Families.** Every partitioning level links its sibling blocks into
+//!   one block *family* ([`Runtime::new_family`]), so the
 //!   partition-aware memory policy ([`EvictionPolicy::Family`]) evicts a
 //!   sibling set as a unit and the burst prefetcher pulls it to a device
 //!   in one planned transfer burst. The parent handle is deliberately
-//!   *not* tagged into the family: a family member's arrival would
+//!   *not* linked into the family: a family member's arrival would
 //!   otherwise drag the whole (possibly out-of-core) parent to the
 //!   device alongside its block.
 //! - **Tasks, not host copies.** [`MatrixPartition::scatter`] and
@@ -130,7 +130,7 @@ pub struct MatrixPartition<T> {
 impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
     /// Splits `rows × cols` (the extent of `parent`) into `nblocks` bands
     /// along one axis, registering a zero-initialised block per band and
-    /// tagging the siblings with a fresh family.
+    /// linking the siblings into a fresh family.
     fn build(
         rt: &Runtime,
         parent: DataHandle,
@@ -141,7 +141,6 @@ impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
     ) -> Self {
         let axis = if by_rows { rows } else { cols };
         let nblocks = nblocks.max(1).min(axis.max(1));
-        let family = rt.new_family();
         let base = axis / nblocks;
         let extra = axis % nblocks;
         let mut nodes = Vec::with_capacity(nblocks);
@@ -154,7 +153,6 @@ impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
                 (0, at, rows, size)
             };
             let block = Matrix::register(rt, nr, nc, vec![T::default(); nr * nc]);
-            rt.set_family(block.handle(), family);
             nodes.push(MatrixNode {
                 block,
                 row0,
@@ -163,6 +161,7 @@ impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
             });
             at += size;
         }
+        let family = rt.new_family(&nodes.iter().map(|n| n.block.handle()).collect::<Vec<_>>());
         MatrixPartition {
             rt: rt.clone(),
             parent,
@@ -208,19 +207,20 @@ impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
         let mut nodes = Vec::with_capacity(rb * cb);
         let mut family = 0;
         for &(row0, nr) in &row_spans {
-            let row_family = rt.new_family();
-            if family == 0 {
-                family = row_family;
-            }
+            let row = nodes.len();
             for &(col0, nc) in &col_spans {
                 let block = Matrix::register(rt, nr, nc, vec![T::default(); nr * nc]);
-                rt.set_family(block.handle(), row_family);
                 nodes.push(MatrixNode {
                     block,
                     row0,
                     col0,
                     sub: None,
                 });
+            }
+            let tiles: Vec<&DataHandle> = nodes[row..].iter().map(|n| n.block.handle()).collect();
+            let row_family = rt.new_family(&tiles);
+            if family == 0 {
+                family = row_family;
             }
         }
         MatrixPartition {
@@ -449,7 +449,6 @@ pub struct VectorPartition<T> {
 impl<T: Default + Clone + Send + Sync + 'static> VectorPartition<T> {
     fn build(rt: &Runtime, parent: DataHandle, len: usize, nblocks: usize) -> Self {
         let nblocks = nblocks.max(1).min(len.max(1));
-        let family = rt.new_family();
         let base = len / nblocks;
         let extra = len % nblocks;
         let mut nodes = Vec::with_capacity(nblocks);
@@ -457,7 +456,6 @@ impl<T: Default + Clone + Send + Sync + 'static> VectorPartition<T> {
         for b in 0..nblocks {
             let size = base + usize::from(b < extra);
             let block = Vector::register(rt, vec![T::default(); size]);
-            rt.set_family(block.handle(), family);
             nodes.push(VectorNode {
                 block,
                 offset: at,
@@ -465,6 +463,7 @@ impl<T: Default + Clone + Send + Sync + 'static> VectorPartition<T> {
             });
             at += size;
         }
+        let family = rt.new_family(&nodes.iter().map(|n| n.block.handle()).collect::<Vec<_>>());
         VectorPartition {
             rt: rt.clone(),
             parent,

@@ -14,10 +14,10 @@
 //! cheapest route per transfer, and deduplicates concurrent transfers of
 //! the same `(handle, node)` pair through an in-flight registry.
 
-use crate::handle::{AccessMode, DataHandle, HandleState, PayloadCell, ReplicaStatus};
+use crate::handle::{AccessMode, DataHandle, HandleState, PayloadCell};
 use crate::memory::MemoryManager;
 use crate::stats::{StatsCollector, TraceEvent};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use peppher_sim::{LinkProfile, MachineConfig, VTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -349,12 +349,11 @@ impl Topology {
 /// [`mark_written`], once the writing task's finish time is known — except
 /// that a write-only access claims the handle here already (see below).
 ///
-/// Capacity is reserved through `memory` *before* the handle's state lock
-/// is taken (lock order is handle → node, and eviction surgery must be able
-/// to lock victim handles). Callers racing with eviction — workers and the
-/// prefetcher — must hold a [`MemoryManager::pin`] on `(node, handle)`
-/// across this call so the reservation cannot itself be evicted before the
-/// buffer materializes.
+/// Capacity is reserved through [`MemoryManager::prepare`], which returns
+/// with the handle's lock held and the replica accounted. Callers racing
+/// with eviction — workers and the prefetcher — hold a
+/// [`MemoryManager::pin`] on `(node, handle)` across this call so the
+/// reservation cannot be evicted before the buffer materializes.
 ///
 /// Concurrent readers of the same `(handle, node)` deduplicate through the
 /// fabric's in-flight registry: the first caller owns the transfer and
@@ -371,38 +370,32 @@ pub(crate) fn make_valid(
     stats: &StatsCollector,
     memory: &MemoryManager,
 ) -> VTime {
-    memory.prepare(handle, node, topo, stats);
     let inner = &handle.inner;
-    let mut st = inner.state.lock();
-    debug_assert!(node < st.replicas.len(), "node {node} out of range");
-
-    if !mode.reads() {
-        // Write-only: ensure a buffer exists (a copy of any valid payload,
-        // purely for allocation and type) but charge no transfer.
-        if st.replicas[node].cell.is_none() {
-            let src_cell = st
-                .replicas
-                .iter()
-                .find(|r| r.is_valid())
-                .and_then(|r| r.cell.clone())
-                .expect("handle has no valid replica anywhere");
-            let payload = (inner.clone_fn)(&src_cell.read());
-            st.replicas[node].cell = Some(Arc::new(RwLock::new(payload)));
-            stats.record_event(TraceEvent::Allocate {
-                handle: handle.id(),
-                node,
-            });
-        }
-        // The old contents are dead from here on: their readers have
-        // completed and later ones wait for this writer. Claiming now, not
-        // at `mark_written`, matters when `node` is 0: a sole valid device
-        // copy evicted mid-write would be written back into this very
-        // buffer, over the new contents.
-        claim(&mut st, handle, node, stats);
-        return VTime::ZERO;
-    }
-
     loop {
+        let mut st = memory.prepare(handle, node, topo, stats);
+        if !mode.reads() {
+            // Write-only: ensure a buffer exists (a copy of any valid
+            // payload, purely for allocation and type) but charge no
+            // transfer.
+            if st.replicas[node].cell.is_none() {
+                let (_, src, _, writes) = st.snapshot().expect("handle has no valid replica");
+                let payload = (inner.clone_fn)(&src.read());
+                st.install(node, payload, VTime::ZERO, writes)
+                    .expect("a reservation under its own lock is fresh");
+                stats.record_event(TraceEvent::Allocate {
+                    handle: handle.id(),
+                    node,
+                });
+            }
+            // The old contents are dead from here on: their readers have
+            // completed and later ones wait for this writer. Claiming now,
+            // not at `mark_written`, matters when `node` is 0: a sole valid
+            // device copy evicted mid-write would be written back into this
+            // very buffer, over the new contents.
+            let invalidated = st.claim(node).expect("buffer just ensured");
+            record_invalidations(handle, &invalidated, stats);
+            return VTime::ZERO;
+        }
         if st.replicas[node].is_valid() {
             return st.replicas[node].vready;
         }
@@ -416,88 +409,49 @@ pub(crate) fn make_valid(
                 drop(st);
                 p.wait();
                 stats.record_transfer_join();
-                st = inner.state.lock();
                 continue;
             }
             Inflight::Owner(p) => p,
         };
 
-        // This caller owns the transfer into `node`. Choose a source:
-        // prefer the Modified copy, else main memory, else any valid.
-        let src = st
-            .replicas
-            .iter()
-            .position(|r| r.status == ReplicaStatus::Modified)
-            .or_else(|| st.replicas[0].is_valid().then_some(0))
-            .or_else(|| st.replicas.iter().position(|r| r.is_valid()));
-        let Some(mut src) = src else {
-            // No copy left: the handle was unregistered under a prefetch
-            // that outlived its task (a task's own operands always have
-            // one). Give the reservation back and give up.
-            drop(st);
-            memory.recycle(node, handle.id());
-            topo.inflight_finish(key, &pending, VTime::ZERO);
-            return VTime::ZERO;
+        // This caller owns the transfer into `node`. Snapshot the source
+        // under the lock, then copy outside it: the Arc keeps the payload
+        // alive even if the source replica is evicted mid-copy. Sequential
+        // consistency keeps writers away from a task's own operands; a
+        // prefetch can still race one, which `install` catches.
+        let (src, cell, vready, writes) = match st.snapshot() {
+            Ok(snap) => snap,
+            Err(_) => {
+                // No copy left: the handle was unregistered under a
+                // prefetch that outlived its task (a task's own operands
+                // always have one). Give the reservation back and give up.
+                let freed = memory.free(handle, &mut st, node);
+                drop(st);
+                drop(freed);
+                topo.inflight_finish(key, &pending, VTime::ZERO);
+                return VTime::ZERO;
+            }
         };
-
+        drop(st);
         if topo.plan_route(src, node, handle.bytes() as u64).len() > 1 {
             // Device→device staged through main memory: make node 0 valid
-            // through its own in-flight entry first. Concurrent broadcasts
-            // of this handle to other devices join that entry, so the d2h
-            // leg is paid once. Node 0 never evicts, so it stays valid
-            // unless the handle was unregistered under a prefetch.
-            drop(st);
+            // through its own in-flight entry, then start over from it.
+            // Concurrent broadcasts of this handle to other devices join
+            // that entry, so the d2h leg is paid once.
             make_valid(handle, 0, AccessMode::Read, topo, stats, memory);
-            st = inner.state.lock();
-            if !st.replicas[0].is_valid() {
-                topo.inflight_finish(key, &pending, VTime::ZERO);
-                continue;
-            }
-            src = 0;
-        }
-
-        // Snapshot the source under the lock, then copy outside it: the
-        // Arc keeps the payload alive even if the source replica is evicted
-        // mid-copy. Sequential consistency keeps writers away from a task's
-        // own operands; a prefetch can still race one, which the `writes`
-        // check below catches.
-        let src_vready = st.replicas[src].vready;
-        let src_cell = st.replicas[src]
-            .cell
-            .clone()
-            .expect("source replica has no buffer");
-        let writes = st.writes;
-        drop(st);
-
-        let arrive = topo.hop(handle, src, node, src_vready, stats);
-        let payload = (inner.clone_fn)(&src_cell.read());
-
-        st = inner.state.lock();
-        if st.writes != writes {
-            // A write claimed the handle during the copy — only a prefetch
-            // can race a writer — so the payload is stale: start over.
-            topo.inflight_finish(key, &pending, arrive);
+            topo.inflight_finish(key, &pending, VTime::ZERO);
             continue;
         }
-        match st.replicas[node].cell.clone() {
-            Some(cell) => *cell.write() = payload,
-            None => st.replicas[node].cell = Some(Arc::new(RwLock::new(payload))),
-        }
-        // Every valid copy now shares the same contents. Demoting *any*
-        // Modified replica (the source, or node 0 if an eviction wrote the
-        // source back mid-copy) keeps the MSI "Modified is unique and sole
-        // valid" invariant.
-        for r in st.replicas.iter_mut() {
-            if r.status == ReplicaStatus::Modified {
-                r.status = ReplicaStatus::Shared;
-            }
-        }
-        st.replicas[node].status = ReplicaStatus::Shared;
-        st.replicas[node].vready = arrive;
-        drop(st);
 
+        let arrive = topo.hop(handle, src, node, vready, stats);
+        let payload = (inner.clone_fn)(&cell.read());
+        // A write claimed the handle during the copy (only a prefetch can
+        // race a writer): the payload is stale, so start over.
+        let installed = inner.state.lock().install(node, payload, arrive, writes);
         topo.inflight_finish(key, &pending, arrive);
-        return arrive;
+        if installed.is_ok() {
+            return arrive;
+        }
     }
 }
 
@@ -514,42 +468,42 @@ pub(crate) fn mark_written(
     stats: &StatsCollector,
     memory: &MemoryManager,
 ) {
-    let mut released: Vec<(usize, PayloadCell)> = Vec::new();
-    {
-        let mut st = handle.inner.state.lock();
-        claim(&mut st, handle, node, stats);
-        st.replicas[node].vready = vfinish;
-        for i in (1..st.replicas.len()).filter(|&i| i != node) {
-            if let Some(cell) = st.replicas[i].cell.take() {
-                released.push((i, cell));
-            }
-        }
-    }
-    // The replica now holds the sole valid (Modified) copy — flag its
-    // capacity-manager entry dirty so family-aware eviction can prefer
-    // clean sibling sets. Heuristic only: eviction correctness still
-    // re-derives writeback necessity from the replica states.
-    memory.mark_dirty(node, handle.id());
-    // The freed buffers drop with `released`, outside every lock.
-    for &(i, _) in &released {
-        memory.recycle(i, handle.id());
-    }
+    let mut st = handle.inner.state.lock();
+    let invalidated = st
+        .written(node, vfinish)
+        .expect("written replica has no buffer");
+    record_invalidations(handle, &invalidated, stats);
+    let freed = free_devices(handle, &mut st, memory, Some(node));
+    drop(st);
+    drop(freed);
 }
 
-/// Makes `node`'s replica the unique Modified copy, invalidating every other
-/// valid replica.
-fn claim(st: &mut HandleState, handle: &DataHandle, node: usize, stats: &StatsCollector) {
-    for (i, r) in st.replicas.iter_mut().enumerate() {
-        if i != node && r.is_valid() {
-            r.status = ReplicaStatus::Invalid;
-            stats.record_event(TraceEvent::Invalidate {
-                handle: handle.id(),
-                node: i,
-            });
-        }
+/// Frees every device replica of `handle` that holds a buffer (but the one
+/// at `keep`), returning the buffers for the caller to drop once it holds
+/// no lock. A reservation whose copy is in flight stays accounted until
+/// its owner installs the copy or gives the reservation back.
+pub(crate) fn free_devices(
+    handle: &DataHandle,
+    st: &mut HandleState,
+    memory: &MemoryManager,
+    keep: Option<usize>,
+) -> Vec<PayloadCell> {
+    (1..st.replicas.len())
+        .filter(|&i| Some(i) != keep)
+        .filter_map(|i| {
+            st.replicas[i].cell.as_ref()?;
+            memory.free(handle, st, i)
+        })
+        .collect()
+}
+
+fn record_invalidations(handle: &DataHandle, nodes: &[usize], stats: &StatsCollector) {
+    for &node in nodes {
+        stats.record_event(TraceEvent::Invalidate {
+            handle: handle.id(),
+            node,
+        });
     }
-    st.replicas[node].status = ReplicaStatus::Modified;
-    st.writes += 1;
 }
 
 /// The buffer cell for `node`, which must have been prepared by a prior
@@ -639,14 +593,10 @@ mod tests {
         // unregistered: no valid copy, no buffer. It must give up, not
         // panic on a worker thread, and leave nothing accounted.
         let (topo, stats, h, mm) = setup();
-        {
-            let mut st = h.inner.state.lock();
-            st.replicas[0].cell = None;
-            st.replicas[0].status = ReplicaStatus::Invalid;
-        }
+        h.inner.state.lock().free(0);
         mm.pin(1, &h);
         let ready = make_valid(&h, 1, AccessMode::Read, &topo, &stats, &mm);
-        mm.unpin(1, h.id());
+        mm.unpin(1, &h);
         assert_eq!(ready, VTime::ZERO);
         assert_eq!(mm.used_bytes()[1], 0);
         mm.validate().unwrap();

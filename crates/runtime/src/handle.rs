@@ -1,11 +1,14 @@
-//! Registered data and its per-memory-node replicas.
+//! Registered data and its per-memory-node replicas: one record per
+//! replica, holding its MSI and capacity state under the handle's lock,
+//! and the MSI transitions on [`HandleState`].
 
+use crate::memory::MemoryManager;
 use crate::task::Task;
 use parking_lot::{Mutex, RwLock};
 use peppher_sim::VTime;
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// How a task (or the host program) accesses an operand.
 ///
@@ -44,9 +47,10 @@ pub type PayloadBox = Box<dyn Any + Send + Sync>;
 pub type PayloadCell = Arc<RwLock<PayloadBox>>;
 
 /// MSI-style replica status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplicaStatus {
     /// No valid copy at this node.
+    #[default]
     Invalid,
     /// A valid copy that other nodes may also hold.
     Shared,
@@ -54,7 +58,13 @@ pub enum ReplicaStatus {
     Modified,
 }
 
-/// One memory node's view of a handle's data.
+/// One memory node's view of a handle's data: its coherence state and its
+/// capacity state, under the handle's lock.
+///
+/// Only the MSI transitions on [`HandleState`] write `cell` and `status`,
+/// and only the memory manager's capacity transition writes `accounted`,
+/// `pinned`, `last_use` and `dead` (moving the node's byte sums with them).
+#[derive(Default)]
 pub struct Replica {
     /// The buffer, if one was ever allocated at this node.
     pub cell: Option<PayloadCell>,
@@ -63,17 +73,17 @@ pub struct Replica {
     /// Virtual time at which this replica's contents become available
     /// (produced by a task or delivered by a transfer).
     pub vready: VTime,
+    /// Room is reserved at this node (the buffer may still be in flight).
+    pub(crate) accounted: bool,
+    /// Pin count: operands of running or prefetching tasks, never evicted.
+    pub(crate) pinned: u32,
+    /// The node's LRU clock at the last touch.
+    pub(crate) last_use: u64,
+    /// `wont_use` hint: evicted ahead of LRU order until the next touch.
+    pub(crate) dead: bool,
 }
 
 impl Replica {
-    fn empty() -> Self {
-        Replica {
-            cell: None,
-            status: ReplicaStatus::Invalid,
-            vready: VTime::ZERO,
-        }
-    }
-
     /// Whether this replica currently holds valid data.
     pub fn is_valid(&self) -> bool {
         self.status != ReplicaStatus::Invalid
@@ -96,17 +106,147 @@ pub struct HandleState {
     pub writes: u64,
 }
 
+/// An MSI transition refused: the replica it needs holds no buffer, no
+/// valid copy is left, or a copy is stale.
+#[derive(Debug)]
+pub(crate) struct Refused;
+
+/// The MSI transitions. They take no lock, move no data between nodes and
+/// record nothing: callers run them under the handle's lock and do the
+/// transfers, accounting and tracing around them.
+impl HandleState {
+    /// Makes `node`'s replica the unique Modified copy and counts a write,
+    /// invalidating every other valid replica; returns those nodes.
+    pub(crate) fn claim(&mut self, node: usize) -> Result<Vec<usize>, Refused> {
+        if self.replicas[node].cell.is_none() {
+            return Err(Refused);
+        }
+        let mut invalidated = Vec::new();
+        for (i, r) in self.replicas.iter_mut().enumerate() {
+            if i != node && r.is_valid() {
+                r.status = ReplicaStatus::Invalid;
+                invalidated.push(i);
+            }
+        }
+        self.replicas[node].status = ReplicaStatus::Modified;
+        self.writes += 1;
+        Ok(invalidated)
+    }
+
+    /// Snapshots the source for a copy — the Modified copy, else main
+    /// memory, else any valid copy — as `(node, buffer, ready time,
+    /// writes)`. The copy runs outside the handle lock, and
+    /// [`HandleState::install`] checks the `writes` stamp on return.
+    pub(crate) fn snapshot(&self) -> Result<(usize, PayloadCell, VTime, u64), Refused> {
+        let valid = |i: &usize| self.replicas[*i].is_valid();
+        let src = (0..self.replicas.len())
+            .find(|&i| self.replicas[i].status == ReplicaStatus::Modified)
+            .or_else(|| Some(0).filter(valid))
+            .or_else(|| (0..self.replicas.len()).find(valid))
+            .ok_or(Refused)?;
+        let r = &self.replicas[src];
+        Ok((src, r.cell.clone().ok_or(Refused)?, r.vready, self.writes))
+    }
+
+    /// Installs a copy taken at `writes` as `node`'s Shared replica,
+    /// available at `arrive`. Every valid copy then holds the same
+    /// contents, so any Modified replica (the source, or main memory if an
+    /// eviction wrote the source back mid-copy) is demoted to Shared.
+    /// Refused as stale when a write claimed the handle since.
+    pub(crate) fn install(
+        &mut self,
+        node: usize,
+        payload: PayloadBox,
+        arrive: VTime,
+        writes: u64,
+    ) -> Result<(), Refused> {
+        if self.writes != writes {
+            return Err(Refused);
+        }
+        for r in self.replicas.iter_mut() {
+            if r.status == ReplicaStatus::Modified {
+                r.status = ReplicaStatus::Shared;
+            }
+        }
+        let r = &mut self.replicas[node];
+        r.cell = Some(Arc::new(RwLock::new(payload)));
+        r.status = ReplicaStatus::Shared;
+        r.vready = arrive;
+        Ok(())
+    }
+
+    /// A write at `node` completed at `vfinish`: the claim, with the new
+    /// contents' ready time. Returns the invalidated nodes.
+    pub(crate) fn written(&mut self, node: usize, vfinish: VTime) -> Result<Vec<usize>, Refused> {
+        let invalidated = self.claim(node)?;
+        self.replicas[node].vready = vfinish;
+        Ok(invalidated)
+    }
+
+    /// Evicts `node`'s buffer. A sole valid copy is first handed to
+    /// `writeback`, which returns the payload and arrival time of its copy
+    /// in main memory; main memory then holds the Modified copy. Returns
+    /// the buffer and whether it was written back.
+    pub(crate) fn evict(
+        &mut self,
+        node: usize,
+        writeback: impl FnOnce(&PayloadCell, VTime) -> (PayloadBox, VTime),
+    ) -> Result<(PayloadCell, bool), Refused> {
+        let cell = self.replicas[node].cell.take().ok_or(Refused)?;
+        let r = &self.replicas[node];
+        let sole_valid = r.is_valid()
+            && !(0..self.replicas.len()).any(|i| i != node && self.replicas[i].is_valid());
+        if sole_valid {
+            let (payload, arrive) = writeback(&cell, r.vready);
+            let host = &mut self.replicas[0];
+            host.cell = Some(Arc::new(RwLock::new(payload)));
+            host.status = ReplicaStatus::Modified;
+            host.vready = arrive;
+        }
+        let r = &mut self.replicas[node];
+        r.status = ReplicaStatus::Invalid;
+        r.vready = VTime::ZERO;
+        Ok((cell, sole_valid))
+    }
+
+    /// Invalidates `node`'s replica and takes its buffer.
+    pub(crate) fn free(&mut self, node: usize) -> Option<PayloadCell> {
+        self.replicas[node].status = ReplicaStatus::Invalid;
+        self.replicas[node].cell.take()
+    }
+}
+
+/// A block family: sibling handles a container partitioned together.
+#[derive(Clone)]
+pub(crate) struct Family {
+    pub id: u64,
+    pub members: Arc<[Weak<HandleInner>]>,
+}
+
 pub(crate) struct HandleInner {
     pub id: u64,
     /// Payload size in bytes (fixed at registration; used for transfer
-    /// modelling and performance-model footprints).
+    /// modelling, performance-model footprints and capacity accounting).
     pub bytes: usize,
     /// Owning job id (0 = the implicit default job). A job cancellation
     /// reclaims exactly the device replicas carrying its id.
     pub job: u64,
     /// Deep-copies a payload (drives replica allocation and transfer).
     pub clone_fn: Arc<dyn Fn(&PayloadBox) -> PayloadBox + Send + Sync>,
+    /// The block family, set once when a container partitions.
+    pub family: OnceLock<Family>,
+    /// The books this handle's replicas are accounted in: a handle dropped
+    /// without `unregister` gives its bytes back through it.
+    pub memory: Weak<MemoryManager>,
     pub state: Mutex<HandleState>,
+}
+
+impl Drop for HandleInner {
+    fn drop(&mut self) {
+        if let Some(memory) = self.memory.upgrade() {
+            memory.dropped(self.id, self.bytes, self.state.get_mut());
+        }
+    }
 }
 
 /// A reference-counted handle to registered data.
@@ -140,24 +280,22 @@ impl DataHandle {
         bytes: usize,
         nodes: usize,
     ) -> Self {
-        Self::new_owned(id, payload, bytes, nodes, 0)
+        Self::new_owned(id, payload, bytes, nodes, 0, Weak::new())
     }
 
     /// [`DataHandle::new`] with an explicit owning job id (see
-    /// [`HandleInner::job`]).
+    /// [`HandleInner::job`]) and the books it is accounted in.
     pub(crate) fn new_owned<T: Clone + Send + Sync + 'static>(
         id: u64,
         payload: T,
         bytes: usize,
         nodes: usize,
         job: u64,
+        memory: Weak<MemoryManager>,
     ) -> Self {
-        let mut replicas: Vec<Replica> = (0..nodes).map(|_| Replica::empty()).collect();
-        replicas[0] = Replica {
-            cell: Some(Arc::new(RwLock::new(Box::new(payload) as PayloadBox))),
-            status: ReplicaStatus::Modified,
-            vready: VTime::ZERO,
-        };
+        let mut replicas: Vec<Replica> = (0..nodes).map(|_| Replica::default()).collect();
+        replicas[0].cell = Some(Arc::new(RwLock::new(Box::new(payload) as PayloadBox)));
+        replicas[0].status = ReplicaStatus::Modified;
         let clone_fn: Arc<dyn Fn(&PayloadBox) -> PayloadBox + Send + Sync> =
             Arc::new(|src: &PayloadBox| {
                 let typed = src
@@ -171,6 +309,8 @@ impl DataHandle {
                 bytes,
                 job,
                 clone_fn,
+                family: OnceLock::new(),
+                memory,
                 state: Mutex::new(HandleState {
                     replicas,
                     last_writer: None,
@@ -194,6 +334,11 @@ impl DataHandle {
     /// Registered payload size in bytes.
     pub fn bytes(&self) -> usize {
         self.inner.bytes
+    }
+
+    /// The block family this handle belongs to (0 = none).
+    pub fn family(&self) -> u64 {
+        self.inner.family.get().map_or(0, |f| f.id)
     }
 
     /// Whether node `node` currently holds a valid replica. Used by the

@@ -2,7 +2,7 @@
 
 use crate::codelet::Arch;
 use crate::coherence::{self, Topology};
-use crate::handle::{AccessMode, Data, DataHandle, PayloadBox, ReplicaStatus};
+use crate::handle::{AccessMode, Data, DataHandle, PayloadBox, PayloadCell};
 use crate::job::{Batch, JobConfig, JobCore, JobHandle, JobSet};
 use crate::memory::{EvictionPolicy, MemoryManager};
 use crate::perfmodel::PerfRegistry;
@@ -12,13 +12,13 @@ use crate::sched::{
 use crate::stats::{RuntimeStats, StatsCollector, TraceEvent};
 use crate::task::{Task, TaskBuilder, TaskHandle};
 use crate::worker;
-use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Condvar, Mutex, RawRwLock, RwLock};
+use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Condvar, Mutex, RawRwLock};
 use peppher_sim::{MachineConfig, NoiseModel, VTime};
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
 /// The overall optimization goal, from the application's main-module
@@ -101,7 +101,7 @@ pub(crate) struct RuntimeInner {
     pub machine: MachineConfig,
     pub config: RuntimeConfig,
     pub topo: Topology,
-    pub memory: MemoryManager,
+    pub memory: Arc<MemoryManager>,
     pub sched: Box<dyn Scheduler>,
     pub perf: Arc<PerfRegistry>,
     pub stats: StatsCollector,
@@ -232,47 +232,46 @@ impl RuntimeInner {
         if node == 0 {
             return;
         }
-        let keep: Vec<u64> = task.accesses.iter().map(|(h, _)| h.id()).collect();
         let wanted: Vec<&DataHandle> = task
             .accesses
             .iter()
             .filter(|(_, m)| m.reads())
             .map(|(h, _)| h)
             .collect();
-        self.fetch_pinned(node, &wanted, &keep);
+        self.fetch_pinned(node, &wanted, &task.accesses);
         // Family burst: when a read operand is one block of a partition
         // family, its sibling blocks are pulled to the same node in one
         // planned burst — siblings are used together (tiles of the same
         // band, blocks of the same gather), so fetching them now overlaps
         // compute instead of faulting them in one task at a time later.
-        if self.memory.any_families() {
-            let mut burst: Vec<DataHandle> = Vec::new();
-            for h in &wanted {
-                let fam = self.memory.family_of(h.id());
-                if fam == 0 {
-                    continue;
-                }
-                for sib in self.memory.family_handles(fam) {
-                    if keep.contains(&sib.id()) || burst.iter().any(|b| b.id() == sib.id()) {
-                        continue;
-                    }
+        let mut burst: Vec<DataHandle> = Vec::new();
+        for fam in wanted.iter().filter_map(|h| h.inner.family.get()) {
+            for inner in fam.members.iter().filter_map(Weak::upgrade) {
+                let sib = DataHandle { inner };
+                let known = |h: &DataHandle| h.id() == sib.id();
+                if !task.accesses.iter().any(|(h, _)| known(h)) && !burst.iter().any(known) {
                     burst.push(sib);
                 }
             }
-            self.fetch_pinned(node, &burst, &keep);
         }
+        self.fetch_pinned(node, &burst, &task.accesses);
     }
 
     /// Makes `handles` valid on `node`, capacity honest: all of them are
     /// pinned first, so fetching one cannot evict another fetched a moment
     /// earlier, and each is fetched only if it is not valid there yet and
-    /// [`MemoryManager::prefetch_fits`] next to the `keep` operand set.
-    fn fetch_pinned<H: Borrow<DataHandle>>(&self, node: usize, handles: &[H], keep: &[u64]) {
+    /// [`MemoryManager::prefetch_fits`] next to the task's own operands.
+    fn fetch_pinned<H: Borrow<DataHandle>>(
+        &self,
+        node: usize,
+        handles: &[H],
+        accesses: &[(DataHandle, AccessMode)],
+    ) {
         for h in handles {
             self.memory.pin(node, h.borrow());
         }
         for h in handles.iter().map(Borrow::borrow) {
-            if !h.valid_on(node) && self.memory.prefetch_fits(node, h.bytes() as u64, keep) {
+            if !h.valid_on(node) && self.memory.prefetch_fits(node, h.bytes() as u64, accesses) {
                 coherence::make_valid(
                     h,
                     node,
@@ -284,7 +283,7 @@ impl RuntimeInner {
             }
         }
         for h in handles {
-            self.memory.unpin(node, h.borrow().id());
+            self.memory.unpin(node, h.borrow());
         }
     }
 
@@ -432,7 +431,7 @@ impl Runtime {
         let sched = make_scheduler(config.scheduler, &machine);
         let inner = Arc::new(RuntimeInner {
             topo: Topology::new(&machine),
-            memory: MemoryManager::new(&machine, config.eviction),
+            memory: Arc::new(MemoryManager::new(&machine, config.eviction)),
             sched,
             perf,
             stats: StatsCollector::new(workers, config.enable_trace),
@@ -635,7 +634,9 @@ impl Runtime {
         job: u64,
     ) -> DataHandle {
         let id = self.inner.next_handle.fetch_add(1, Ordering::Relaxed);
-        let h = DataHandle::new_owned(id, v, bytes, self.inner.machine.memory_nodes(), job);
+        let nodes = self.inner.machine.memory_nodes();
+        let memory = Arc::downgrade(&self.inner.memory);
+        let h = DataHandle::new_owned(id, v, bytes, nodes, job, memory);
         // Account the master copy so node 0's high-water mark tracks the
         // registered working set (node 0 has no budget and never evicts).
         self.inner.memory.register_host(&h);
@@ -656,38 +657,7 @@ impl Runtime {
             &self.inner.stats,
             &self.inner.memory,
         );
-        let (cell, freed) = {
-            let mut st = h.inner.state.lock();
-            // Free device replicas: their bytes return to the budgets.
-            let mut freed = Vec::new();
-            for i in 1..st.replicas.len() {
-                if let Some(cell) = st.replicas[i].cell.take() {
-                    freed.push((i, cell));
-                }
-                st.replicas[i].status = crate::handle::ReplicaStatus::Invalid;
-            }
-            // Every task using the handle has completed: drop the access
-            // history, which would otherwise keep those tasks (and through
-            // their operand lists, this handle) alive.
-            st.last_writer = None;
-            st.readers.clear();
-            // No copy stays valid without its buffer, and counting this as
-            // a write makes a prefetch copying meanwhile discard its copy.
-            st.replicas[0].status = crate::handle::ReplicaStatus::Invalid;
-            st.writes += 1;
-            (
-                st.replicas[0]
-                    .cell
-                    .take()
-                    .expect("main-memory replica missing"),
-                freed,
-            )
-        };
-        // The freed buffers drop with `freed`, outside every lock.
-        for &(i, _) in &freed {
-            self.inner.memory.recycle(i, h.id());
-        }
-        self.inner.memory.forget(h.id());
+        let cell = retire(&h, &self.inner.memory);
         match Arc::try_unwrap(cell) {
             Ok(lock) => *lock
                 .into_inner()
@@ -772,40 +742,14 @@ impl Runtime {
         for t in h.tasks_to_wait_for(AccessMode::ReadWrite) {
             t.wait();
         }
-        let freed = {
-            let mut st = h.inner.state.lock();
-            let mut freed = Vec::new();
-            for i in 1..st.replicas.len() {
-                st.replicas[i].status = ReplicaStatus::Invalid;
-                if let Some(cell) = st.replicas[i].cell.take() {
-                    freed.push((i, cell));
-                }
-            }
-            match &st.replicas[0].cell {
-                Some(cell) => {
-                    let mut payload = cell.write();
-                    assert!(
-                        payload.is::<T>(),
-                        "write_discard: payload type mismatch for handle {}",
-                        h.id()
-                    );
-                    *payload = Box::new(value);
-                }
-                None => {
-                    st.replicas[0].cell =
-                        Some(Arc::new(RwLock::new(Box::new(value) as PayloadBox)));
-                }
-            }
-            st.replicas[0].status = ReplicaStatus::Modified;
-            // Every prior task has completed and the host owns the data.
-            st.last_writer = None;
-            st.readers.clear();
-            freed
-        };
-        // The freed buffers drop with `freed`, outside every lock.
-        for &(i, _) in &freed {
-            self.inner.memory.recycle(i, h.id());
-        }
+        discard(h, &self.inner.memory, |payload| {
+            assert!(
+                payload.is::<T>(),
+                "write_discard: payload type mismatch for handle {}",
+                h.id()
+            );
+            *payload = Box::new(value);
+        });
     }
 
     /// Statistics snapshot.
@@ -821,25 +765,19 @@ impl Runtime {
         snap
     }
 
-    /// Allocates a fresh block-family id. Handles tagged with the same
-    /// family ([`Runtime::set_family`]) are treated as one unit by the
-    /// partition-aware memory policy: [`EvictionPolicy::Family`] evicts a
-    /// whole sibling set together and prefetch pulls a family in one
-    /// planned burst. The partition containers allocate one family per
-    /// partitioning level.
-    pub fn new_family(&self) -> u64 {
-        self.inner.memory.new_family()
+    /// Links `handles` into a fresh block family and returns its id (ids
+    /// start at 1). The partition-aware memory policy treats a family as
+    /// one unit: [`EvictionPolicy::Family`] evicts a whole sibling set
+    /// together and prefetch pulls a family in one planned burst. The
+    /// partition containers make one family per partitioning level. A
+    /// handle joins at most one family, for its whole life.
+    pub fn new_family(&self, handles: &[&DataHandle]) -> u64 {
+        self.inner.memory.new_family(handles)
     }
 
-    /// Tags `h` as a member of block family `family` (see
-    /// [`Runtime::new_family`]). Existing device replicas are retagged.
-    pub fn set_family(&self, h: &DataHandle, family: u64) {
-        self.inner.memory.set_family(h, family)
-    }
-
-    /// The block family `h` belongs to, or 0 when it was never tagged.
+    /// The block family `h` belongs to, or 0 when it has none.
     pub fn family_of(&self, h: &DataHandle) -> u64 {
-        self.inner.memory.family_of(h.id())
+        h.family()
     }
 
     /// Declares that the application will not touch `h`'s device replicas
@@ -849,7 +787,7 @@ impl Runtime {
     /// a Modified replica still gets exactly one writeback when eviction
     /// claims it. Any later access clears the hint.
     pub fn wont_use(&self, h: &DataHandle) {
-        self.inner.memory.wont_use(h.id());
+        self.inner.memory.wont_use(h);
     }
 
     /// The memory subsystem (budgets, residency, high-water marks).
@@ -927,6 +865,45 @@ impl Drop for Runtime {
     }
 }
 
+/// Replaces `handle`'s contents wholesale with what `write` puts in main
+/// memory ([`crate::Runtime::write_discard`]): a claim at node 0, so a copy
+/// in flight is discarded as stale, and every device buffer freed with no
+/// writeback.
+pub(crate) fn discard(
+    handle: &DataHandle,
+    memory: &MemoryManager,
+    write: impl FnOnce(&mut PayloadBox),
+) {
+    let mut st = handle.inner.state.lock();
+    st.claim(0)
+        .expect("write_discard on an unregistered handle");
+    write(&mut st.replicas[0].cell.as_ref().expect("claimed").write());
+    let freed = coherence::free_devices(handle, &mut st, memory, None);
+    st.last_writer = None;
+    st.readers.clear();
+    drop(st);
+    drop(freed);
+}
+
+/// Retires `handle` ([`crate::Runtime::unregister`]), whose main-memory
+/// copy is valid: every replica is freed, and the claim counts as a write
+/// so that a prefetch copying meanwhile discards its copy. Returns the
+/// main-memory buffer.
+pub(crate) fn retire(handle: &DataHandle, memory: &MemoryManager) -> PayloadCell {
+    let mut st = handle.inner.state.lock();
+    // Every task using the handle has completed: drop the access history,
+    // which would otherwise keep those tasks (and through their operand
+    // lists, this handle) alive.
+    st.last_writer = None;
+    st.readers.clear();
+    st.claim(0).expect("main-memory replica missing");
+    let freed = coherence::free_devices(handle, &mut st, memory, None);
+    let host = memory.free(handle, &mut st, 0).expect("claimed");
+    drop(st);
+    drop(freed);
+    host
+}
+
 /// Read access to a handle's main-memory payload.
 pub struct HostReadGuard<T> {
     guard: ArcRwLockReadGuard<RawRwLock, PayloadBox>,
@@ -989,5 +966,15 @@ mod tests {
             weak.upgrade().is_none(),
             "access history must not keep the handle alive"
         );
+    }
+
+    #[test]
+    fn dropped_handle_returns_its_bytes() {
+        let rt = Runtime::new(MachineConfig::c2050_platform(1), SchedulerKind::Dmda);
+        let h = rt.register(vec![0u8; 4096]);
+        assert_eq!(rt.memory().used_bytes(), vec![4096, 0]);
+        drop(h);
+        assert_eq!(rt.memory().used_bytes(), vec![0, 0]);
+        rt.memory().validate().unwrap();
     }
 }

@@ -86,10 +86,10 @@ pub struct Task {
     /// the flag can be set per component interface); `None` inherits the
     /// runtime configuration.
     pub use_history: Option<bool>,
-    /// Handle ids hinted dead after this task completes (the task
+    /// Handles hinted dead after this task completes (the task
     /// epilogue's `wont_use`): the worker demotes their device replicas to
     /// eager-eviction candidates once the operands are unpinned.
-    pub wont_use: Vec<u64>,
+    pub wont_use: Vec<DataHandle>,
     /// Scheduler decision, if the scheduling policy makes one at push time.
     /// A task that already carries one when it becomes ready keeps it: a
     /// frozen graph replay re-enqueues with the previous iteration's
@@ -330,7 +330,7 @@ pub struct TaskBuilder {
     priority: i32,
     force_worker: Option<usize>,
     use_history: Option<bool>,
-    wont_use: Vec<u64>,
+    wont_use: Vec<DataHandle>,
     job: Option<Arc<JobCore>>,
 }
 
@@ -460,7 +460,7 @@ impl TaskHints for TaskBuilder {
 
     fn add_hint(&mut self, hint: TaskHint) {
         match hint {
-            TaskHint::WontUse(h) => self.wont_use.push(h.id()),
+            TaskHint::WontUse(h) => self.wont_use.push(h),
         }
     }
 }

@@ -308,13 +308,13 @@ fn execute_task(inner: &RuntimeInner, worker: usize, task: &Arc<Task>, direct: b
 
     // Operands may become eviction victims again.
     for (h, _) in &task.accesses {
-        inner.memory.unpin(node, h.id());
+        inner.memory.unpin(node, h);
     }
 
     // Task-epilogue wont_use hints: operands declared dead are demoted to
     // eager-eviction candidates now that they are unpinned.
-    for id in &task.wont_use {
-        inner.memory.wont_use(*id);
+    for h in &task.wont_use {
+        inner.memory.wont_use(h);
     }
 
     // Feed the execution-history models. The key is built from interned

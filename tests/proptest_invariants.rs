@@ -155,6 +155,11 @@ proptest! {
                 "after {op:?}: {:?}",
                 v.handle().replica_statuses()
             );
+            // Nothing is in flight between synchronous steps, so the books
+            // must balance: every sum matches its replicas, every valid
+            // replica has a buffer and every device buffer is accounted.
+            let books = rt.memory().validate();
+            prop_assert!(books.is_ok(), "after {op:?}: {books:?}");
         }
         prop_assert_eq!(v.into_vec(), expected);
         rt.shutdown();

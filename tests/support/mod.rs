@@ -134,10 +134,7 @@ pub fn run_stress_on(
     // so their seeds replay byte-identically to earlier revisions.
     if policy == EvictionPolicy::Family {
         for chunk in handles.chunks(3) {
-            let fam = rt.new_family();
-            for h in chunk {
-                rt.set_family(h, fam);
-            }
+            rt.new_family(&chunk.iter().collect::<Vec<_>>());
         }
     }
 
