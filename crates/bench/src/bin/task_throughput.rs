@@ -181,7 +181,18 @@ fn measure(kind: SchedulerKind, scenario: &str) -> (f64, f64) {
             _ => unreachable!(),
         };
         let rate = n as f64 / t0.elapsed().as_secs_f64();
-        let pop_ns = rt.stats().avg_pop_ns();
+        let stats = rt.stats();
+        // Every cell but the gated `independent` one (whose `wait_all`
+        // does not wait for job tasks) waits for its tasks, so its count
+        // is exact: a lost or doubled task fails the run.
+        if scenario != "independent" {
+            assert_eq!(
+                stats.tasks_executed, n as u64,
+                "{scenario}/{kind:?}: {} tasks ran, {n} were submitted",
+                stats.tasks_executed
+            );
+        }
+        let pop_ns = stats.avg_pop_ns();
         rt.shutdown();
         if rate > best {
             best = rate;

@@ -48,8 +48,7 @@ struct BlockSpec {
 
 fn scatter_kernel<T: Clone + Send + Sync + 'static>(ctx: &mut KernelCtx<'_>) {
     let s = *ctx.arg::<BlockSpec>();
-    let parent = ctx.r::<Vec<T>>(0).clone();
-    let block = ctx.w::<Vec<T>>(1);
+    let (parent, block) = ctx.rw::<Vec<T>, Vec<T>>(0, 1);
     for r in 0..s.nrows {
         let src = &parent[(s.row0 + r) * s.parent_cols + s.col0..][..s.ncols];
         block[r * s.ncols..(r + 1) * s.ncols].clone_from_slice(src);
@@ -58,8 +57,7 @@ fn scatter_kernel<T: Clone + Send + Sync + 'static>(ctx: &mut KernelCtx<'_>) {
 
 fn gather_kernel<T: Clone + Send + Sync + 'static>(ctx: &mut KernelCtx<'_>) {
     let s = *ctx.arg::<BlockSpec>();
-    let block = ctx.r::<Vec<T>>(0).clone();
-    let parent = ctx.w::<Vec<T>>(1);
+    let (block, parent) = ctx.rw::<Vec<T>, Vec<T>>(0, 1);
     for r in 0..s.nrows {
         parent[(s.row0 + r) * s.parent_cols + s.col0..][..s.ncols]
             .clone_from_slice(&block[r * s.ncols..(r + 1) * s.ncols]);
@@ -73,36 +71,58 @@ fn copy_cost(elems: usize, bytes: usize) -> KernelCost {
     KernelCost::new(elems as f64, bytes as f64, bytes as f64).with_regularity(1.0)
 }
 
-fn submit_scatter<T: Clone + Send + Sync + 'static>(
-    rt: &Runtime,
-    parent: &DataHandle,
-    block: &DataHandle,
-    spec: BlockSpec,
-    bytes: usize,
-) {
-    let c = Arc::new(Codelet::new("partition_scatter").with_impl(Arch::Cpu, scatter_kernel::<T>));
-    TaskBuilder::new(&c)
-        .access(parent, AccessMode::Read)
-        .access(block, AccessMode::Write)
-        .arg(spec)
-        .cost(copy_cost(spec.nrows * spec.ncols, bytes))
-        .submit(rt);
+/// The two copy codelets of one partition level, built once with it.
+struct CopyCodelets {
+    scatter: Arc<Codelet>,
+    gather: Arc<Codelet>,
 }
 
-fn submit_gather<T: Clone + Send + Sync + 'static>(
-    rt: &Runtime,
-    parent: &DataHandle,
-    block: &DataHandle,
-    spec: BlockSpec,
-    bytes: usize,
-) {
-    let c = Arc::new(Codelet::new("partition_gather").with_impl(Arch::Cpu, gather_kernel::<T>));
-    TaskBuilder::new(&c)
-        .access(block, AccessMode::Read)
-        .access(parent, AccessMode::ReadWrite)
-        .arg(spec)
-        .cost(copy_cost(spec.nrows * spec.ncols, bytes))
-        .submit(rt);
+impl CopyCodelets {
+    fn new<T: Clone + Send + Sync + 'static>() -> Self {
+        let cpu = |name, kernel: fn(&mut KernelCtx<'_>)| {
+            Arc::new(Codelet::new(name).with_impl(Arch::Cpu, kernel))
+        };
+        CopyCodelets {
+            scatter: cpu("partition_scatter", scatter_kernel::<T>),
+            gather: cpu("partition_gather", gather_kernel::<T>),
+        }
+    }
+
+    /// Submits the copy of `block` out of `parent` (parent read, block
+    /// write).
+    fn scatter(
+        &self,
+        rt: &Runtime,
+        parent: &DataHandle,
+        block: &DataHandle,
+        spec: BlockSpec,
+        bytes: usize,
+    ) {
+        TaskBuilder::new(&self.scatter)
+            .access(parent, AccessMode::Read)
+            .access(block, AccessMode::Write)
+            .arg(spec)
+            .cost(copy_cost(spec.nrows * spec.ncols, bytes))
+            .submit(rt);
+    }
+
+    /// Submits the copy of `block` back into `parent` (block read, parent
+    /// read-write).
+    fn gather(
+        &self,
+        rt: &Runtime,
+        parent: &DataHandle,
+        block: &DataHandle,
+        spec: BlockSpec,
+        bytes: usize,
+    ) {
+        TaskBuilder::new(&self.gather)
+            .access(block, AccessMode::Read)
+            .access(parent, AccessMode::ReadWrite)
+            .arg(spec)
+            .cost(copy_cost(spec.nrows * spec.ncols, bytes))
+            .submit(rt);
+    }
 }
 
 /// One node of a [`MatrixPartition`]: a block plus its offset in the
@@ -118,6 +138,7 @@ struct MatrixNode<T> {
 /// linked by a shared block family. See the [module docs](self).
 pub struct MatrixPartition<T> {
     rt: Runtime,
+    copies: CopyCodelets,
     parent: DataHandle,
     parent_cols: usize,
     family: u64,
@@ -164,6 +185,7 @@ impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
         let family = rt.new_family(&nodes.iter().map(|n| n.block.handle()).collect::<Vec<_>>());
         MatrixPartition {
             rt: rt.clone(),
+            copies: CopyCodelets::new::<T>(),
             parent,
             parent_cols: cols,
             family,
@@ -225,6 +247,7 @@ impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
         }
         MatrixPartition {
             rt: rt.clone(),
+            copies: CopyCodelets::new::<T>(),
             parent,
             parent_cols: cols,
             family,
@@ -330,7 +353,7 @@ impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
                 col0: node.col0,
                 ncols: node.block.cols(),
             };
-            submit_scatter::<T>(
+            self.copies.scatter(
                 &self.rt,
                 &self.parent,
                 node.block.handle(),
@@ -371,7 +394,7 @@ impl<T: Default + Clone + Send + Sync + 'static> MatrixPartition<T> {
                 col0: node.col0,
                 ncols: node.block.cols(),
             };
-            submit_gather::<T>(
+            self.copies.gather(
                 &self.rt,
                 &self.parent,
                 node.block.handle(),
@@ -440,6 +463,7 @@ struct VectorNode<T> {
 /// a 1-row slice).
 pub struct VectorPartition<T> {
     rt: Runtime,
+    copies: CopyCodelets,
     parent: DataHandle,
     parent_len: usize,
     family: u64,
@@ -466,6 +490,7 @@ impl<T: Default + Clone + Send + Sync + 'static> VectorPartition<T> {
         let family = rt.new_family(&nodes.iter().map(|n| n.block.handle()).collect::<Vec<_>>());
         VectorPartition {
             rt: rt.clone(),
+            copies: CopyCodelets::new::<T>(),
             parent,
             parent_len: len,
             family,
@@ -533,7 +558,7 @@ impl<T: Default + Clone + Send + Sync + 'static> VectorPartition<T> {
     /// Fills every block in the tree from its parent via copy tasks.
     pub fn scatter(&self) {
         for (i, node) in self.nodes.iter().enumerate() {
-            submit_scatter::<T>(
+            self.copies.scatter(
                 &self.rt,
                 &self.parent,
                 node.block.handle(),
@@ -553,7 +578,7 @@ impl<T: Default + Clone + Send + Sync + 'static> VectorPartition<T> {
             if let Some(sub) = &node.sub {
                 sub.gather();
             }
-            submit_gather::<T>(
+            self.copies.gather(
                 &self.rt,
                 &self.parent,
                 node.block.handle(),

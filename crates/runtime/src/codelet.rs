@@ -187,6 +187,28 @@ pub struct KernelCtx<'a> {
     pub team_size: usize,
 }
 
+/// Buffer `i`'s payload as a `T`.
+fn view<T: 'static>(g: &BufferGuard, i: usize) -> &T {
+    match g {
+        BufferGuard::Read(g) => g.downcast_ref::<T>(),
+        BufferGuard::Write(g) => g.downcast_ref::<T>(),
+    }
+    .unwrap_or_else(|| panic!("buffer {i}: type mismatch in kernel read"))
+}
+
+/// Buffer `i`'s payload as a mutable `T`; it must have been acquired for
+/// writing.
+fn view_mut<T: 'static>(g: &mut BufferGuard, i: usize) -> &mut T {
+    match g {
+        BufferGuard::Write(g) => g
+            .downcast_mut::<T>()
+            .unwrap_or_else(|| panic!("buffer {i}: type mismatch in kernel write")),
+        BufferGuard::Read(_) => {
+            panic!("buffer {i}: kernel requested mutable access to a read-only operand")
+        }
+    }
+}
+
 impl KernelCtx<'_> {
     /// Immutable view of buffer `i`, downcast to `T`.
     ///
@@ -195,11 +217,7 @@ impl KernelCtx<'_> {
     /// range, or if the access mode at `i` is write-only (write-only
     /// buffers may hold uninitialized/stale data by design).
     pub fn r<T: 'static>(&self, i: usize) -> &T {
-        match &self.buffers[i] {
-            BufferGuard::Read(g) => g.downcast_ref::<T>(),
-            BufferGuard::Write(g) => g.downcast_ref::<T>(),
-        }
-        .unwrap_or_else(|| panic!("buffer {i}: type mismatch in kernel read"))
+        view(&self.buffers[i], i)
     }
 
     /// Mutable view of buffer `i`, downcast to `T`.
@@ -207,41 +225,38 @@ impl KernelCtx<'_> {
     /// # Panics
     /// Panics on type mismatch or if the buffer was acquired read-only.
     pub fn w<T: 'static>(&mut self, i: usize) -> &mut T {
-        match &mut self.buffers[i] {
-            BufferGuard::Write(g) => g
-                .downcast_mut::<T>()
-                .unwrap_or_else(|| panic!("buffer {i}: type mismatch in kernel write")),
-            BufferGuard::Read(_) => {
-                panic!("buffer {i}: kernel requested mutable access to a read-only operand")
-            }
-        }
+        view_mut(&mut self.buffers[i], i)
     }
 
     /// Two mutable buffers at once (e.g. LU factorization updating two
     /// blocks). Indices must differ.
     pub fn w2<T: 'static, U: 'static>(&mut self, i: usize, j: usize) -> (&mut T, &mut U) {
         assert_ne!(i, j, "w2 requires distinct buffer indices");
-        let (lo, hi, swap) = if i < j { (i, j, false) } else { (j, i, true) };
-        let (a, b) = self.buffers.split_at_mut(hi);
-        let first = &mut a[lo];
-        let second = &mut b[0];
-        fn as_mut<V: 'static>(g: &mut BufferGuard, idx: usize) -> &mut V {
-            match g {
-                BufferGuard::Write(g) => g
-                    .downcast_mut::<V>()
-                    .unwrap_or_else(|| panic!("buffer {idx}: type mismatch")),
-                BufferGuard::Read(_) => panic!("buffer {idx}: not writable"),
-            }
-        }
-        if swap {
-            let u = as_mut::<U>(first, j);
-            let t = as_mut::<T>(second, i);
-            (t, u)
+        let (lo, hi) = self.buffers.split_at_mut(i.max(j));
+        let (gi, gj) = if i < j {
+            (&mut lo[i], &mut hi[0])
         } else {
-            let t = as_mut::<T>(first, i);
-            let u = as_mut::<U>(second, j);
-            (t, u)
-        }
+            (&mut hi[0], &mut lo[j])
+        };
+        (view_mut(gi, i), view_mut(gj, j))
+    }
+
+    /// Buffer `r` to read beside buffer `w` to write (a copy kernel moving
+    /// one operand's contents into another without cloning either).
+    /// Indices must differ.
+    ///
+    /// # Panics
+    /// Panics if `r == w`, on a type mismatch, or if `w` was acquired
+    /// read-only.
+    pub fn rw<R: 'static, W: 'static>(&mut self, r: usize, w: usize) -> (&R, &mut W) {
+        assert_ne!(r, w, "rw requires distinct buffer indices");
+        let (lo, hi) = self.buffers.split_at_mut(r.max(w));
+        let (gr, gw) = if r < w {
+            (&lo[r], &mut hi[0])
+        } else {
+            (&hi[0], &mut lo[w])
+        };
+        (view(gr, r), view_mut(gw, w))
     }
 
     /// The scalar argument pack, downcast to `T`.
@@ -264,6 +279,54 @@ impl KernelCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::RwLock;
+
+    fn guard(v: Vec<u32>, writable: bool) -> BufferGuard {
+        let cell = Arc::new(RwLock::new(Box::new(v) as PayloadBox));
+        if writable {
+            BufferGuard::Write(cell.write_arc())
+        } else {
+            BufferGuard::Read(cell.read_arc())
+        }
+    }
+
+    fn ctx(buffers: &mut [BufferGuard]) -> KernelCtx<'_> {
+        KernelCtx {
+            buffers,
+            arg: None,
+            worker: 0,
+            arch: Arch::Cpu,
+            team_size: 1,
+        }
+    }
+
+    #[test]
+    fn rw_reads_one_buffer_into_another_either_way_round() {
+        let mut bufs = [guard(vec![1, 2], false), guard(vec![0, 0], true)];
+        let mut k = ctx(&mut bufs);
+        let (src, dst) = k.rw::<Vec<u32>, Vec<u32>>(0, 1);
+        dst.clone_from_slice(src);
+        assert_eq!(k.r::<Vec<u32>>(1), &[1, 2]);
+        let mut bufs = [guard(vec![0], true), guard(vec![7], false)];
+        let mut k = ctx(&mut bufs);
+        let (src, dst) = k.rw::<Vec<u32>, Vec<u32>>(1, 0);
+        dst[0] = src[0];
+        assert_eq!(k.r::<Vec<u32>>(0), &[7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rw requires distinct buffer indices")]
+    fn rw_rejects_one_buffer_as_both_operands() {
+        let mut bufs = [guard(vec![1], true)];
+        ctx(&mut bufs).rw::<Vec<u32>, Vec<u32>>(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mutable access to a read-only operand")]
+    fn rw_rejects_a_read_only_destination() {
+        let mut bufs = [guard(vec![1], false), guard(vec![2], false)];
+        ctx(&mut bufs).rw::<Vec<u32>, Vec<u32>>(0, 1);
+    }
 
     #[test]
     fn with_impl_replaces_same_arch() {

@@ -14,7 +14,7 @@
 //! cheapest route per transfer, and deduplicates concurrent transfers of
 //! the same `(handle, node)` pair through an in-flight registry.
 
-use crate::handle::{AccessMode, DataHandle, HandleState, PayloadCell};
+use crate::handle::{AccessMode, DataHandle, HandleState, PayloadCell, Replica};
 use crate::memory::MemoryManager;
 use crate::stats::{StatsCollector, TraceEvent};
 use parking_lot::{Condvar, Mutex};
@@ -370,6 +370,57 @@ pub(crate) fn make_valid(
     stats: &StatsCollector,
     memory: &MemoryManager,
 ) -> VTime {
+    make_valid_cell(handle, node, mode, topo, stats, memory).0
+}
+
+/// Pins `handle` at `node` for a task about to run there and, when
+/// `resolve` is set and the replica there is already usable for `mode`
+/// (valid for a read, holding a buffer for a write-only access), does
+/// [`make_valid_cell`]'s work in the same hold of the handle and node
+/// locks: touches the replica, claims it for a write-only access, and
+/// hands back its ready time and buffer. `None` leaves the operand pinned
+/// for `make_valid_cell` to bring in.
+pub(crate) fn pin_resident(
+    handle: &DataHandle,
+    node: usize,
+    mode: AccessMode,
+    resolve: bool,
+    stats: &StatsCollector,
+    memory: &MemoryManager,
+) -> Option<(VTime, PayloadCell)> {
+    let usable = |r: &Replica| {
+        resolve
+            && if mode.reads() {
+                r.is_valid()
+            } else {
+                r.cell.is_some()
+            }
+    };
+    let mut st = memory.pin_touching(node, handle, usable);
+    if !usable(&st.replicas[node]) {
+        return None;
+    }
+    if mode.reads() {
+        let r = &st.replicas[node];
+        return Some((r.vready, r.cell.clone()?));
+    }
+    let invalidated = st.claim(node).expect("the replica holds a buffer");
+    record_invalidations(handle, &invalidated, stats);
+    Some((VTime::ZERO, st.replicas[node].cell.clone()?))
+}
+
+/// [`make_valid`], also handing back the buffer it made usable, read under
+/// the same lock hold. `None` only when the handle has no copy left (it
+/// was unregistered under a prefetch); a task's own operands always have
+/// one.
+pub(crate) fn make_valid_cell(
+    handle: &DataHandle,
+    node: usize,
+    mode: AccessMode,
+    topo: &Topology,
+    stats: &StatsCollector,
+    memory: &MemoryManager,
+) -> (VTime, Option<PayloadCell>) {
     let inner = &handle.inner;
     loop {
         let mut st = memory.prepare(handle, node, topo, stats);
@@ -394,10 +445,11 @@ pub(crate) fn make_valid(
             // very buffer, over the new contents.
             let invalidated = st.claim(node).expect("buffer just ensured");
             record_invalidations(handle, &invalidated, stats);
-            return VTime::ZERO;
+            return (VTime::ZERO, st.replicas[node].cell.clone());
         }
-        if st.replicas[node].is_valid() {
-            return st.replicas[node].vready;
+        let r = &st.replicas[node];
+        if r.is_valid() {
+            return (r.vready, r.cell.clone());
         }
 
         let key = (handle.id(), node);
@@ -429,7 +481,7 @@ pub(crate) fn make_valid(
                 drop(st);
                 drop(freed);
                 topo.inflight_finish(key, &pending, VTime::ZERO);
-                return VTime::ZERO;
+                return (VTime::ZERO, None);
             }
         };
         drop(st);
@@ -447,10 +499,14 @@ pub(crate) fn make_valid(
         let payload = (inner.clone_fn)(&cell.read());
         // A write claimed the handle during the copy (only a prefetch can
         // race a writer): the payload is stale, so start over.
-        let installed = inner.state.lock().install(node, payload, arrive, writes);
+        let installed = {
+            let mut st = inner.state.lock();
+            let ok = st.install(node, payload, arrive, writes).is_ok();
+            ok.then(|| st.replicas[node].cell.clone())
+        };
         topo.inflight_finish(key, &pending, arrive);
-        if installed.is_ok() {
-            return arrive;
+        if let Some(cell) = installed {
+            return (arrive, cell);
         }
     }
 }
@@ -508,6 +564,7 @@ fn record_invalidations(handle: &DataHandle, nodes: &[usize], stats: &StatsColle
 
 /// The buffer cell for `node`, which must have been prepared by a prior
 /// [`make_valid`] call.
+#[cfg(test)]
 pub(crate) fn cell_for(handle: &DataHandle, node: usize) -> PayloadCell {
     handle.inner.state.lock().replicas[node]
         .cell

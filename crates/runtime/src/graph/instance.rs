@@ -121,12 +121,12 @@ impl InstanceCore {
         // `task_done`), so `pending` never transiently reaches zero
         // between chained iterations and `wait_all` cannot wake early.
         inner.admit(&self.job, self.tasks.len());
-        let roots = self
+        let mut roots: Vec<Arc<Task>> = self
             .roots
             .iter()
             .map(|&r| Arc::clone(&self.tasks[r as usize]))
             .collect();
-        inner.release(roots, continue_on)
+        inner.release(&mut roots, continue_on)
     }
 
     /// Worker-side countdown for one completed task of the current
@@ -196,7 +196,8 @@ pub(crate) fn instantiate(
                 // Shared submission-time validation (aliased writable
                 // operands, undispatchable codelets) — same checks as
                 // `JobHandle::submit` / `JobHandle::submit_batch`.
-                let options = crate::runtime::validate_task(&task, &inner.machine);
+                crate::runtime::validate_task(&task, &inner.machine);
+                let options = crate::sched::options_for(&task, &inner.machine);
                 let keys = options
                     .iter()
                     .map(|&(w, a)| {
@@ -433,11 +434,11 @@ mod tests {
         g.add(GraphTask::new(&c).access(s, AccessMode::ReadWrite));
         let inst = instantiate(&g);
         inst.set_freeze_after(0);
-        *inst.core.tasks[0].chosen.lock() = Some(ExecChoice {
+        inst.core.tasks[0].chosen.set(Some(ExecChoice {
             worker: 0,
             arch: Arch::Gpu,
             pred_delta: VTime::ZERO,
-        });
+        }));
         inst
     }
 

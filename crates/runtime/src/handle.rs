@@ -384,12 +384,29 @@ impl DataHandle {
         out
     }
 
-    /// Records a task access at submission time and returns the tasks it
-    /// depends on: the last writer (for any access) plus all readers since
-    /// the last write (for writing accesses).
-    pub(crate) fn record_access(&self, task: &Arc<Task>, mode: AccessMode) -> Vec<Arc<Task>> {
+    /// Whether `node` lacks a valid replica of this handle, read under one
+    /// hold of its lock together with the nodes that hold one, which are
+    /// appended to `sources` when it does.
+    pub(crate) fn missing_at(&self, node: usize, sources: &mut Vec<usize>) -> bool {
+        let st = self.inner.state.lock();
+        if st.replicas[node].is_valid() {
+            return false;
+        }
+        let valid = st.replicas.iter().enumerate().filter(|(_, r)| r.is_valid());
+        sources.extend(valid.map(|(src, _)| src));
+        true
+    }
+
+    /// Records a task access at submission time and appends the tasks it
+    /// depends on to `deps`: the last writer (for any access) plus all
+    /// readers since the last write (for writing accesses).
+    pub(crate) fn record_access(
+        &self,
+        task: &Arc<Task>,
+        mode: AccessMode,
+        deps: &mut Vec<Arc<Task>>,
+    ) {
         let mut st = self.inner.state.lock();
-        let mut deps = Vec::new();
         if let Some(w) = &st.last_writer {
             if w.id != task.id {
                 deps.push(Arc::clone(w));
@@ -406,7 +423,6 @@ impl DataHandle {
         } else if !st.readers.iter().any(|r| r.id == task.id) {
             st.readers.push(Arc::clone(task));
         }
-        deps
     }
 }
 

@@ -353,6 +353,28 @@ impl MemoryManager {
         }
     }
 
+    /// [`MemoryManager::pin`], also marking the replica used (`prepare`'s
+    /// touch) when `touch` holds for it, in one hold of the handle lock and
+    /// the node lock. Returns the handle's state, still locked.
+    pub(crate) fn pin_touching<'h>(
+        &self,
+        node: usize,
+        handle: &'h DataHandle,
+        touch: impl FnOnce(&Replica) -> bool,
+    ) -> MutexGuard<'h, HandleState> {
+        let mut st = handle.inner.state.lock();
+        if node != 0 {
+            let r = &mut st.replicas[node];
+            let touch = touch(r) && r.accounted;
+            let mut nm = self.nodes[node].lock();
+            nm.update(handle.id(), handle.bytes(), r, Cap::Pin);
+            if touch {
+                nm.update(handle.id(), handle.bytes(), r, Cap::Touch);
+            }
+        }
+        st
+    }
+
     /// Releases one pin.
     pub(crate) fn unpin(&self, node: usize, handle: &DataHandle) {
         if node != 0 {

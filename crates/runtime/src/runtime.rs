@@ -1,13 +1,12 @@
 //! The runtime facade: submission, data registration, host access, lifecycle.
 
-use crate::codelet::Arch;
 use crate::coherence::{self, Topology};
 use crate::handle::{AccessMode, Data, DataHandle, PayloadBox, PayloadCell};
 use crate::job::{Batch, JobConfig, JobCore, JobHandle, JobSet};
 use crate::memory::{EvictionPolicy, MemoryManager};
 use crate::perfmodel::PerfRegistry;
 use crate::sched::{
-    make_scheduler, options_for, SchedCtx, Scheduler, SchedulerKind, Timelines, WorkerClasses,
+    has_option, make_scheduler, SchedCtx, Scheduler, SchedulerKind, Timelines, WorkerClasses,
 };
 use crate::stats::{RuntimeStats, StatsCollector, TraceEvent};
 use crate::task::{Task, TaskBuilder, TaskHandle};
@@ -15,6 +14,7 @@ use crate::worker;
 use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Condvar, Mutex, RawRwLock};
 use peppher_sim::{MachineConfig, NoiseModel, VTime};
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -163,45 +163,43 @@ impl RuntimeInner {
     /// placed on that worker (a frozen replay's) is handed back for it to
     /// run directly: no push, no wakeup, no pop (see `worker::run_one`).
     /// The rest go to the scheduler in one call — one queue lock per
-    /// target queue — which keeps any placement a task carries. Tasks it
-    /// placed just now get their operands prefetched (a carried placement
-    /// repeats the previous iteration's worker, so its operands are
-    /// already there). Targets are woken only after every task is
-    /// enqueued: a woken (or still-busy) worker drains its queue in a
-    /// loop, so the first wake of a worker serves the whole batch and the
-    /// rest cost one load each.
-    pub(crate) fn release(
-        &self,
-        mut tasks: Vec<Arc<Task>>,
-        on: Option<usize>,
-    ) -> Option<Arc<Task>> {
+    /// target queue — which keeps any placement a task carries and breaks
+    /// placement ties toward `on`. Tasks it placed just now get their
+    /// operands prefetched (a carried placement repeats the previous
+    /// iteration's worker, so its operands are already there). Targets are
+    /// woken only after every task is enqueued: a woken (or still-busy)
+    /// worker drains its queue in a loop, so the first wake of a worker
+    /// serves the whole batch and the rest cost one load each. `tasks` may
+    /// be reordered.
+    pub(crate) fn release(&self, tasks: &mut [Arc<Task>], on: Option<usize>) -> Option<Arc<Task>> {
         let next = on.and_then(|w| {
-            let i = tasks
+            tasks
                 .iter()
-                .position(|t| t.chosen.lock().is_some_and(|c| c.worker == w))?;
-            Some(tasks.remove(i))
+                .position(|t| t.chosen.get().is_some_and(|c| c.worker == w))
         });
-        if tasks.is_empty() {
-            return next;
+        if let Some(i) = next {
+            // Move it to the front; the others keep their order.
+            tasks[..=i].rotate_right(1);
         }
-        let fresh: Vec<bool> = if self.config.enable_prefetch {
-            tasks.iter().map(|t| t.chosen.lock().is_none()).collect()
-        } else {
-            Vec::new()
-        };
-        let targets = self.sched.push(&tasks, &self.sched_ctx());
-        for (task, _) in tasks.iter().zip(&fresh).filter(|(_, &placed)| placed) {
-            self.prefetch_for(task);
-        }
-        for (task, target) in tasks.iter().zip(targets) {
-            match target {
-                Some(w) => {
-                    self.wake_worker(w);
+        let rest = &tasks[usize::from(next.is_some())..];
+        if !rest.is_empty() {
+            self.sched.push(rest, on, &self.sched_ctx());
+            // Only a device node can be prefetched into.
+            if self.config.enable_prefetch && self.machine.memory_nodes() > 1 {
+                for task in rest.iter().filter(|t| t.chosen.take_fresh()) {
+                    self.prefetch_for(task);
                 }
-                None => self.wake_any_for(task),
+            }
+            for task in rest {
+                match task.chosen.get() {
+                    Some(c) => {
+                        self.wake_worker(c.worker);
+                    }
+                    None => self.wake_any_for(task),
+                }
             }
         }
-        next
+        next.map(|_| Arc::clone(&tasks[0]))
     }
 
     /// Wakes every parked worker; [`JobHandle::cancel`] calls it before
@@ -222,10 +220,7 @@ impl RuntimeInner {
     /// the evictions (victim writebacks naturally precede the prefetch
     /// transfer in the trace).
     fn prefetch_for(&self, task: &Task) {
-        if !self.config.enable_prefetch {
-            return;
-        }
-        let Some(choice) = *task.chosen.lock() else {
+        let Some(choice) = task.chosen.get() else {
             return;
         };
         let node = self.machine.worker_memory_node(choice.worker);
@@ -335,10 +330,7 @@ impl RuntimeInner {
 
 /// Submission-time validation shared by [`crate::JobHandle::submit`],
 /// [`crate::JobHandle::submit_batch`], and graph instantiation. Panics on
-/// the two
-/// task shapes no scheduler can handle, and returns the eligible
-/// (worker, arch) options so callers that need them (graph placement
-/// tables) do not enumerate twice.
+/// the two task shapes no scheduler can handle, and builds nothing.
 ///
 /// Rejected here, on the *submitting* thread: aliased writable operands
 /// (two write accesses to one handle would need two exclusive guards on
@@ -347,7 +339,7 @@ impl RuntimeInner {
 /// mismatch). Detecting the latter later, on a worker, either killed the
 /// worker (the placing schedulers assert) or hung `wait_all` forever
 /// (eager silently never dispatches it).
-pub(crate) fn validate_task(task: &Task, machine: &MachineConfig) -> Vec<(usize, Arch)> {
+pub(crate) fn validate_task(task: &Task, machine: &MachineConfig) {
     for (i, (h, m)) in task.accesses.iter().enumerate() {
         if m.writes() {
             for (h2, _) in task.accesses.iter().skip(i + 1) {
@@ -360,9 +352,8 @@ pub(crate) fn validate_task(task: &Task, machine: &MachineConfig) -> Vec<(usize,
             }
         }
     }
-    let opts = options_for(task, machine);
     assert!(
-        !opts.is_empty(),
+        has_option(task, machine),
         "task for codelet `{}` has no eligible worker on this machine{}",
         task.codelet.name,
         match task.force_worker {
@@ -370,7 +361,13 @@ pub(crate) fn validate_task(task: &Task, machine: &MachineConfig) -> Vec<(usize,
             None => String::new(),
         }
     );
-    opts
+}
+
+thread_local! {
+    /// The submitting thread's dependency buffer: `record_access` appends
+    /// a task's predecessors here and [`Runtime::submit_tasks`] links and
+    /// drains them, so wiring allocates nothing once warm.
+    static DEPS: RefCell<Vec<Arc<Task>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A running PEPPHER runtime instance: worker threads for every CPU core
@@ -503,10 +500,12 @@ impl Runtime {
 
     /// Job-scoped single-task submission (the implementation behind both
     /// [`crate::JobHandle::submit`] and [`TaskBuilder::submit`], which
-    /// targets the implicit default job): a batch of one.
+    /// targets the implicit default job): [`Runtime::submit_tasks`] over
+    /// the one task, which is all it allocates.
     pub(crate) fn submit_for(&self, job: &Arc<JobCore>, builder: TaskBuilder) -> TaskHandle {
-        let mut handles = self.submit_batch_for(job, [builder]).into_handles();
-        handles.pop().expect("one handle per builder")
+        let mut task = Arc::new(builder.for_job(job).into_task(self.inner.alloc_task_id()));
+        self.submit_tasks(job, std::slice::from_mut(&mut task));
+        TaskHandle(task)
     }
 
     /// Job-scoped batch submission: a whole sub-graph of tasks as one unit
@@ -516,51 +515,60 @@ impl Runtime {
     /// edges — but the simultaneously-ready frontier is released in one
     /// call: one queue-lock acquisition per target queue covers the whole
     /// batch instead of one per task.
-    ///
-    /// Validation is all-or-nothing: every task is checked *before* any
-    /// side effect, so a batch containing an undispatchable codelet (or an
-    /// aliased writable operand) panics without enqueuing a prefix,
-    /// counting pending work, or recording any dependency edge.
     pub(crate) fn submit_batch_for(
         &self,
         job: &Arc<JobCore>,
         builders: impl IntoIterator<Item = TaskBuilder>,
     ) -> Batch {
-        let tasks: Vec<Arc<Task>> = builders
+        let mut tasks: Vec<Arc<Task>> = builders
             .into_iter()
             .map(|b| Arc::new(b.for_job(job).into_task(self.inner.alloc_task_id())))
             .collect();
-        for task in &tasks {
+        let handles = tasks.iter().cloned().map(TaskHandle).collect();
+        self.submit_tasks(job, &mut tasks);
+        Batch::new(handles)
+    }
+
+    /// The one submission path: validation, admission, dependency wiring
+    /// and release of the ready frontier, for one task or a batch.
+    ///
+    /// Validation is all-or-nothing: every task is checked *before* any
+    /// side effect, so a batch containing an undispatchable codelet (or an
+    /// aliased writable operand) panics without enqueuing a prefix,
+    /// counting pending work, or recording any dependency edge.
+    ///
+    /// Dependencies are recorded in submission order, so intra-batch
+    /// edges resolve exactly as sequential submits would. `link` counts
+    /// each created edge on the successor *before* publishing it, and the
+    /// submission guard holds every task until its own dependencies are
+    /// wired. Later batch members that depend on earlier ones cannot be
+    /// raced ready here — nothing from the batch executes before the
+    /// release below — and an *external* predecessor completing mid-loop
+    /// publishes the task through its own completion instead of this
+    /// frontier (the 1→0 dependency counter transition happens exactly
+    /// once). The ready tasks gather, in order, at the front of `tasks`.
+    fn submit_tasks(&self, job: &JobCore, tasks: &mut [Arc<Task>]) {
+        for task in tasks.iter() {
             validate_task(task, &self.inner.machine);
         }
         self.inner.admit(job, tasks.len());
-
-        // Sequential data consistency, recorded in submission order so
-        // intra-batch edges resolve exactly as sequential submits would.
-        // `link` counts each created edge on the successor *before*
-        // publishing it, and the submission guard holds every task until
-        // its own dependencies are wired. Later batch members that depend
-        // on earlier ones cannot be raced ready here — nothing from the
-        // batch executes before the release below — and an *external*
-        // predecessor completing mid-loop publishes the task through its
-        // own completion instead of this frontier (the 1→0 dependency
-        // counter transition happens exactly once).
-        let mut ready: Vec<Arc<Task>> = Vec::new();
-        for task in &tasks {
-            let deps: Vec<Arc<Task>> = task
-                .accesses
-                .iter()
-                .flat_map(|(h, mode)| h.record_access(task, *mode))
-                .collect();
-            for dep in deps {
-                Task::link(&dep, task);
+        let mut ready = 0;
+        DEPS.with_borrow_mut(|deps| {
+            for i in 0..tasks.len() {
+                let task = &tasks[i];
+                for (h, mode) in &task.accesses {
+                    h.record_access(task, *mode, deps);
+                }
+                for dep in deps.drain(..) {
+                    Task::link(&dep, task);
+                }
+                if task.dep_satisfied() {
+                    tasks.swap(ready, i);
+                    ready += 1;
+                }
             }
-            if task.dep_satisfied() {
-                ready.push(Arc::clone(task));
-            }
-        }
-        self.inner.release(ready, None);
-        Batch::new(tasks.into_iter().map(TaskHandle).collect())
+        });
+        self.inner.release(&mut tasks[..ready], None);
     }
 
     /// Blocks until every task of the *implicit default job* has executed.
@@ -680,7 +688,7 @@ impl Runtime {
         for t in h.tasks_to_wait_for(AccessMode::Read) {
             t.wait();
         }
-        coherence::make_valid(
+        let (_, cell) = coherence::make_valid_cell(
             h,
             0,
             AccessMode::Read,
@@ -688,7 +696,7 @@ impl Runtime {
             &self.inner.stats,
             &self.inner.memory,
         );
-        let cell = coherence::cell_for(h, 0);
+        let cell = cell.expect("acquire_read on an unregistered handle");
         HostReadGuard {
             guard: cell.read_arc(),
             _t: PhantomData,
@@ -702,7 +710,7 @@ impl Runtime {
         for t in h.tasks_to_wait_for(AccessMode::ReadWrite) {
             t.wait();
         }
-        let vready = coherence::make_valid(
+        let (vready, cell) = coherence::make_valid_cell(
             h,
             0,
             AccessMode::ReadWrite,
@@ -710,6 +718,7 @@ impl Runtime {
             &self.inner.stats,
             &self.inner.memory,
         );
+        let cell = cell.expect("acquire_write on an unregistered handle");
         coherence::mark_written(h, 0, vready, &self.inner.stats, &self.inner.memory);
         {
             // Every prior task has completed and the host now owns the data.
@@ -717,7 +726,6 @@ impl Runtime {
             st.last_writer = None;
             st.readers.clear();
         }
-        let cell = coherence::cell_for(h, 0);
         HostWriteGuard {
             guard: cell.write_arc(),
             _t: PhantomData,
@@ -945,7 +953,7 @@ impl<T: 'static> DerefMut for HostWriteGuard<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codelet::Codelet;
+    use crate::codelet::{Arch, Codelet};
 
     #[test]
     fn unregister_releases_the_handle_its_tasks_accessed() {

@@ -76,6 +76,7 @@ use crate::stats::TraceEvent;
 use crate::task::{ExecChoice, Task};
 use parking_lot::Mutex;
 use peppher_sim::VTime;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,17 +90,16 @@ pub(crate) const AGE_LIMIT: u32 = 16;
 /// cheapest valid replica; `None` when `h` is already valid at `node`. A
 /// replica that is allocated but not yet valid counts as missing.
 fn fetch_delay(h: &DataHandle, node: usize, now: VTime, ctx: &SchedCtx<'_>) -> Option<VTime> {
-    if h.valid_on(node) {
-        return None;
-    }
-    let bytes = h.bytes() as u64;
-    Some(
-        h.valid_nodes()
-            .iter()
-            .map(|&src| ctx.topo.estimate_transfer_after(src, node, bytes, now))
-            .min()
-            .unwrap_or(VTime::ZERO),
-    )
+    SOURCES.with_borrow_mut(|sources| {
+        sources.clear();
+        if !h.missing_at(node, sources) {
+            return None;
+        }
+        // Priced after the handle lock is released.
+        let bytes = h.bytes() as u64;
+        let price = |&src: &usize| ctx.topo.estimate_transfer_after(src, node, bytes, now);
+        Some(sources.iter().map(price).min().unwrap_or(VTime::ZERO))
+    })
 }
 
 /// dmdar's readiness score: the fetch cost of the read operands `task` is
@@ -112,35 +112,59 @@ fn fetch_cost(node: usize, task: &Task, now: VTime, ctx: &SchedCtx<'_>) -> VTime
         .sum()
 }
 
+thread_local! {
+    /// [`fetch_delay`]'s list of the nodes holding a valid replica.
+    static SOURCES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Enqueues each task on its target worker's queue, taking every distinct
-/// target queue's lock once.
-fn enqueue(queues: &[Mutex<ReadyQueue>], tasks: &[Arc<Task>], targets: &[Option<usize>]) {
-    let mut locked = vec![false; queues.len()];
-    for (i, target) in targets.iter().enumerate() {
-        let w = target.expect("dmda targets a worker");
-        if std::mem::replace(&mut locked[w], true) {
+/// target queue's lock once (`seen` marks the queues already served). A
+/// lone task takes its queue's lock with no bookkeeping.
+fn enqueue(
+    queues: &[Mutex<ReadyQueue>],
+    tasks: &[Arc<Task>],
+    targets: &[usize],
+    seen: &mut Vec<bool>,
+) {
+    if let ([task], &[w]) = (tasks, targets) {
+        queues[w].lock().push(Arc::clone(task));
+        return;
+    }
+    seen.clear();
+    seen.resize(queues.len(), false);
+    for (i, &w) in targets.iter().enumerate() {
+        if std::mem::replace(&mut seen[w], true) {
             continue;
         }
         let mut q = queues[w].lock();
         for (task, _) in tasks[i..]
             .iter()
             .zip(&targets[i..])
-            .filter(|(_, t)| *t == target)
+            .filter(|&(_, &t)| t == w)
         {
             q.push(Arc::clone(task));
         }
     }
 }
 
-/// Reusable buffers for [`DmdaScheduler::place`]: the prediction memo
-/// (persists across tasks — one registry lookup per distinct history key
-/// per batch) plus the option and evaluation buffers (cleared per task, so
-/// a batch of n tasks performs O(1) allocations, not O(n)).
+/// Reusable buffers for [`DmdaScheduler::push`], one set per thread: the
+/// prediction memo (cleared per push, kept across its tasks — one
+/// registry lookup per distinct history key per batch), the option,
+/// evaluation and calibration-class buffers (cleared per task), and the
+/// batch's targets and served-queue marks. A warm thread's push
+/// allocates nothing.
 #[derive(Default)]
 struct PlaceScratch {
     memo: Vec<(PerfKey, Estimate)>,
     opts: Vec<(usize, Arch)>,
     evaluated: Vec<(usize, Arch, Estimate)>,
+    uncal_classes: Vec<Arch>,
+    targets: Vec<usize>,
+    seen: Vec<bool>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<PlaceScratch> = RefCell::default();
 }
 
 /// Performance-aware scheduler (see module docs).
@@ -297,21 +321,33 @@ impl DmdaScheduler {
     /// prediction. Returns the chosen worker; the caller enqueues the task
     /// on that worker's ready queue.
     ///
-    /// Batch submitters keep one `scratch` across a whole batch: the
-    /// prediction memo then pays one registry lookup per distinct
-    /// (codelet, class, footprint) key instead of one per task, and the
-    /// option/evaluation buffers stop allocating per task. A memoized
-    /// prediction can lag a sample recorded mid-batch by a worker —
-    /// acceptable, since placement is already interleaving-dependent
-    /// (calibration round-robin) and results never depend on it.
-    fn place(&self, task: &Arc<Task>, ctx: &SchedCtx<'_>, scratch: &mut PlaceScratch) -> usize {
+    /// One `scratch` serves a whole batch: the prediction memo then pays
+    /// one registry lookup per distinct (codelet, class, footprint) key
+    /// instead of one per task. A memoized prediction can lag a sample
+    /// recorded mid-batch by a worker — acceptable, since placement is
+    /// already interleaving-dependent (calibration round-robin) and
+    /// results never depend on it.
+    ///
+    /// Ties go to `prefer`, the worker releasing the task, when it is
+    /// among the best: that worker is busy, so its next pop takes the
+    /// successor without a wakeup.
+    fn place(
+        &self,
+        task: &Arc<Task>,
+        prefer: Option<usize>,
+        ctx: &SchedCtx<'_>,
+        scratch: &mut PlaceScratch,
+    ) -> usize {
         let PlaceScratch {
             memo,
             opts,
             evaluated,
+            uncal_classes,
+            ..
         } = scratch;
         opts.clear();
         evaluated.clear();
+        uncal_classes.clear();
         options_into(task, ctx.machine, opts);
         assert!(
             !opts.is_empty(),
@@ -349,7 +385,6 @@ impl DmdaScheduler {
 
         // Calibration: spread executions across uncalibrated architecture
         // classes (round-robin over classes; least-loaded worker within).
-        let mut uncal_classes: Vec<Arch> = Vec::new();
         for (_, a, est) in evaluated.iter() {
             if est.expected.is_none() && !uncal_classes.contains(a) {
                 uncal_classes.push(*a);
@@ -367,7 +402,7 @@ impl DmdaScheduler {
                 .iter()
                 .filter(|(_, a, est)| est.expected.is_none() && *a == class)
                 .map(|&(w, a, _)| (w, a))
-                .min_by_key(|&(w, _)| ctx.timelines.get(w) + self.queued(w))
+                .min_by_key(|&(w, _)| (ctx.timelines.get(w) + self.queued(w), Some(w) != prefer))
                 .expect("class came from evaluated options");
             // Charge a nominal occupancy so calibration tasks still spread.
             self.charge(task, w, a, VTime::from_micros(1));
@@ -378,7 +413,7 @@ impl DmdaScheduler {
         // A task cannot start before its dependencies' virtual finish time,
         // so an idle worker is no earlier than `vdeps` (without this,
         // dependent chains look artificially cheap on idle devices).
-        let vdeps = task.state.lock().vdeps;
+        let vdeps = task.vdeps();
         // Worker availability: actual clock + predicted queued work (the
         // latest across the whole team for a team option), both lock-free
         // reads.
@@ -419,12 +454,12 @@ impl DmdaScheduler {
                 }
             };
             let delta = transfer + exec;
-            match &best {
-                Some((_, _, sc, _)) if *sc <= score => {}
-                _ => {
-                    best = Some((w, a, score, delta));
-                    best_is_explore = est.explore;
-                }
+            let better = best.is_none_or(|(bw, _, sc, _)| {
+                score < sc || (score == sc && Some(w) == prefer && Some(bw) != prefer)
+            });
+            if better {
+                best = Some((w, a, score, delta));
+                best_is_explore = est.explore;
             }
             if est.explore && score < best_explore_score {
                 best_explore = Some((w, a, delta));
@@ -454,28 +489,33 @@ impl DmdaScheduler {
     }
 
     /// Records the placement on the task and charges the queued-work
-    /// prediction.
+    /// prediction it stores.
     fn charge(&self, task: &Arc<Task>, worker: usize, arch: Arch, pred_delta: VTime) {
-        *task.chosen.lock() = Some(ExecChoice {
+        let stored = task.chosen.place(ExecChoice {
             worker,
             arch,
             pred_delta,
         });
-        self.charge_pred(worker, pred_delta);
+        self.charge_pred(worker, stored.pred_delta);
     }
 
     /// The worker `task` goes to: the placement it already carries (a
     /// frozen graph replay), re-charging its prediction — `task_timed`
     /// releases it after execution, so the load estimate stays balanced —
     /// or else a fresh [`DmdaScheduler::place`].
-    fn target(&self, task: &Arc<Task>, ctx: &SchedCtx<'_>, scratch: &mut PlaceScratch) -> usize {
-        let carried = *task.chosen.lock();
-        match carried {
+    fn target(
+        &self,
+        task: &Arc<Task>,
+        prefer: Option<usize>,
+        ctx: &SchedCtx<'_>,
+        scratch: &mut PlaceScratch,
+    ) -> usize {
+        match task.chosen.get() {
             Some(c) => {
                 self.charge_pred(c.worker, c.pred_delta);
                 c.worker
             }
-            None => self.place(task, ctx, scratch),
+            None => self.place(task, prefer, ctx, scratch),
         }
     }
 
@@ -493,7 +533,7 @@ impl DmdaScheduler {
     fn steal(&self, worker: usize, node: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
         let stealable = |t: &Task| {
             t.graph.is_none()
-                && t.chosen.lock().is_some_and(|c| {
+                && t.chosen.get().is_some_and(|c| {
                     is_option(t, ctx.machine, worker, c.arch)
                         && ctx.classes.class_id(c.arch, c.worker)
                             == ctx.classes.class_id(c.arch, worker)
@@ -515,7 +555,7 @@ impl DmdaScheduler {
         // owner between the passes; the steal pass re-resolves, so a stale
         // score costs at most a suboptimal order.
         // The scan is capped: scoring holds the victim's queue lock and
-        // touches each task's `chosen` mutex, so walking a deep queue
+        // reads each task's placement, so walking a deep queue
         // (tens of thousands of independent tasks) would stall the victim's
         // own pops for longer than the steal saves.
         const SCAN_CAP: usize = 64;
@@ -572,12 +612,10 @@ impl DmdaScheduler {
                     // thief and rebind the recorded placement: the thief
                     // executes the task, so `task_timed` releases the
                     // charge against it.
-                    let old = {
-                        let mut c = t.chosen.lock();
-                        let old = c.expect("dmda tasks are placed at push time");
-                        *c = Some(ExecChoice { worker, ..old });
-                        old
-                    };
+                    let old = t
+                        .chosen
+                        .rebind(worker)
+                        .expect("dmda tasks are placed at push time");
                     self.release(old.worker, old.pred_delta);
                     self.charge_pred(worker, old.pred_delta);
                     thief_acc += old.pred_delta;
@@ -618,16 +656,18 @@ impl DmdaScheduler {
 }
 
 impl Scheduler for DmdaScheduler {
-    fn push(&self, tasks: &[Arc<Task>], ctx: &SchedCtx<'_>) -> Vec<Option<usize>> {
+    fn push(&self, tasks: &[Arc<Task>], releaser: Option<usize>, ctx: &SchedCtx<'_>) {
         // Place every task first (sharing one prediction memo across the
         // batch), then enqueue per-worker groups.
-        let mut scratch = PlaceScratch::default();
-        let targets: Vec<Option<usize>> = tasks
-            .iter()
-            .map(|task| Some(self.target(task, ctx, &mut scratch)))
-            .collect();
-        enqueue(&self.queues, tasks, &targets);
-        targets
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.memo.clear();
+            scratch.targets.clear();
+            for task in tasks {
+                let w = self.target(task, releaser, ctx, scratch);
+                scratch.targets.push(w);
+            }
+            enqueue(&self.queues, tasks, &scratch.targets, &mut scratch.seen);
+        })
     }
 
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
@@ -666,6 +706,11 @@ impl Scheduler for DmdaScheduler {
         // The task's duration is now part of the worker's actual timeline;
         // release the prediction charged at push time.
         self.release(worker, choice.map(|c| c.pred_delta).unwrap_or(VTime::ZERO));
+    }
+
+    #[cfg(test)]
+    fn queued_charge(&self, worker: usize) -> VTime {
+        self.queued(worker)
     }
 }
 
@@ -747,7 +792,7 @@ pub(crate) mod tests {
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         let c = dual_codelet();
         for i in 0..6 {
-            s.push(&[task_of(&c, i)], &f.ctx());
+            s.push(&[task_of(&c, i)], None, &f.ctx());
         }
         // Classes alternate Cpu/Gpu: 3 CPU tasks (spread over cpu0/cpu1 by
         // load) and 3 GPU tasks.
@@ -783,7 +828,7 @@ pub(crate) mod tests {
         // GPU is 10x faster in recorded history.
         calibrate(&f, probe.footprint(), 100, 10);
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push(&[probe], &f.ctx());
+        s.push(&[probe], None, &f.ctx());
         assert_eq!(s.queue_len(2), 1, "task should land on the GPU worker");
     }
 
@@ -806,7 +851,7 @@ pub(crate) mod tests {
         let c = calibrated_cpu_codelet(&f);
         let s = DmdaScheduler::new(2, false);
         for i in 0..4 {
-            s.push(&[task_of_no_cost(&c, i)], &f.ctx());
+            s.push(&[task_of_no_cost(&c, i)], None, &f.ctx());
         }
         assert_eq!(s.queue_len(0), 2);
         assert_eq!(s.queue_len(1), 2);
@@ -832,7 +877,7 @@ pub(crate) mod tests {
         );
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..4 {
-            s.push(&[task_of(&c, i)], &f.ctx());
+            s.push(&[task_of(&c, i)], None, &f.ctx());
         }
         // Both classes received calibration tasks despite the prediction.
         assert!(s.queue_len(0) > 0, "CPU sampled");
@@ -858,7 +903,7 @@ pub(crate) mod tests {
                 }),
         );
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push(&[task_of(&c, 0)], &f.ctx());
+        s.push(&[task_of(&c, 0)], None, &f.ctx());
         assert_eq!(s.queue_len(1), 1, "wrong prediction steers to GPU");
     }
 
@@ -877,7 +922,7 @@ pub(crate) mod tests {
                 .cost(KernelCost::new(5e9, 1e6, 1e6))
                 .into_task(0),
         );
-        s.push(&[t], &f.ctx());
+        s.push(&[t], None, &f.ctx());
         assert_eq!(s.queue_len(1), 1);
     }
 
@@ -916,15 +961,33 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn releasing_worker_wins_ties() {
+        let f = Fixture::new(MachineConfig::cpu_only(2), RuntimeConfig::default());
+        let c = calibrated_cpu_codelet(&f);
+        let s = DmdaScheduler::new(2, false);
+        // Equal scores: worker 1 released the task, so it wins the tie
+        // (worker 0 would win it otherwise).
+        let t = task_of_no_cost(&c, 0);
+        s.push(&[Arc::clone(&t)], Some(1), &f.ctx());
+        assert_eq!(t.chosen.get().unwrap().worker, 1);
+        assert_eq!(s.queue_len(1), 1);
+        // Worker 1 is now the busier one: the score, not the tie-break,
+        // sends the next task to worker 0.
+        let u = task_of_no_cost(&c, 1);
+        s.push(&[Arc::clone(&u)], Some(1), &f.ctx());
+        assert_eq!(u.chosen.get().unwrap().worker, 0);
+    }
+
+    #[test]
     fn queued_prediction_released_when_timed() {
         let f = Fixture::new(MachineConfig::cpu_only(1), RuntimeConfig::default());
         let c = calibrated_cpu_codelet(&f);
         let s = DmdaScheduler::new(1, false);
-        s.push(&[task_of_no_cost(&c, 0)], &f.ctx());
+        s.push(&[task_of_no_cost(&c, 0)], None, &f.ctx());
         assert!(s.queued(0) > VTime::ZERO);
         let t = s.pop_for_worker(0, &f.ctx()).unwrap();
         assert!(s.queued(0) > VTime::ZERO, "still charged until timed");
-        s.task_timed(0, &t, *t.chosen.lock());
+        s.task_timed(0, &t, t.chosen.get());
         assert_eq!(s.queued(0), VTime::ZERO);
     }
 
@@ -937,7 +1000,7 @@ pub(crate) mod tests {
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..3 {
-            s.push(&[task_on(&c, i, &operand)], &f.ctx());
+            s.push(&[task_on(&c, i, &operand)], None, &f.ctx());
         }
         // GPU worker is index 1 on the single-CPU platform.
         assert!(s.pop_for_worker(1, &f.ctx()).is_some());
@@ -951,8 +1014,9 @@ pub(crate) mod tests {
     /// Pushes `task` and asserts it was placed on `worker` (the tests
     /// below need to know which queue the steal must raid).
     fn push_on(s: &DmdaScheduler, f: &Fixture, task: Arc<Task>, worker: usize) {
-        let placed = s.push(&[task], &f.ctx());
-        assert_eq!(placed, [Some(worker)], "test premise: placement target");
+        s.push(&[Arc::clone(&task)], None, &f.ctx());
+        let placed = task.chosen.get().map(|c| c.worker);
+        assert_eq!(placed, Some(worker), "test premise: placement target");
     }
 
     #[test]
@@ -973,7 +1037,7 @@ pub(crate) mod tests {
         assert_eq!(t.id, 7);
         assert_eq!(s.queued(0), VTime::ZERO, "victim charge released");
         assert!(s.queued(1) > VTime::ZERO, "thief charged");
-        assert_eq!(t.chosen.lock().unwrap().worker, 1, "placement rebound");
+        assert_eq!(t.chosen.get().unwrap().worker, 1, "placement rebound");
         assert_eq!(s.queue_len(0), 0);
         assert_eq!(f.stats.snapshot().steals, 1);
         assert!(f.stats.trace.lock().iter().any(|e| matches!(
@@ -987,7 +1051,7 @@ pub(crate) mod tests {
         )));
 
         // task_timed releases against the thief, balancing the books.
-        s.task_timed(1, &t, *t.chosen.lock());
+        s.task_timed(1, &t, t.chosen.get());
         assert_eq!(s.queued(1), VTime::ZERO);
     }
 
@@ -1058,7 +1122,7 @@ pub(crate) mod tests {
         assert!(est.explore, "premise: CPU key must be stale");
         assert!(est.expected.is_some(), "premise: still calibrated");
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push(&[task_of(&dual_codelet(), 0)], &f.ctx());
+        s.push(&[task_of(&dual_codelet(), 0)], None, &f.ctx());
         assert_eq!(s.queue_len(0), 1, "stale CPU explored");
         assert_eq!(s.queue_len(1), 0);
     }
@@ -1071,7 +1135,7 @@ pub(crate) mod tests {
         };
         let f = stale_cpu_fixture(config, 100, 10, 16 * 1024);
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push(&[task_of(&dual_codelet(), 0)], &f.ctx());
+        s.push(&[task_of(&dual_codelet(), 0)], None, &f.ctx());
         assert_eq!(s.queue_len(1), 1, "no exploration: best score wins");
         assert_eq!(s.queue_len(0), 0);
     }
@@ -1087,7 +1151,7 @@ pub(crate) mod tests {
         let f = stale_cpu_fixture(config, 100, 10, 8);
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
         for i in 0..4 {
-            s.push(&[task_of(&dual_codelet(), i)], &f.ctx());
+            s.push(&[task_of(&dual_codelet(), i)], None, &f.ctx());
         }
         assert_eq!(s.queue_len(1), 4, "all tasks stay on the better GPU");
         assert_eq!(s.explore_seq.load(Ordering::Relaxed), 0);
@@ -1123,11 +1187,11 @@ pub(crate) mod tests {
         // the push keeps it: the victims are chosen, not predicted.
         let placed_on = |id, h: &DataHandle, worker| {
             let t = task_on(&dual_codelet(), id, h);
-            *t.chosen.lock() = Some(ExecChoice {
+            t.chosen.set(Some(ExecChoice {
                 worker,
                 arch: Arch::Gpu,
                 pred_delta: VTime::from_micros(10),
-            });
+            }));
             push_on(&s, &f, t, worker);
         };
         // Fixed-order stealing would hit worker 2 (the cold task) first.
@@ -1149,7 +1213,7 @@ pub(crate) mod tests {
         )));
         // Once the stolen task is timed the thief is idle again, and the
         // only victim left is the cold one.
-        s.task_timed(1, &stolen, *stolen.chosen.lock());
+        s.task_timed(1, &stolen, stolen.chosen.get());
         let stolen = s
             .pop_for_worker(1, &f.ctx())
             .expect("cold steal still succeeds");
@@ -1193,8 +1257,8 @@ pub(crate) mod tests {
         let (f, cold, hot) = hot_and_cold(false);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
-        s.push(&[task_on(&c, 0, &cold)], &f.ctx());
-        s.push(&[task_on(&c, 1, &hot)], &f.ctx());
+        s.push(&[task_on(&c, 0, &cold)], None, &f.ctx());
+        s.push(&[task_on(&c, 1, &hot)], None, &f.ctx());
 
         let first = s.pop_for_worker(1, &f.ctx()).expect("queued");
         assert_eq!(first.id, 1, "resident-operand task dispatches first");
@@ -1215,8 +1279,8 @@ pub(crate) mod tests {
         let (f, cold, hot) = hot_and_cold(false);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), false);
-        s.push(&[task_on(&c, 0, &cold)], &f.ctx());
-        s.push(&[task_on(&c, 1, &hot)], &f.ctx());
+        s.push(&[task_on(&c, 0, &cold)], None, &f.ctx());
+        s.push(&[task_on(&c, 1, &hot)], None, &f.ctx());
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
         assert_eq!(reorders(&f), 0);
@@ -1227,12 +1291,12 @@ pub(crate) mod tests {
         let (f, cold, hot) = hot_and_cold(false);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
-        s.push(&[task_on(&c, 0, &hot)], &f.ctx());
+        s.push(&[task_on(&c, 0, &hot)], None, &f.ctx());
         let urgent = TaskBuilder::new(&c)
             .access(&cold, AccessMode::Read)
             .priority(5)
             .into_task(1);
-        s.push(&[Arc::new(urgent)], &f.ctx());
+        s.push(&[Arc::new(urgent)], None, &f.ctx());
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
         assert_eq!(reorders(&f), 0, "a priority jump is not a reorder");
@@ -1243,8 +1307,8 @@ pub(crate) mod tests {
         let (f, a, b) = hot_and_cold(true);
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
-        s.push(&[task_on(&c, 0, &a)], &f.ctx());
-        s.push(&[task_on(&c, 1, &b)], &f.ctx());
+        s.push(&[task_on(&c, 0, &a)], None, &f.ctx());
+        s.push(&[task_on(&c, 1, &b)], None, &f.ctx());
 
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 0);
         assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, 1);
@@ -1286,10 +1350,10 @@ pub(crate) mod tests {
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
         // The cold task is pushed first, then a stream of hot tasks that
         // would each out-ready it forever without aging.
-        s.push(&[task_on(&c, 0, &cold)], &f.ctx());
+        s.push(&[task_on(&c, 0, &cold)], None, &f.ctx());
         let hot_tasks = AGE_LIMIT as u64 + 1;
         for i in 1..=hot_tasks {
-            s.push(&[task_on(&c, i, &hot)], &f.ctx());
+            s.push(&[task_on(&c, i, &hot)], None, &f.ctx());
         }
         for i in 1..=AGE_LIMIT as u64 {
             assert_eq!(s.pop_for_worker(1, &f.ctx()).unwrap().id, i);
@@ -1315,8 +1379,8 @@ pub(crate) mod tests {
         let c = gpu_codelet();
         let s = DmdaScheduler::new(f.machine.total_workers(), true);
         // Both tasks are cold at push time: equal scores, FIFO order.
-        s.push(&[task_on(&c, 0, &cold)], &f.ctx());
-        s.push(&[task_on(&c, 1, &hot)], &f.ctx());
+        s.push(&[task_on(&c, 0, &cold)], None, &f.ctx());
+        s.push(&[task_on(&c, 1, &hot)], None, &f.ctx());
         // Now the second task's operand becomes resident on the GPU node.
         crate::coherence::make_valid(&hot, 1, AccessMode::Read, &f.topo, &f.stats, &f.memory);
 
@@ -1366,8 +1430,12 @@ pub(crate) mod tests {
             task_on(&c, 1, &cold),
             task_on(&c, 2, &hot),
         ];
-        let targets = s.push(&batch, &f.ctx());
-        assert_eq!(targets, vec![Some(1); 3], "GPU-only tasks target worker 1");
+        s.push(&batch, None, &f.ctx());
+        let targets: Vec<_> = batch
+            .iter()
+            .map(|t| t.chosen.get().unwrap().worker)
+            .collect();
+        assert_eq!(targets, [1; 3], "GPU-only tasks target worker 1");
         assert_eq!(s.queue_len(1), 3);
 
         // Hot entry jumps; the two equal cold entries then drain FIFO.

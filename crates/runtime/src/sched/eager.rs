@@ -34,13 +34,12 @@ impl Default for EagerScheduler {
 }
 
 impl Scheduler for EagerScheduler {
-    fn push(&self, tasks: &[Arc<Task>], _ctx: &SchedCtx<'_>) -> Vec<Option<usize>> {
+    fn push(&self, tasks: &[Arc<Task>], _releaser: Option<usize>, _ctx: &SchedCtx<'_>) {
         // One queue-lock acquisition covers the whole batch.
         let mut q = self.queue.lock();
         for task in tasks {
             q.push(Arc::clone(task));
         }
-        vec![None; tasks.len()]
     }
 
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>> {
@@ -84,7 +83,7 @@ mod tests {
         let f = Fixture::new(MachineConfig::c2050_platform(1), RuntimeConfig::default());
         let ctx = f.ctx();
         let s = EagerScheduler::new();
-        s.push(&[task(&[Arch::Gpu], 0), task(&[Arch::Cpu], 0)], &ctx);
+        s.push(&[task(&[Arch::Gpu], 0), task(&[Arch::Cpu], 0)], None, &ctx);
 
         // CPU worker 0 must skip the GPU-only task and take the CPU one.
         let got = s.pop_for_worker(0, &ctx).expect("cpu task available");
@@ -100,7 +99,7 @@ mod tests {
         let f = Fixture::new(MachineConfig::cpu_only(1), RuntimeConfig::default());
         let ctx = f.ctx();
         let s = EagerScheduler::new();
-        s.push(&[task(&[Arch::Cpu], 0), task(&[Arch::Cpu], 5)], &ctx);
+        s.push(&[task(&[Arch::Cpu], 0), task(&[Arch::Cpu], 5)], None, &ctx);
         assert_eq!(s.pop_for_worker(0, &ctx).unwrap().priority, 5);
         assert_eq!(s.pop_for_worker(0, &ctx).unwrap().priority, 0);
     }

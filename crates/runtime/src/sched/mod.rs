@@ -186,21 +186,31 @@ pub trait Scheduler: Send + Sync {
     /// Accepts tasks whose dependencies are all satisfied — one, or a
     /// simultaneously-ready batch (a submitted sub-graph's frontier, a
     /// replay seed, a fan-out). Placing policies decide each task's worker
-    /// here, unless the task already carries a placement in `task.chosen`
-    /// (a frozen graph replay), which they keep. Returns one wake target
-    /// per task, in order: the worker whose queue received it, or `None`
-    /// when any eligible worker may take it (central queue). Every policy
+    /// here and record it in `task.chosen`, unless the task already
+    /// carries a placement (a frozen graph replay), which they keep; a
+    /// task's wake target is the worker its `chosen` names, or any
+    /// eligible worker when it has none (central queue). Every policy
     /// takes each queue lock once for the whole batch.
-    fn push(&self, tasks: &[Arc<Task>], ctx: &SchedCtx<'_>) -> Vec<Option<usize>>;
+    ///
+    /// `releaser` is the worker whose completion released the batch, if a
+    /// worker's did. Placing policies break ties toward it: it is busy, so
+    /// its next pop takes the task without a wakeup.
+    fn push(&self, tasks: &[Arc<Task>], releaser: Option<usize>, ctx: &SchedCtx<'_>);
     /// Hands worker `worker` its next task, if any.
     fn pop_for_worker(&self, worker: usize, ctx: &SchedCtx<'_>) -> Option<Arc<Task>>;
     /// Notifies the policy that `task`'s contribution is now reflected in
     /// worker `worker`'s virtual timeline (so load predictions charged at
     /// push time can be released without double counting). `choice` is the
-    /// task's placement decision, already read from `task.chosen` by the
-    /// caller — the worker reads it once per task to pick the architecture
-    /// and threads it here so the policy need not re-lock it.
+    /// task's placement decision, read from `task.chosen` once per task by
+    /// the worker to pick the architecture.
     fn task_timed(&self, _worker: usize, _task: &Task, _choice: Option<ExecChoice>) {}
+
+    /// The predicted work still charged to `worker` (test hook: a drained
+    /// runtime must have released every charge).
+    #[cfg(test)]
+    fn queued_charge(&self, _worker: usize) -> VTime {
+        VTime::ZERO
+    }
 }
 
 /// Instantiates the policy for a machine.
@@ -238,19 +248,30 @@ pub fn options_for(task: &Task, machine: &MachineConfig) -> Vec<(usize, Arch)> {
 /// [`options_for`] writing into a caller-owned buffer, for hot paths that
 /// enumerate options per task and do not want an allocation each time.
 pub(crate) fn options_into(task: &Task, machine: &MachineConfig, opts: &mut Vec<(usize, Arch)>) {
-    if let Some(p) = &task.placement {
-        opts.extend_from_slice(&p.options);
-        return;
+    match &task.placement {
+        Some(p) => opts.extend_from_slice(&p.options),
+        None => opts.extend(enumerate_options(task, machine)),
     }
-    for arch in [Arch::Cpu, Arch::CpuTeam, Arch::Gpu] {
-        if task.codelet.has_arch(arch) {
-            opts.extend(
-                arch_workers(arch, machine)
-                    .filter(|&w| task.force_worker.is_none_or(|fw| fw == w))
-                    .map(|w| (w, arch)),
-            );
-        }
-    }
+}
+
+/// Whether some worker of `machine` could execute `task` (an ordinary,
+/// unrecorded task): [`options_for`] is non-empty, without building it.
+pub(crate) fn has_option(task: &Task, machine: &MachineConfig) -> bool {
+    enumerate_options(task, machine).next().is_some()
+}
+
+fn enumerate_options<'a>(
+    task: &'a Task,
+    machine: &'a MachineConfig,
+) -> impl Iterator<Item = (usize, Arch)> + 'a {
+    [Arch::Cpu, Arch::CpuTeam, Arch::Gpu]
+        .into_iter()
+        .filter(|&arch| task.codelet.has_arch(arch))
+        .flat_map(move |arch| {
+            arch_workers(arch, machine)
+                .filter(|&w| task.force_worker.is_none_or(|fw| fw == w))
+                .map(move |w| (w, arch))
+        })
 }
 
 /// The workers an `arch` implementation can run on: every CPU worker, the

@@ -146,6 +146,16 @@ pub enum TraceEvent {
         /// Queue entries the task was dispatched ahead of.
         jumped: usize,
     },
+    /// A kernel panicked. The worker contained the panic and counted it
+    /// in [`RuntimeStats::kernel_failures`]; the task still completed.
+    KernelFault {
+        /// Task id.
+        task: u64,
+        /// Worker that ran the kernel.
+        worker: usize,
+        /// Owning job id (0 = the implicit default job).
+        job: u64,
+    },
     /// A performance-model drift detection: the recent execution times of
     /// a (codelet, arch) family diverged from its model, its histories
     /// were decayed below calibration, and frozen replay schedules were
@@ -173,25 +183,39 @@ pub enum TraceEvent {
 struct WorkerCell {
     tasks: AtomicU64,
     busy_ns: AtomicU64,
+    /// Latest virtual finish time of this worker's tasks, in ns; the
+    /// makespan is the maximum over the cells.
+    makespan_ns: AtomicU64,
     /// Modelled energy in millijoules, stored as `f64::to_bits`.
     energy_mj_bits: AtomicU64,
-    /// Wall-clock nanoseconds this worker spent inside successful
-    /// `pop_for_worker` calls — the scheduler's real decision cost, not
-    /// virtual time.
+    /// Wall-clock nanoseconds this worker spent inside the successful
+    /// `pop_for_worker` calls it timed — the scheduler's real decision
+    /// cost, not virtual time.
     pop_ns: AtomicU64,
-    /// Successful pops, the divisor for `pop_ns`.
+    /// Successful pops.
     pops: AtomicU64,
+    /// Successful pops that were timed (one in [`POP_SAMPLE`]).
+    timed_pops: AtomicU64,
 }
+
+/// One successful pop in this many is timed: two clock reads cost about
+/// as much as a pop. [`StatsCollector::snapshot`] scales the timed pops'
+/// mean to every pop, so `sched_pop_ns / sched_pops` stays the mean pop
+/// cost. The timed pops are each worker's 16th, 32nd, …: a worker's
+/// first pop runs cold, and timed, it would stand for 16 pops.
+pub(crate) const POP_SAMPLE: u64 = 16;
 
 impl WorkerCell {
     #[inline]
-    fn add_task(&self, busy_ns: u64) {
+    fn add_task(&self, busy_ns: u64, vfinish_ns: u64) {
         self.tasks
             .store(self.tasks.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         self.busy_ns.store(
             self.busy_ns.load(Ordering::Relaxed) + busy_ns,
             Ordering::Relaxed,
         );
+        let latest = self.makespan_ns.load(Ordering::Relaxed).max(vfinish_ns);
+        self.makespan_ns.store(latest, Ordering::Relaxed);
     }
 
     #[inline]
@@ -202,11 +226,27 @@ impl WorkerCell {
     }
 
     #[inline]
-    fn add_pop(&self, ns: u64) {
-        self.pop_ns
-            .store(self.pop_ns.load(Ordering::Relaxed) + ns, Ordering::Relaxed);
+    fn add_pop(&self, ns: Option<u64>) {
+        if let Some(ns) = ns {
+            self.pop_ns
+                .store(self.pop_ns.load(Ordering::Relaxed) + ns, Ordering::Relaxed);
+            self.timed_pops.store(
+                self.timed_pops.load(Ordering::Relaxed) + 1,
+                Ordering::Relaxed,
+            );
+        }
         self.pops
             .store(self.pops.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// The time this worker's pops took, estimated from its timed ones,
+    /// or at `fallback` ns each (every worker's timed mean) when it has
+    /// none.
+    fn pop_ns_estimate(&self, fallback: u128) -> u64 {
+        let timed = self.timed_pops.load(Ordering::Relaxed) as u128;
+        let ns = self.pop_ns.load(Ordering::Relaxed) as u128;
+        let pops = self.pops.load(Ordering::Relaxed) as u128;
+        (ns * pops).checked_div(timed).unwrap_or(pops * fallback) as u64
     }
 }
 
@@ -226,9 +266,8 @@ pub struct StatsCollector {
     /// `make_valid` calls that joined an in-flight transfer of the same
     /// replica instead of starting a duplicate copy.
     pub transfer_joins: AtomicU64,
-    /// Maximum virtual finish time observed (the makespan), in ns.
-    pub makespan_ns: AtomicU64,
-    /// One padded counter cell per worker (tasks, busy ns, energy).
+    /// One padded counter cell per worker (tasks, busy ns, latest finish,
+    /// energy).
     /// Sharded so the per-task hot path touches only its own cache line;
     /// totals are aggregated in [`StatsCollector::snapshot`].
     cells: Vec<WorkerCell>,
@@ -337,25 +376,36 @@ impl StatsCollector {
     /// from, the read-operand bytes already resident on the worker's node,
     /// and whether the pop jumped ahead of FIFO order.
     pub(crate) fn record_dispatch(&self, depth: usize, resident_bytes: u64, reordered: bool) {
-        self.max_queue_depth
-            .fetch_max(depth as u64, Ordering::Relaxed);
-        self.dispatch_resident_bytes
-            .fetch_add(resident_bytes, Ordering::Relaxed);
+        // Every worker pops: read before writing, so the common pop (no
+        // new maximum, nothing resident) writes no shared line.
+        if depth as u64 > self.max_queue_depth.load(Ordering::Relaxed) {
+            self.max_queue_depth
+                .fetch_max(depth as u64, Ordering::Relaxed);
+        }
+        if resident_bytes > 0 {
+            self.dispatch_resident_bytes
+                .fetch_add(resident_bytes, Ordering::Relaxed);
+        }
         if reordered {
             self.sched_reorders.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Records the wall-clock cost of one successful pop (the scheduling
-    /// decision) on `worker`'s cell.
-    pub(crate) fn record_pop(&self, worker: usize, ns: u64) {
+    /// Whether `worker`'s next successful pop is one of the timed ones:
+    /// the last of each [`POP_SAMPLE`] of its pops.
+    pub(crate) fn pop_timed(&self, worker: usize) -> bool {
+        let pops = self.cells[worker].pops.load(Ordering::Relaxed);
+        (pops + 1).is_multiple_of(POP_SAMPLE)
+    }
+
+    /// Counts one successful pop on `worker`'s cell, with its wall-clock
+    /// cost when it was timed (see [`StatsCollector::pop_timed`]).
+    pub(crate) fn record_pop(&self, worker: usize, ns: Option<u64>) {
         self.cells[worker].add_pop(ns);
     }
 
     pub(crate) fn record_task(&self, worker: usize, busy: VTime, vfinish: VTime) {
-        self.makespan_ns
-            .fetch_max(vfinish.as_nanos(), Ordering::Relaxed);
-        self.cells[worker].add_task(busy.as_nanos());
+        self.cells[worker].add_task(busy.as_nanos(), vfinish.as_nanos());
     }
 
     pub(crate) fn record_energy(&self, worker: usize, joules: f64) {
@@ -376,7 +426,13 @@ impl StatsCollector {
             d2h_bytes: self.d2h_bytes.load(Ordering::Relaxed),
             d2d_bytes: self.d2d_bytes.load(Ordering::Relaxed),
             transfer_joins: self.transfer_joins.load(Ordering::Relaxed),
-            makespan: VTime::from_nanos(self.makespan_ns.load(Ordering::Relaxed)),
+            makespan: VTime::from_nanos(
+                self.cells
+                    .iter()
+                    .map(|c| c.makespan_ns.load(Ordering::Relaxed))
+                    .max()
+                    .unwrap_or(0),
+            ),
             busy: self
                 .cells
                 .iter()
@@ -404,11 +460,14 @@ impl StatsCollector {
             sched_reorders: self.sched_reorders.load(Ordering::Relaxed),
             dispatch_resident_bytes: self.dispatch_resident_bytes.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            sched_pop_ns: self
-                .cells
-                .iter()
-                .map(|c| c.pop_ns.load(Ordering::Relaxed))
-                .sum(),
+            sched_pop_ns: {
+                let (ns, timed) = self.cells.iter().fold((0u128, 0u128), |(ns, timed), c| {
+                    let load = |a: &AtomicU64| a.load(Ordering::Relaxed) as u128;
+                    (ns + load(&c.pop_ns), timed + load(&c.timed_pops))
+                });
+                let mean = ns.checked_div(timed).unwrap_or(0);
+                self.cells.iter().map(|c| c.pop_ns_estimate(mean)).sum()
+            },
             sched_pops: self
                 .cells
                 .iter()
@@ -493,7 +552,8 @@ pub struct RuntimeStats {
     /// Deepest per-worker ready queue observed at any pop.
     pub max_queue_depth: u64,
     /// Total wall-clock nanoseconds workers spent inside successful
-    /// `pop_for_worker` calls (the scheduling decision).
+    /// `pop_for_worker` calls (the scheduling decision), estimated from
+    /// the one pop in 16 each worker times.
     /// Real time, not virtual — the scheduler's measured decision cost.
     pub sched_pop_ns: u64,
     /// Successful pops, the divisor for [`RuntimeStats::sched_pop_ns`].
@@ -559,7 +619,9 @@ pub(crate) fn trace_for_job(trace: &[TraceEvent], job: u64) -> Vec<TraceEvent> {
         .iter()
         .filter(|e| {
             matches!(e,
-                TraceEvent::TaskStart { job: j, .. } | TraceEvent::TaskEnd { job: j, .. }
+                TraceEvent::TaskStart { job: j, .. }
+                | TraceEvent::TaskEnd { job: j, .. }
+                | TraceEvent::KernelFault { job: j, .. }
                     if *j == job)
         })
         .cloned()
@@ -792,6 +854,25 @@ mod tests {
         assert_eq!(snap.makespan, VTime::from_micros(10));
         assert_eq!(snap.busy[0], VTime::from_micros(5));
         assert_eq!(snap.tasks_per_worker, vec![1, 1]);
+    }
+
+    #[test]
+    fn sampled_pop_timer_keeps_the_mean_pop_cost() {
+        let s = StatsCollector::new(2, false);
+        // Worker 0: 40 pops, the timed ones (the 16th and 32nd) at 100 ns.
+        assert!(!s.pop_timed(0), "a worker's first pop runs cold, untimed");
+        for _ in 0..40 {
+            let ns = s.pop_timed(0).then_some(100);
+            s.record_pop(0, ns);
+        }
+        // Worker 1: 3 pops, none timed: priced at the timed mean.
+        for _ in 0..3 {
+            let ns = s.pop_timed(1).then_some(400);
+            s.record_pop(1, ns);
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.sched_pops, 43);
+        assert_eq!(snap.sched_pop_ns, 43 * 100);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::{Arc, Weak};
 
 /// The scheduler's placement decision for a task (filled in by `dmda`;
 /// greedy schedulers leave it empty and the worker decides at pop time).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecChoice {
     /// Worker the scheduler placed the task on.
     pub worker: usize,
@@ -26,10 +26,102 @@ pub struct ExecChoice {
     pub pred_delta: VTime,
 }
 
+/// Low bits of a packed [`ExecChoice`]: `worker + 1`, 0 meaning no choice.
+const WORKER_MASK: u64 = 0xffff;
+const ARCH_SHIFT: u32 = 16;
+/// Set by [`Chosen::place`], cleared by [`Chosen::take_fresh`].
+const FRESH: u64 = 1 << 18;
+const DELTA_SHIFT: u32 = 19;
+
+impl ExecChoice {
+    fn pack(self) -> u64 {
+        assert!(
+            (self.worker as u64) < WORKER_MASK,
+            "worker {} does not fit a packed placement",
+            self.worker
+        );
+        let arch = match self.arch {
+            Arch::Cpu => 0,
+            Arch::CpuTeam => 1,
+            Arch::Gpu => 2,
+        };
+        let delta = self.pred_delta.as_nanos().min(u64::MAX >> DELTA_SHIFT);
+        (self.worker as u64 + 1) | arch << ARCH_SHIFT | delta << DELTA_SHIFT
+    }
+
+    fn unpack(word: u64) -> Option<ExecChoice> {
+        let worker = (word & WORKER_MASK).checked_sub(1)? as usize;
+        let arch = match (word >> ARCH_SHIFT) & 3 {
+            0 => Arch::Cpu,
+            1 => Arch::CpuTeam,
+            _ => Arch::Gpu,
+        };
+        let pred_delta = VTime::from_nanos(word >> DELTA_SHIFT);
+        Some(ExecChoice {
+            worker,
+            arch,
+            pred_delta,
+        })
+    }
+}
+
+/// [`Task::chosen`]: the placement packed into one word, so that it is
+/// read and written without a lock. The word holds `worker + 1` (0 when
+/// there is no placement), the arch, a fresh mark and `pred_delta` in
+/// nanoseconds, saturating at 2^45 (about ten hours).
+#[derive(Debug, Default)]
+pub struct Chosen(AtomicU64);
+
+impl Chosen {
+    /// The current placement, if any.
+    pub fn get(&self) -> Option<ExecChoice> {
+        ExecChoice::unpack(self.0.load(Ordering::Acquire))
+    }
+
+    /// Replaces the placement (a carried or cleared one: not fresh).
+    pub fn set(&self, choice: Option<ExecChoice>) {
+        self.0
+            .store(choice.map_or(0, ExecChoice::pack), Ordering::Release);
+    }
+
+    /// Records a placement just decided, marked fresh, and returns it as
+    /// stored: the prediction it charges is `pred_delta` after saturation,
+    /// so a release of the stored value balances the charge.
+    pub(crate) fn place(&self, choice: ExecChoice) -> ExecChoice {
+        let word = choice.pack();
+        self.0.store(word | FRESH, Ordering::Release);
+        ExecChoice::unpack(word).expect("a packed placement")
+    }
+
+    /// Whether the placement was decided by the push that just released
+    /// the task (see [`Chosen::place`]); clears the mark.
+    pub(crate) fn take_fresh(&self) -> bool {
+        self.0.fetch_and(!FRESH, Ordering::AcqRel) & FRESH != 0
+    }
+
+    /// Moves the placement to `worker`, keeping its arch, prediction and
+    /// fresh mark; returns the placement it replaced.
+    pub(crate) fn rebind(&self, worker: usize) -> Option<ExecChoice> {
+        let to = worker as u64 + 1;
+        assert!(
+            to < WORKER_MASK,
+            "worker {worker} does not fit a packed placement"
+        );
+        let old = self
+            .0
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
+                (w & WORKER_MASK != 0).then_some((w & !WORKER_MASK) | to)
+            })
+            .ok()?;
+        ExecChoice::unpack(old)
+    }
+}
+
 pub(crate) struct TaskRunState {
     pub completed: bool,
-    /// Max virtual finish time over all completed predecessors.
-    pub vdeps: VTime,
+    /// A thread blocked in [`Task::wait`]: only then does completion pay
+    /// for a wakeup (a futex syscall, whether or not anyone sleeps).
+    pub waited: bool,
     /// Virtual completion time, valid once `completed`.
     pub vfinish: VTime,
 }
@@ -94,7 +186,7 @@ pub struct Task {
     /// A task that already carries one when it becomes ready keeps it: a
     /// frozen graph replay re-enqueues with the previous iteration's
     /// placement ([`Task::reset_for_replay`] clears it otherwise).
-    pub chosen: Mutex<Option<ExecChoice>>,
+    pub chosen: Chosen,
     /// Placement table recorded at graph-instantiation time; `None` for
     /// ordinary submitted tasks (computed on the fly instead).
     pub(crate) placement: Option<StaticPlacement>,
@@ -115,6 +207,8 @@ pub struct Task {
     footprint: u64,
     /// Dependencies not yet satisfied, +1 submission guard.
     ndeps: AtomicUsize,
+    /// Max virtual finish time (ns) over the completed predecessors.
+    vdeps: AtomicU64,
     /// Dependents released when this task completes: added by
     /// [`Task::link`] for submitted tasks (dropped on completion), wired
     /// once at instantiation for recorded tasks (kept across replays).
@@ -149,11 +243,11 @@ impl Task {
         {
             let mut st = self.state.lock();
             st.completed = false;
-            st.vdeps = VTime::ZERO;
             st.vfinish = VTime::ZERO;
         }
+        self.vdeps.store(0, Ordering::Relaxed);
         if !frozen {
-            *self.chosen.lock() = None;
+            self.chosen.set(None);
         }
         self.ndeps.store(preds, Ordering::Release);
         self.run_tag.store(run.pack(), Ordering::Relaxed);
@@ -200,8 +294,13 @@ impl Task {
     }
 
     pub(crate) fn observe_dep(&self, pred_vfinish: VTime) {
-        let mut st = self.state.lock();
-        st.vdeps = st.vdeps.max(pred_vfinish);
+        self.vdeps
+            .fetch_max(pred_vfinish.as_nanos(), Ordering::Relaxed);
+    }
+
+    /// Max virtual finish time over the completed predecessors.
+    pub(crate) fn vdeps(&self) -> VTime {
+        VTime::from_nanos(self.vdeps.load(Ordering::Relaxed))
     }
 
     /// Decrements the dependency counter; returns `true` when the task has
@@ -214,28 +313,28 @@ impl Task {
         self.ndeps.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Marks the task complete and returns the successors that became ready.
-    pub(crate) fn complete(self: &Arc<Task>, vfinish: VTime) -> Vec<Arc<Task>> {
+    /// Marks the task complete and appends the successors that became
+    /// ready to `ready`.
+    pub(crate) fn complete(self: &Arc<Task>, vfinish: VTime, ready: &mut Vec<Arc<Task>>) {
         let mut st = self.state.lock();
         st.completed = true;
         st.vfinish = vfinish;
+        let waited = std::mem::take(&mut st.waited);
         drop(st);
-        self.cv.notify_all();
+        if waited {
+            self.cv.notify_all();
+        }
 
         let satisfied = |s: &Arc<Task>| {
             s.observe_dep(vfinish);
             s.dep_satisfied()
         };
         if self.graph.is_some() {
-            self.successors
-                .lock()
-                .iter()
-                .filter(|s| satisfied(s))
-                .cloned()
-                .collect()
+            let succs = self.successors.lock();
+            ready.extend(succs.iter().filter(|s| satisfied(s)).cloned());
         } else {
             let succs = std::mem::take(&mut *self.successors.lock());
-            succs.into_iter().filter(satisfied).collect()
+            ready.extend(succs.into_iter().filter(satisfied));
         }
     }
 
@@ -243,6 +342,7 @@ impl Task {
     pub fn wait(&self) {
         let mut st = self.state.lock();
         while !st.completed {
+            st.waited = true;
             self.cv.wait(&mut st);
         }
     }
@@ -421,17 +521,18 @@ impl TaskBuilder {
             force_worker: self.force_worker,
             use_history: self.use_history,
             wont_use: self.wont_use,
-            chosen: Mutex::new(None),
+            chosen: Chosen::default(),
             placement: None,
             graph: None,
             run_tag: AtomicU64::new(u64::MAX),
             job,
             footprint,
             ndeps: AtomicUsize::new(1), // submission guard
+            vdeps: AtomicU64::new(0),
             successors: Mutex::new(Vec::new()),
             state: Mutex::new(TaskRunState {
                 completed: false,
-                vdeps: VTime::ZERO,
+                waited: false,
                 vfinish: VTime::ZERO,
             }),
             cv: Condvar::new(),
@@ -508,9 +609,9 @@ mod tests {
         let c = dummy_codelet(&[Arch::Cpu]);
         let pred = raw_task(Arc::clone(&c));
         let succ = raw_task(c);
-        pred.complete(VTime::from_micros(42));
+        pred.complete(VTime::from_micros(42), &mut Vec::new());
         assert!(!Task::link(&pred, &succ));
-        assert_eq!(succ.state.lock().vdeps, VTime::from_micros(42));
+        assert_eq!(succ.vdeps(), VTime::from_micros(42));
     }
 
     #[test]
@@ -521,16 +622,58 @@ mod tests {
         assert!(Task::link(&pred, &succ)); // link counts the edge itself
                                            // Remove submission guard; only the real dep remains.
         assert!(!succ.dep_satisfied());
-        let ready = pred.complete(VTime::from_micros(7));
+        let mut ready = Vec::new();
+        pred.complete(VTime::from_micros(7), &mut ready);
         assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].state.lock().vdeps, VTime::from_micros(7));
+        assert_eq!(ready[0].vdeps(), VTime::from_micros(7));
+    }
+
+    #[test]
+    fn chosen_packs_placements_into_one_word() {
+        let chosen = Chosen::default();
+        assert_eq!(chosen.get(), None);
+        for (worker, arch) in [(0, Arch::Cpu), (0, Arch::CpuTeam), (65, Arch::Gpu)] {
+            let c = ExecChoice {
+                worker,
+                arch,
+                pred_delta: VTime::from_micros(7),
+            };
+            chosen.set(Some(c));
+            assert_eq!(chosen.get(), Some(c));
+            assert!(!chosen.take_fresh(), "a set placement is not fresh");
+        }
+        // A placement decided now is fresh once, keeps its mark across a
+        // steal's rebinding, and stores its prediction saturated.
+        let huge = ExecChoice {
+            worker: 1,
+            arch: Arch::Gpu,
+            pred_delta: VTime::from_nanos(u64::MAX),
+        };
+        let stored = chosen.place(huge);
+        assert_eq!(
+            stored.pred_delta,
+            VTime::from_nanos(u64::MAX >> DELTA_SHIFT)
+        );
+        assert_eq!(chosen.rebind(3), Some(stored));
+        assert_eq!(
+            chosen.get(),
+            Some(ExecChoice {
+                worker: 3,
+                ..stored
+            })
+        );
+        assert!(chosen.take_fresh());
+        assert!(!chosen.take_fresh());
+        chosen.set(None);
+        assert_eq!(chosen.rebind(2), None, "nothing to rebind");
+        assert_eq!(chosen.get(), None);
     }
 
     #[test]
     fn vfinish_only_after_completion() {
         let t = raw_task(dummy_codelet(&[Arch::Cpu]));
         assert!(t.vfinish().is_none());
-        t.complete(VTime::from_micros(3));
+        t.complete(VTime::from_micros(3), &mut Vec::new());
         assert_eq!(t.vfinish(), Some(VTime::from_micros(3)));
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::codelet::{Arch, BufferGuard, KernelCtx};
 use crate::coherence;
+use crate::handle::{AccessMode, PayloadCell};
 use crate::perfmodel::PerfKey;
 use crate::runtime::RuntimeInner;
 use crate::stats::TraceEvent;
@@ -11,16 +12,25 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-/// One pop attempt. Successful pops are wall-clock timed into the
-/// worker's stats cell so benchmarks can report the scheduler's real
-/// per-dispatch decision cost.
+/// One pop attempt. One successful pop in [`crate::stats::POP_SAMPLE`] is
+/// wall-clock timed into the worker's stats cell, so benchmarks can report
+/// the scheduler's real per-dispatch decision cost without every pop
+/// paying for two clock reads.
 fn try_pop(inner: &RuntimeInner, worker: usize) -> Option<Arc<Task>> {
-    let t0 = Instant::now();
+    let t0 = inner.stats.pop_timed(worker).then(Instant::now);
     let task = inner.sched.pop_for_worker(worker, &inner.sched_ctx())?;
-    inner
-        .stats
-        .record_pop(worker, t0.elapsed().as_nanos() as u64);
+    let ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
+    inner.stats.record_pop(worker, ns);
     Some(task)
+}
+
+/// Buffers a worker reuses from task to task, so running one allocates
+/// nothing: the operands' buffer guards and the successors a completion
+/// readies. Both are empty between tasks.
+#[derive(Default)]
+struct Scratch {
+    guards: Vec<BufferGuard>,
+    ready: Vec<Arc<Task>>,
 }
 
 /// Main loop of worker `worker`: pop tasks until shutdown, parking on the
@@ -29,13 +39,14 @@ fn try_pop(inner: &RuntimeInner, worker: usize) -> Option<Arc<Task>> {
 /// of broadcasting, so an N-worker runtime no longer pays a thundering
 /// herd per submit.
 pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker: usize) {
+    let mut scratch = Scratch::default();
     // Frozen graph replays chain task-to-task: `run_one` hands back the
     // ready successor already placed on this very worker, which runs
     // without ever touching the scheduler queues.
-    let run_chain = |t: Arc<Task>| {
-        let mut next = run_one(&inner, worker, t, false);
+    let mut run_chain = |t: Arc<Task>| {
+        let mut next = run_one(&inner, worker, t, false, &mut scratch);
         while let Some(t) = next.take() {
-            next = run_one(&inner, worker, t, true);
+            next = run_one(&inner, worker, t, true, &mut scratch);
         }
     };
     loop {
@@ -115,6 +126,7 @@ fn run_one(
     worker: usize,
     task: Arc<Task>,
     direct: bool,
+    scratch: &mut Scratch,
 ) -> Option<Arc<Task>> {
     // Cancellation drain: a cancelled job's tasks complete without
     // executing, so dependents unwind and the job's `cancel()` unblocks,
@@ -124,17 +136,18 @@ fn run_one(
         // Placement-at-push schedulers charged a load prediction when the
         // task was enqueued; release it exactly as a timed execution would.
         if !direct {
-            let choice = *task.chosen.lock();
-            inner.sched.task_timed(worker, &task, choice);
+            inner.sched.task_timed(worker, &task, task.chosen.get());
         }
-        task.state.lock().vdeps
+        task.vdeps()
     } else {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_task(inner, worker, &task, direct)
+            execute_task(inner, worker, &task, direct, &mut scratch.guards)
         }));
         match result {
             Ok(vfinish) => vfinish,
             Err(payload) => {
+                // Unlock whatever the unwound execution had guarded.
+                scratch.guards.clear();
                 let msg = panic_message(payload.as_ref());
                 task.job.record_fault(format!(
                     "task {} (codelet `{}`) panicked on worker {worker}: {msg}",
@@ -144,11 +157,13 @@ fn run_one(
                 // get a monotone virtual time. Pins/accounting from the
                 // unwound execution may be leaked — acceptable in fault
                 // mode, the runtime is headed for an error report.
-                task.state.lock().vdeps
+                task.vdeps()
             }
         }
     };
-    let mut next = inner.release(task.complete(vfinish), Some(worker));
+    task.complete(vfinish, &mut scratch.ready);
+    let mut next = inner.release(&mut scratch.ready, Some(worker));
+    scratch.ready.clear();
     if let Some(core) = task.graph.as_ref().and_then(Weak::upgrade) {
         // The iteration's last task has no successors, so at most one of
         // the two hands back a continuation.
@@ -159,28 +174,32 @@ fn run_one(
     next
 }
 
-fn execute_task(inner: &RuntimeInner, worker: usize, task: &Arc<Task>, direct: bool) -> VTime {
+fn execute_task(
+    inner: &RuntimeInner,
+    worker: usize,
+    task: &Arc<Task>,
+    direct: bool,
+    guards: &mut Vec<BufferGuard>,
+) -> VTime {
     // One read of the placement decision serves the arch pick here and the
     // prediction release in `task_timed` below.
-    let choice = *task.chosen.lock();
+    let choice = task.chosen.get();
     let arch = pick_arch(inner, worker, task, choice);
-    let implementation = task
-        .codelet
-        .impl_for(arch)
-        .unwrap_or_else(|| {
-            panic!(
-                "codelet `{}` scheduled on {arch:?} without an implementation",
-                task.codelet.name
-            )
-        })
-        .clone();
+    // Borrowed, not cloned: the task holds its codelet, and a clone would
+    // bounce the kernel's shared reference count between workers.
+    let implementation = task.codelet.impl_for(arch).unwrap_or_else(|| {
+        panic!(
+            "codelet `{}` scheduled on {arch:?} without an implementation",
+            task.codelet.name
+        )
+    });
     let team = if arch == Arch::CpuTeam {
         inner.machine.cpu_workers
     } else {
         1
     };
     let node = inner.machine.worker_memory_node(worker);
-    let vdeps = task.state.lock().vdeps;
+    let vdeps = task.vdeps();
     let run = task.run();
 
     // Gate on the flag before building the event: the `String` clone must
@@ -195,34 +214,43 @@ fn execute_task(inner: &RuntimeInner, worker: usize, task: &Arc<Task>, direct: b
         });
     }
 
-    // Pin every operand at this node first: replicas of a running task must
-    // never be eviction victims, and later make_valid calls for large
-    // sibling operands could otherwise evict the ones brought in earlier.
-    for (h, _) in &task.accesses {
-        inner.memory.pin(node, h);
-    }
-
-    // Bring operands to this worker's memory node (lazy coherence),
-    // collecting the virtual time at which the data is available.
+    // Pin every operand at this node before bringing any in: replicas of a
+    // running task must never be eviction victims, and a later operand's
+    // allocation could otherwise evict one brought in earlier. Bring the
+    // operands to this worker's memory node (lazy coherence), collecting
+    // the virtual time at which the data is available, and guard each
+    // buffer (shared for reads, exclusive for writes). While every operand
+    // so far was already usable here (a warm task), its pin also takes its
+    // buffer in the same lock hold; from the first one that is not, the
+    // rest are only pinned and then made valid in order, so replicas are
+    // touched in access order either way.
+    let guard = |cell: PayloadCell, mode: AccessMode| {
+        if mode.writes() {
+            BufferGuard::Write(cell.write_arc())
+        } else {
+            BufferGuard::Read(cell.read_arc())
+        }
+    };
     let mut data_ready = VTime::ZERO;
-    for (h, mode) in &task.accesses {
-        let r = coherence::make_valid(h, node, *mode, &inner.topo, &inner.stats, &inner.memory);
-        data_ready = data_ready.max(r);
+    let mut resident = 0;
+    for (i, (h, mode)) in task.accesses.iter().enumerate() {
+        let warm = resident == i;
+        let got = coherence::pin_resident(h, node, *mode, warm, &inner.stats, &inner.memory);
+        if let Some((r, cell)) = got {
+            data_ready = data_ready.max(r);
+            guards.push(guard(cell, *mode));
+            resident += 1;
+        }
     }
-
-    // Acquire buffer guards (shared for reads, exclusive for writes).
-    let mut guards: Vec<BufferGuard> = task
-        .accesses
-        .iter()
-        .map(|(h, mode)| {
-            let cell = coherence::cell_for(h, node);
-            if mode.writes() {
-                BufferGuard::Write(cell.write_arc())
-            } else {
-                BufferGuard::Read(cell.read_arc())
-            }
-        })
-        .collect();
+    for (h, mode) in &task.accesses[resident..] {
+        let (r, cell) =
+            coherence::make_valid_cell(h, node, *mode, &inner.topo, &inner.stats, &inner.memory);
+        data_ready = data_ready.max(r);
+        guards.push(guard(
+            cell.expect("a task's operand has a valid copy"),
+            *mode,
+        ));
+    }
 
     // Timing is decided by the model before the real execution.
     let profile = inner.machine.worker_profile(worker);
@@ -278,19 +306,20 @@ fn execute_task(inner: &RuntimeInner, worker: usize, task: &Arc<Task>, direct: b
     // Contain kernel panics: a crashing component implementation must
     // not take the worker thread (and with it the whole runtime) down.
     // The task still completes (its outputs may be garbage — recorded
-    // in the failure counter), successors run, waiters wake.
+    // in the failure counter and, when tracing, as an event naming the
+    // task), successors run, waiters wake.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         (implementation.func)(&mut ctx);
     }));
-    if let Err(payload) = result {
-        let msg = panic_message(payload.as_ref());
-        eprintln!(
-            "peppher-runtime: kernel `{}` panicked on worker {worker}: {msg}",
-            task.codelet.name
-        );
+    if result.is_err() {
         inner.stats.record_kernel_failure();
+        inner.stats.record_event(TraceEvent::KernelFault {
+            task: task.id,
+            worker,
+            job: task.job.id,
+        });
     }
-    drop(guards);
+    guards.clear();
 
     // The worker's virtual timeline now includes this task. Direct
     // (self-continued) tasks never entered the scheduler, so there is no
@@ -373,11 +402,65 @@ fn execute_task(inner: &RuntimeInner, worker: usize, task: &Arc<Task>, direct: b
 #[cfg(test)]
 mod tests {
     use crate::codelet::{Arch, Codelet};
+    use crate::handle::AccessMode;
+    use crate::perfmodel::{ArchClassId, PerfKey};
     use crate::runtime::Runtime;
     use crate::sched::SchedulerKind;
     use crate::task::{ExecChoice, TaskBuilder};
     use peppher_sim::{MachineConfig, VTime};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+
+    /// Successors released by workers are charged and timed like any
+    /// pushed task: after a gated chain and a fan-out drain, every
+    /// worker's queued charge is released and the chain's history is
+    /// calibrated from its samples.
+    #[test]
+    fn released_successors_release_their_charge_and_feed_the_model() {
+        for sched in [SchedulerKind::Dmda, SchedulerKind::Dmdar] {
+            let rt = Runtime::new(MachineConfig::cpu_only(2).without_noise(), sched);
+            let gate = Arc::new(AtomicBool::new(false));
+            let gate_cl = {
+                let gate = Arc::clone(&gate);
+                Arc::new(Codelet::new("drain_gate").with_impl(Arch::Cpu, move |_| {
+                    while !gate.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                }))
+            };
+            let step = Arc::new(Codelet::new("drain_step").with_impl(Arch::Cpu, |ctx| {
+                *ctx.w::<u64>(0) += 1;
+            }));
+            let read = Arc::new(Codelet::new("drain_read").with_impl(Arch::Cpu, |_| {}));
+            let h = rt.register(0u64);
+            TaskBuilder::new(&gate_cl)
+                .access(&h, AccessMode::Write)
+                .submit(&rt);
+            for _ in 0..64 {
+                TaskBuilder::new(&step)
+                    .access(&h, AccessMode::ReadWrite)
+                    .submit(&rt);
+            }
+            for _ in 0..16 {
+                TaskBuilder::new(&read)
+                    .access(&h, AccessMode::Read)
+                    .submit(&rt);
+            }
+            gate.store(true, Ordering::Release);
+            rt.wait_all();
+
+            let stats = rt.stats();
+            assert_eq!(stats.tasks_executed, 81, "{sched:?}");
+            for w in 0..2 {
+                let charge = rt.inner.sched.queued_charge(w);
+                assert_eq!(charge, VTime::ZERO, "{sched:?}: worker {w} charge");
+            }
+            let key = PerfKey::for_codelet(step.id, ArchClassId::Cpu, 8);
+            assert!(rt.perf().calibrated(&key), "{sched:?}: chain history");
+            assert_eq!(rt.unregister::<u64>(h), 64);
+            rt.shutdown();
+        }
+    }
 
     /// Releases a CPU-only task mislabelled with a GPU placement past the
     /// submission guard, the way only an internal scheduler bug could.
@@ -391,14 +474,14 @@ mod tests {
                 .for_job(&rt.inner.jobs.default)
                 .into_task(u64::MAX),
         );
-        *task.chosen.lock() = Some(ExecChoice {
+        task.chosen.set(Some(ExecChoice {
             worker: 0,
             arch: Arch::Gpu,
             pred_delta: VTime::ZERO,
-        });
+        }));
         assert!(task.dep_satisfied(), "fresh task has only the guard dep");
         rt.inner.admit(&rt.inner.jobs.default, 1);
-        rt.inner.release(vec![task], None);
+        rt.inner.release(&mut [task], None);
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! Counting-allocator probes for the per-task hot path: once warmed, the
 //! interned `PerfKey` pipeline and the disabled-trace gate must perform
-//! **zero** heap allocations.
+//! **zero** heap allocations, and submission allocates little beyond the
+//! tasks themselves.
 //!
 //! The probe counts allocations made by *this* thread only (worker threads
 //! have their own counters that are never read), so a parked runtime in
 //! the background cannot pollute a measurement.
 
 use peppher_runtime::stats::StatsCollector;
-use peppher_runtime::{Arch, ArchClass, ArchClassId, Codelet, PerfKey, PerfRegistry, Sym};
-use peppher_sim::VTime;
+use peppher_runtime::{
+    AccessMode, Arch, ArchClass, ArchClassId, Codelet, JobConfig, PerfKey, PerfRegistry, Runtime,
+    SchedulerKind, Sym, TaskBuilder,
+};
+use peppher_sim::{MachineConfig, VTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -99,4 +104,71 @@ fn disabled_trace_gate_does_not_allocate() {
         }
     });
     assert_eq!(n, 0, "disabled tracing must cost zero allocations per task");
+}
+
+fn dmda_runtime() -> Runtime {
+    Runtime::new(
+        MachineConfig::cpu_only(2).without_noise(),
+        SchedulerKind::Dmda,
+    )
+}
+
+/// A warmed single submit of a one-operand task allocates the task and at
+/// most two growths of the dependency lists it joins (the predecessor's
+/// successors, the handle's readers), builder excluded.
+#[test]
+fn warmed_single_submit_allocates_at_most_three_times() {
+    let rt = dmda_runtime();
+    let c = Arc::new(Codelet::new("alloc-probe-submit").with_impl(Arch::Cpu, |_| {}));
+    let job = rt.job(JobConfig::default());
+    let h = job.register(0u64);
+    let submit = |mode| {
+        let b = TaskBuilder::new(&c).access(&h, mode);
+        allocs_during(|| {
+            job.submit(b);
+        })
+    };
+    for _ in 0..256 {
+        submit(AccessMode::ReadWrite);
+        submit(AccessMode::Read);
+    }
+    job.wait();
+    let worst = (0..256)
+        .flat_map(|_| [submit(AccessMode::ReadWrite), submit(AccessMode::Read)])
+        .max();
+    job.wait();
+    assert!(
+        worst <= Some(3),
+        "a warmed single submit made {worst:?} allocations (at most 3)"
+    );
+    let _: u64 = rt.unregister(h);
+}
+
+/// A warmed 64-task batch of independent tasks allocates at most two
+/// blocks per task, builders excluded.
+#[test]
+fn warmed_batch_of_64_allocates_at_most_128_times() {
+    let rt = dmda_runtime();
+    let c = Arc::new(Codelet::new("alloc-probe-batch").with_impl(Arch::Cpu, |_| {}));
+    let job = rt.job(JobConfig::default());
+    let batch = || {
+        (0..64u64)
+            .map(|i| TaskBuilder::new(&c).arg(i))
+            .collect::<Vec<_>>()
+    };
+    let submit = |b: Vec<TaskBuilder>| {
+        allocs_during(|| {
+            job.submit_batch(b);
+        })
+    };
+    for _ in 0..16 {
+        submit(batch());
+    }
+    job.wait();
+    let worst = (0..16).map(|_| submit(batch())).max();
+    job.wait();
+    assert!(
+        worst <= Some(128),
+        "a warmed 64-task batch made {worst:?} allocations (at most 128)"
+    );
 }

@@ -132,6 +132,61 @@ fn jobs_do_not_reorder_dispatch() {
     }
 }
 
+/// A successor released by the worker that completed its predecessor
+/// does not jump that worker's queue: behind a gate that holds a handle,
+/// an older task of equal priority is queued before the gate's successor
+/// is released, and it runs first.
+#[test]
+fn released_successor_does_not_jump_an_older_task() {
+    for sched in [
+        SchedulerKind::Eager,
+        SchedulerKind::Dmda,
+        SchedulerKind::Dmdar,
+    ] {
+        let rt = single_worker(sched);
+        let gate = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(AtomicBool::new(false));
+        let gate_cl = {
+            let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+            Arc::new(Codelet::new("job_gate").with_impl(Arch::Cpu, move |_| {
+                started.store(true, Ordering::Release);
+                while !gate.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+            }))
+        };
+        let h = rt.register(0u64);
+        TaskBuilder::new(&gate_cl)
+            .access(&h, AccessMode::ReadWrite)
+            .submit(&rt);
+        while !started.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let record = |i: usize| {
+            let order = Arc::clone(&order);
+            let cl = Codelet::new("job_order").with_impl(Arch::Cpu, move |_| {
+                order.lock().unwrap().push(i);
+            });
+            TaskBuilder::new(&Arc::new(cl))
+        };
+        let job = rt.job(JobConfig::default());
+        job.submit(record(0));
+        job.submit(record(1).access(&h, AccessMode::Read));
+
+        gate.store(true, Ordering::Release);
+        job.wait();
+        rt.wait_all();
+        assert_eq!(
+            *order.lock().unwrap(),
+            [0, 1],
+            "{sched:?}: the released successor must queue behind the older task"
+        );
+        rt.shutdown();
+    }
+}
+
 /// Cancellation mid-stream leaks nothing: queued tasks drain without
 /// executing, dependents unwind, the job's device replicas are all
 /// reclaimed (per-job accounting returns to zero on every device node),

@@ -426,14 +426,22 @@ fn submission_race_stress_chain_counts_exactly() {
 
 #[test]
 fn kernel_panic_is_contained() {
-    let rt = Runtime::new(MachineConfig::cpu_only(2), SchedulerKind::Eager);
+    let rt = Runtime::with_config(
+        MachineConfig::cpu_only(2),
+        RuntimeConfig {
+            scheduler: SchedulerKind::Eager,
+            enable_trace: true,
+            ..RuntimeConfig::default()
+        },
+    );
     let bad = Arc::new(Codelet::new("bad").with_impl(Arch::Cpu, |_| {
         panic!("kernel bug");
     }));
     let good = incr_codelet(&[Arch::Cpu]);
     let h = rt.register(vec![0.0f64; 8]);
     // The panicking task must not kill its worker or deadlock waiters...
-    TaskBuilder::new(&bad).submit_sync(&rt);
+    let failed = TaskBuilder::new(&bad).submit(&rt);
+    failed.wait();
     // ...and subsequent (even dependent) work still executes.
     TaskBuilder::new(&good)
         .access(&h, AccessMode::ReadWrite)
@@ -442,6 +450,17 @@ fn kernel_panic_is_contained() {
     let stats = rt.stats();
     assert_eq!(stats.kernel_failures, 1);
     assert_eq!(stats.tasks_executed, 2);
+    // The runtime reports the fault as one trace event naming the task.
+    let faults: Vec<TraceEvent> = rt
+        .trace()
+        .into_iter()
+        .filter(|e| matches!(e, TraceEvent::KernelFault { .. }))
+        .collect();
+    assert!(
+        matches!(faults[..], [TraceEvent::KernelFault { task, .. }] if task == failed.id()),
+        "one fault event for task {}: {faults:?}",
+        failed.id()
+    );
     assert!(rt.unregister::<Vec<f64>>(h).iter().all(|&x| x == 1.0));
     rt.shutdown();
 }

@@ -1,10 +1,13 @@
 //! Concurrency stress for the per-worker parking protocol: many submitter
 //! threads racing `wait_all` and each other must never lose a wakeup (a
 //! lost wakeup shows up as a hang — every worker parked with tasks still
-//! queued — or as a wrong `tasks_executed` count).
+//! queued — or as a wrong `tasks_executed` count). Chains and fan-outs
+//! add the completion path: a released successor either goes through the
+//! queue or runs directly on the worker that released it, and either way
+//! runs exactly once, after its predecessors.
 
 use peppher_runtime::{
-    AccessMode, Arch, Codelet, Runtime, RuntimeConfig, SchedulerKind, TaskBuilder,
+    AccessMode, Arch, Codelet, KernelCtx, Runtime, RuntimeConfig, SchedulerKind, TaskBuilder,
 };
 use peppher_sim::{KernelCost, MachineConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,4 +147,120 @@ fn completion_driven_wakeups_deliver_chains() {
     rt.wait_all();
     assert_eq!(rt.unregister::<Vec<u64>>(h)[0], 300);
     rt.shutdown();
+}
+
+const ROUNDS: u64 = 8;
+const CHAIN: u64 = 16;
+const READERS: u64 = 16;
+
+/// One chain step: an affine map whose composition depends on order.
+fn step(x: u64, k: u64) -> u64 {
+    x.wrapping_mul(3).wrapping_add(k)
+}
+
+/// A codelet running `kernel` on the CPU and the GPU alike.
+fn both(
+    name: &str,
+    kernel: impl Fn(&mut KernelCtx<'_>) + Clone + Send + Sync + 'static,
+) -> Arc<Codelet> {
+    Arc::new(
+        Codelet::new(name)
+            .with_impl(Arch::Cpu, kernel.clone())
+            .with_impl(Arch::Gpu, kernel),
+    )
+}
+
+/// Racing submitters each run rounds of a `CHAIN`-step ReadWrite chain
+/// and a fan-out of one writer to `READERS` readers, then read both
+/// results back: the chain must fold its steps in order, every reader
+/// must see the writer's value, and every task must run exactly once.
+fn chain_fanout_stress(kind: SchedulerKind, machine: MachineConfig) {
+    let rt = Runtime::with_config(
+        machine,
+        RuntimeConfig {
+            scheduler: kind,
+            ..RuntimeConfig::default()
+        },
+    );
+    let seen = Arc::new(AtomicU64::new(0));
+    let step_cl = both("stress_step", |ctx| {
+        let k = *ctx.arg::<u64>();
+        let x = ctx.w::<u64>(0);
+        *x = step(*x, k);
+    });
+    let write_cl = both("stress_write", |ctx| *ctx.w::<u64>(0) = *ctx.arg::<u64>());
+    let read_cl = {
+        let seen = Arc::clone(&seen);
+        both("stress_read", move |ctx| {
+            seen.fetch_add(*ctx.r::<u64>(0), Ordering::Relaxed);
+        })
+    };
+    let threads: Vec<_> = (0..SUBMITTERS as u64)
+        .map(|t| {
+            let rt = rt.clone();
+            let (step_cl, write_cl, read_cl) = (
+                Arc::clone(&step_cl),
+                Arc::clone(&write_cl),
+                Arc::clone(&read_cl),
+            );
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    let seed = t * 1000 + round;
+                    let acc = rt.register(seed);
+                    for k in 0..CHAIN {
+                        TaskBuilder::new(&step_cl)
+                            .access(&acc, AccessMode::ReadWrite)
+                            .arg(k)
+                            .submit(&rt);
+                    }
+                    let fan = rt.register(0u64);
+                    TaskBuilder::new(&write_cl)
+                        .access(&fan, AccessMode::Write)
+                        .arg(seed)
+                        .submit(&rt);
+                    for _ in 0..READERS {
+                        TaskBuilder::new(&read_cl)
+                            .access(&fan, AccessMode::Read)
+                            .submit(&rt);
+                    }
+                    let want = (0..CHAIN).fold(seed, step);
+                    assert_eq!(rt.unregister::<u64>(acc), want, "chain {t}.{round}");
+                    assert_eq!(rt.unregister::<u64>(fan), seed, "fan-out {t}.{round}");
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("submitter thread panicked");
+    }
+    rt.wait_all();
+    let seeds = (0..SUBMITTERS as u64).flat_map(|t| (0..ROUNDS).map(move |r| t * 1000 + r));
+    let want: u64 = seeds.map(|s| s * READERS).sum();
+    assert_eq!(
+        seen.load(Ordering::Relaxed),
+        want,
+        "{kind:?}: readers saw the writes"
+    );
+    let tasks = SUBMITTERS as u64 * ROUNDS * (CHAIN + 1 + READERS);
+    assert_eq!(
+        rt.stats().tasks_executed,
+        tasks,
+        "{kind:?}: every task ran once"
+    );
+    rt.shutdown();
+}
+
+#[test]
+fn racing_chains_and_fanouts_run_exactly_once() {
+    for kind in [
+        SchedulerKind::Eager,
+        SchedulerKind::Dmda,
+        SchedulerKind::Dmdar,
+    ] {
+        chain_fanout_stress(kind, MachineConfig::cpu_only(2).without_noise());
+    }
+    chain_fanout_stress(
+        SchedulerKind::Dmda,
+        MachineConfig::c2050_platform(2).without_noise(),
+    );
 }
